@@ -22,6 +22,7 @@ from .metrics import (
 )
 from .policies import (
     CandidateInfo,
+    HolderView,
     PolicyKind,
     PolicySpec,
     SelectionOutcome,

@@ -101,10 +101,12 @@ def build_sim_config(sections: dict[str, dict[str, str]], **overrides) -> SimCon
 
     trace_path = sections.get("workload", {}).get("trace")
     if trace_path:
-        with open(trace_path) as fh:
-            workload: Workload | GeneratorConfig = parse_trace(
-                fh.read(), playback_rate=playback_rate
-            )
+        try:
+            with open(trace_path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise TraceError(f"cannot read {trace_path}: {exc.strerror}")
+        workload: Workload | GeneratorConfig = parse_trace(text, playback_rate=playback_rate)
         object_length = workload.object_length
     else:
         profile_raw = sections.get("workload", {}).get("profile")
@@ -124,23 +126,31 @@ def build_sim_config(sections: dict[str, dict[str, str]], **overrides) -> SimCon
             seed=0,
         )
 
-    content = ContentSpec.for_duration(object_length, playback_rate, piece_size, block_size)
+    try:
+        content = ContentSpec.for_duration(object_length, playback_rate, piece_size, block_size)
+    except ValueError as exc:
+        raise ConfigError(f"[content] {exc}")
 
-    swarm = SwarmConfig(
-        unchoke_interval=_get(sections, "swarm", "unchoke_interval", float, 10.0),
-        optimistic_interval=_get(sections, "swarm", "optimistic_interval", float, 30.0),
-        neighbourhood_range=(
-            _get(sections, "swarm", "neighbourhood_min", int, 40),
-            _get(sections, "swarm", "neighbourhood_max", int, 80),
-        ),
-        neighbourhood_target=_get(sections, "swarm", "neighbourhood_target", int, None),
-        neighbourhood_floor=_get(sections, "swarm", "neighbourhood_floor", int, 20),
-        pipeline_depth=_get(sections, "swarm", "pipeline_depth", int, 5),
-        regular_slot_count=_get(sections, "swarm", "regular_slots", int, 4),
-        optimistic_slot_count=_get(sections, "swarm", "optimistic_slots", int, 1),
-        tracker_list_size=_get(sections, "swarm", "tracker_list_size", int, 40),
-        tracker_update_interval=_get(sections, "swarm", "tracker_update_interval", float, 1800.0),
-    )
+    try:
+        swarm = SwarmConfig(
+            unchoke_interval=_get(sections, "swarm", "unchoke_interval", float, 10.0),
+            optimistic_interval=_get(sections, "swarm", "optimistic_interval", float, 30.0),
+            neighbourhood_range=(
+                _get(sections, "swarm", "neighbourhood_min", int, 40),
+                _get(sections, "swarm", "neighbourhood_max", int, 80),
+            ),
+            neighbourhood_target=_get(sections, "swarm", "neighbourhood_target", int, None),
+            neighbourhood_floor=_get(sections, "swarm", "neighbourhood_floor", int, 20),
+            pipeline_depth=_get(sections, "swarm", "pipeline_depth", int, 5),
+            regular_slot_count=_get(sections, "swarm", "regular_slots", int, 4),
+            optimistic_slot_count=_get(sections, "swarm", "optimistic_slots", int, 1),
+            tracker_list_size=_get(sections, "swarm", "tracker_list_size", int, 40),
+            tracker_update_interval=_get(
+                sections, "swarm", "tracker_update_interval", float, 1800.0
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[swarm] {exc}")
 
     policy_name = overrides.get("policy") or _get(sections, "policy", "kind", str, None)
     if policy_name is None:

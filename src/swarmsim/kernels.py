@@ -1,7 +1,8 @@
 """Array kernels behind the metric and selection hot paths.
 
-Two interchangeable backends: numba-compiled loops (default) and pure
-numpy. Set ``SWARMSIM_KERNELS=numpy`` to force the fallback, or
+Two interchangeable backends: numba-compiled loops (the default when
+numba is importable) and pure numpy (the default otherwise). Set
+``SWARMSIM_KERNELS=numpy`` to force the fallback, or
 ``SWARMSIM_KERNELS=numba`` to fail loudly when numba is unavailable.
 Both backends use exact integer arithmetic for dispersion comparisons
 (cross-multiplied ratios), so they select identical candidates.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +83,21 @@ class CandidateInfo:
             started = bool(np.any(self.buffer_summary))
             if started != self.has_started:
                 raise ValueError("has_started must match a non-empty buffer_summary")
+
+
+class HolderView(NamedTuple):
+    """What a request-target baseline reads of a neighbour.
+
+    The cheap counterpart of CandidateInfo for per-pick use: no record,
+    and `buffer_summary` may be the neighbour's live have-map, since the
+    view is read once, at the pick that builds it.
+    """
+
+    peer_id: str
+    buffer_summary: np.ndarray
+    join_time: float = 0.0
+    queue_length: int = 0
+    requests_sent_to: int = 0
 
 
 @dataclass(frozen=True)
@@ -232,11 +247,13 @@ def optimistic_unchoke(candidates: Sequence[str], rng: random.Random) -> str | N
 def baseline_request_target(
     spec: PolicySpec,
     piece: int,
-    neighbours: Sequence[CandidateInfo],
+    neighbours: Sequence[CandidateInfo | HolderView],
     self_join_time: float,
     rng: random.Random | None = None,
 ) -> str:
     """Pick the neighbour to ask for `piece` under a baseline scheme.
+
+    Only neighbours whose buffer summary holds the piece are considered.
 
     llp: shortest request queue. lrp: fewest requests sent so far.
     trackerclosest: nearest join time to our own. ynp: uniform among the
@@ -267,11 +284,3 @@ def baseline_request_target(
         pool = sorted(holders, key=lambda c: (abs(c.join_time - self_join_time), c.peer_id))[: spec.n]
         return pool[rng.randrange(len(pool))].peer_id
     raise ConfigError(f"{kind.value} is not a request-target scheme")
-
-
-def per_piece_optimistic_hook(playback_times: Sequence[float]) -> list[float]:
-    """Optimistic re-evaluation instants for the play-triggered unchoke variant.
-
-    One trigger per played piece, at the playback instant itself.
-    """
-    return list(playback_times)

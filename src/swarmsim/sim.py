@@ -29,6 +29,7 @@ from .errors import ConfigError, InvariantError
 from .metrics import DispersionReport, PopularityRecord, make_report, merge_records
 from .policies import (
     CandidateInfo,
+    HolderView,
     PolicyKind,
     PolicySpec,
     baseline_request_target,
@@ -131,12 +132,7 @@ class SimConfig:
             total += cc.fraction
         if abs(total - 1.0) > 1e-6:
             raise ConfigError(f"capacity fractions must sum to 1, got {total}")
-        length = (
-            self.workload.object_length
-            if isinstance(self.workload, (Workload, GeneratorConfig))
-            else None
-        )
-        if length is not None and length > self.content.duration + _EPS:
+        if self.workload.object_length > self.content.duration + _EPS:
             raise ConfigError(
                 "workload object_length exceeds the content duration implied by the content spec"
             )
@@ -342,6 +338,8 @@ class _RunPeer:
         self.block_source: dict[tuple[int, int], str] = {}
         self.requests_sent: dict[str, int] = {}
         self.wanted = np.zeros(state.have.shape[0], dtype=bool)
+        # replicas[k]: how many alive neighbours hold piece k
+        self.replicas = np.zeros(state.have.shape[0], dtype=np.int64)
         # session progress
         self.requests_made = 0
         self.current_req = -1
@@ -454,6 +452,9 @@ class _Engine:
         self.total_uploaded = 0
         self.total_downloaded = 0
         self.events: list[dict] | None = [] if cfg.record_events else None
+        # Set by every change to links, have-maps or wanted sets; read by
+        # the invariant check to decide whether to recount.
+        self._maps_changed = True
         self.granularity = self.content.piece_duration
 
         wl = cfg.workload
@@ -575,26 +576,42 @@ class _Engine:
         spans = max(elapsed / self.content.duration, 1.0)
         return peer.requests_made / spans
 
-    def _candidate_info(self, peer: _RunPeer, requester: _RunPeer | None = None) -> CandidateInfo:
+    def _candidate_info(self, peer: _RunPeer) -> CandidateInfo:
+        """What greedy formation reads of a candidate.
+
+        The record is the peer's own, not a copy: the greedy kernel copies
+        every candidate record when it stacks them.
+        """
         st = peer.state
-        queue_len = sum(
-            len(ch.queue) + (1 if ch.current else 0) for ch in peer.channels.values()
-        )
-        fwd_window = self.swarm.optimistic_interval
         return CandidateInfo(
             peer_id=st.peer_id,
-            popularity_record=PopularityRecord(
-                self.granularity, st.popularity_record.counts.copy()
-            ),
+            popularity_record=st.popularity_record,
             request_rate=self._request_rate(peer),
             join_time=st.join_time,
             has_started=st.has_started(),
-            buffer_summary=st.have.copy(),
-            queue_length=queue_len,
-            requests_sent_to=(
-                requester.requests_sent.get(st.peer_id, 0) if requester else 0
+            recent_forward_rate=(
+                sum(peer.forward_snapshot.values()) / self.swarm.optimistic_interval
             ),
-            recent_forward_rate=sum(peer.forward_snapshot.values()) / fwd_window,
+        )
+
+    def _holder_view(self, holder: _RunPeer, requester: _RunPeer) -> HolderView:
+        """A request-target baseline's view of a holder, copying no arrays.
+
+        The queue length is counted only under llp, the one scheme that
+        reads it.
+        """
+        st = holder.state
+        queue_len = 0
+        if self.cfg.policy.kind is PolicyKind.LLP:
+            queue_len = sum(
+                len(ch.queue) + (1 if ch.current else 0) for ch in holder.channels.values()
+            )
+        return HolderView(
+            peer_id=st.peer_id,
+            buffer_summary=st.have,
+            join_time=st.join_time,
+            queue_length=queue_len,
+            requests_sent_to=requester.requests_sent.get(st.peer_id, 0),
         )
 
     def _form_neighbourhood(self, peer: _RunPeer, candidates: list[str]) -> list[str]:
@@ -644,10 +661,13 @@ class _Engine:
         return make_report(merged, self._request_rate(peer))
 
     def _connect(self, a: _RunPeer, b: _RunPeer) -> None:
-        if a.peer_id == b.peer_id:
+        if a.peer_id == b.peer_id or b.peer_id in a.state.neighbourhood:
             return
         a.state.neighbourhood.add(b.peer_id)
         b.state.neighbourhood.add(a.peer_id)
+        a.replicas += b.state.have
+        b.replicas += a.state.have
+        self._maps_changed = True
 
     def _refill_neighbourhood(self, peer: _RunPeer) -> None:
         fresh = tracker_refill(
@@ -674,6 +694,7 @@ class _Engine:
             self._log(EventKind.PEER_DEPARTURE, pid, lingering=True)
             return True
         peer.alive = False
+        self._maps_changed = True
         tracker_leave(self.tracker, pid)
         self._cancel_downloads(peer)
         self._cancel_uploads(peer)
@@ -682,6 +703,7 @@ class _Engine:
             if other is None or not other.alive:
                 continue
             other.state.neighbourhood.discard(pid)
+            other.replicas -= peer.state.have
             other.state.regular_slots.discard(pid)
             if other.state.optimistic_slot == pid:
                 other.state.optimistic_slot = None
@@ -757,6 +779,7 @@ class _Engine:
             peer.play_starts_live.append(None)
         region = self.content.pieces_for_interval(req.start_pos, req.end_pos)
         peer.wanted[:] = False
+        self._maps_changed = True
         if len(region) > 0:
             peer.wanted[region.start : region.stop] = True
             peer.wanted &= ~peer.state.have
@@ -818,8 +841,19 @@ class _Engine:
 
     # -- neighbour interest and unchoking ------------------------------------
 
-    def _interested_in(self, wanting: _RunPeer, holder: _RunPeer) -> bool:
-        return bool(np.any(wanting.wanted & holder.state.have))
+    def _wanting(self, ids: Iterable[str]) -> set[str]:
+        """The alive peers among `ids` that still want some piece."""
+        peers = self.peers
+        return {pid for pid in ids if peers[pid].alive and peers[pid].wanted.any()}
+
+    def _interested(self, peer: _RunPeer, wanting: set[str]) -> list[str]:
+        """Neighbours that want a piece `peer` holds, in id order."""
+        have = peer.state.have
+        return [
+            n
+            for n in sorted(peer.state.neighbourhood)
+            if n in wanting and (self.peers[n].wanted & have).any()
+        ]
 
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
         delta = self.swarm.unchoke_interval
@@ -834,15 +868,11 @@ class _Engine:
         return {n: peer.recv_window.get(n, 0) / delta for n in interested}
 
     def _on_unchoke_tick(self) -> bool:
-        for pid in self._alive_ids():
+        alive = self._alive_ids()
+        wanting = self._wanting(alive)
+        for pid in alive:
             peer = self.peers[pid]
-            interested = [
-                n
-                for n in sorted(peer.state.neighbourhood)
-                if self.peers[n].alive and self._interested_in(self.peers[n], peer)
-            ]
-            rates = self._rank_rates(peer, interested)
-            peer.state.download_rate_history = dict(rates)
+            rates = self._rank_rates(peer, self._interested(peer, wanting))
             regular = tit_for_tat_unchoke(rates, self.swarm.regular_slot_count)
             old = peer.unchoked_set()
             peer.state.regular_slots = set(regular)
@@ -862,15 +892,13 @@ class _Engine:
             self._schedule(next_t, EventKind.UNCHOKE_TICK, ())
         return True
 
-    def _reoptimistic(self, peer: _RunPeer) -> None:
+    def _reoptimistic(self, peer: _RunPeer, wanting: set[str] | None = None) -> None:
         if self.swarm.optimistic_slot_count == 0:
             return
+        if wanting is None:
+            wanting = self._wanting(peer.state.neighbourhood)
         choked = [
-            n
-            for n in sorted(peer.state.neighbourhood)
-            if self.peers[n].alive
-            and n not in peer.state.regular_slots
-            and self._interested_in(self.peers[n], peer)
+            n for n in self._interested(peer, wanting) if n not in peer.state.regular_slots
         ]
         pick = optimistic_unchoke(choked, self.rng)
         old = peer.unchoked_set()
@@ -878,14 +906,13 @@ class _Engine:
         self._apply_slot_diff(peer, old, peer.unchoked_set())
 
     def _on_optimistic_tick(self) -> bool:
-        for pid in self._alive_ids():
-            self._reoptimistic(self.peers[pid])
+        alive = self._alive_ids()
+        wanting = self._wanting(alive)
+        for pid in alive:
+            self._reoptimistic(self.peers[pid], wanting)
         for p in self.peers.values():
             p.forward_snapshot = dict(p.forward_accum)
             p.forward_accum.clear()
-            p.state.forward_rate_history = {
-                k: v / self.swarm.optimistic_interval for k, v in p.forward_snapshot.items()
-            }
         self._log(EventKind.OPTIMISTIC_TICK, None)
         next_t = self.now + self.swarm.optimistic_interval
         if next_t <= self.cfg.horizon + _EPS:
@@ -919,11 +946,6 @@ class _Engine:
     def _on_tracker_update(self) -> bool:
         for pid in self._alive_ids():
             peer = self.peers[pid]
-            entry = self.tracker.registry.get(pid)
-            if entry is not None:
-                self.tracker.registry[pid] = dataclasses.replace(
-                    entry, last_update=self.now
-                )
             alive_neigh = sum(1 for n in peer.state.neighbourhood if self.peers[n].alive)
             if alive_neigh < self.swarm.neighbourhood_floor:
                 self._refill_neighbourhood(peer)
@@ -952,17 +974,12 @@ class _Engine:
             avail[assigned] = False
         if not avail.any():
             return None
-        neighbour_maps = [
-            self.peers[n].state.have
-            for n in sorted(dl.state.neighbourhood)
-            if self.peers[n].alive
-        ]
-        piece = rarest_first(dl.state, neighbour_maps, self.rng, among=avail)
+        piece = rarest_first(dl.state, dl.replicas, self.rng, among=avail)
         if piece is None:
             return None
         if self.cfg.policy.kind in _YANG_KINDS:
             holders = [
-                self._candidate_info(self.peers[u], requester=dl)
+                self._holder_view(self.peers[u], dl)
                 for u in sorted(dl.unchoked_by)
                 if self.peers[u].alive and self.peers[u].state.has_piece(piece)
             ]
@@ -1074,6 +1091,9 @@ class _Engine:
                 completed=completed,
             )
             if completed:
+                for nid in dl.state.neighbourhood:
+                    self.peers[nid].replicas[tr.piece] += 1
+                self._maps_changed = True
                 self._on_piece_complete(dl, up, tr.piece)
             self._fill_pipeline(dl, up)
         if ch is not None and ch.current is None:
@@ -1114,21 +1134,73 @@ class _Engine:
             raise InvariantError(
                 f"byte conservation broken: up={self.total_uploaded} down={self.total_downloaded}"
             )
-        for pid, peer in self.peers.items():
-            if not peer.alive:
-                continue
+        regular_cap = self.swarm.regular_slot_count
+        total_cap = self.swarm.total_slots
+        alive = {pid: peer for pid, peer in self.peers.items() if peer.alive}
+        for pid, peer in alive.items():
             st = peer.state
-            if len(st.regular_slots) > self.swarm.regular_slot_count:
+            if len(st.regular_slots) > regular_cap:
                 raise InvariantError(f"{pid} exceeds regular slot cap")
             extra = 1 if st.optimistic_slot is not None else 0
             if st.optimistic_slot in st.regular_slots:
                 raise InvariantError(f"{pid} optimistic slot duplicates a regular slot")
-            if len(st.regular_slots) + extra > self.swarm.total_slots:
+            if len(st.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
-            if st.is_seed and (peer.inflight or peer.outstanding):
-                raise InvariantError(f"seed {pid} has outstanding requests")
-            if st.is_seed and not st.have.all():
-                raise InvariantError(f"seed {pid} lost pieces")
+            if st.is_seed:
+                if peer.inflight or peer.outstanding:
+                    raise InvariantError(f"seed {pid} has outstanding requests")
+                if not st.have.all():
+                    raise InvariantError(f"seed {pid} lost pieces")
+            elif peer.channels:
+                served = [ch.current.piece for ch in peer.channels.values() if ch.current]
+                served += [piece for ch in peer.channels.values() for piece, _ in ch.queue]
+                if not st.have[served].all():
+                    raise InvariantError(f"{pid} queues or serves a piece it lacks")
+            if peer.outstanding and not set().union(*peer.outstanding.values()) <= peer.inflight:
+                raise InvariantError(f"{pid} has outstanding requests that are not in flight")
+            # Every owned piece sits in its owner's assigned set, and the
+            # assigned sets hold nothing else.
+            owners = peer.piece_owner
+            assigned = peer.assigned_to
+            if (assigned or owners) and (
+                sum(map(len, assigned.values())) != len(owners)
+                or any(piece not in assigned.get(owner, ()) for piece, owner in owners.items())
+            ):
+                raise InvariantError(f"{pid} piece owners and assigned sets disagree")
+        if self._maps_changed and alive:
+            self._maps_changed = False
+            self._check_links_and_pieces(alive)
+
+    def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:
+        """Links join alive peers both ways, no peer wants a piece it holds,
+        and every replica count equals a recount over the neighbours.
+
+        Runs after each event that links, unlinks, completes or requests a
+        piece; no other event changes what it checks.
+        """
+        ids = list(alive)
+        peers = list(alive.values())
+        index = {pid: i for i, pid in enumerate(ids)}
+        try:
+            cols = [index[nid] for peer in peers for nid in peer.state.neighbourhood]
+        except KeyError as exc:
+            raise InvariantError(f"a neighbourhood keeps departed peer {exc.args[0]}")
+        rows = np.repeat(np.arange(len(ids)), [len(p.state.neighbourhood) for p in peers])
+        links = np.zeros((len(ids), len(ids)))
+        links[rows, cols] = 1.0
+        one_way = np.argwhere(links != links.T)
+        if one_way.size:
+            i, j = one_way[0]
+            raise InvariantError(f"link between {ids[i]} and {ids[j]} is one-way")
+        have = np.stack([peer.state.have for peer in peers])
+        bad = np.flatnonzero((np.stack([peer.wanted for peer in peers]) & have).any(axis=1))
+        if bad.size:
+            raise InvariantError(f"{ids[bad[0]]} wants a piece it holds")
+        # Float products are exact here: counts stay far below 2**53.
+        recount = links @ have
+        bad = np.flatnonzero((recount != np.stack([peer.replicas for peer in peers])).any(axis=1))
+        if bad.size:
+            raise InvariantError(f"{ids[bad[0]]} replica counts disagree with a recount")
 
     # -- reporting -------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Content is split into pieces (the accounting unit; only complete pieces
 can be served) and pieces into blocks (the transmission unit). Peers
-hold a piece bitmap plus per-piece partial block maps, a bounded set of
-upload slots, and rolling rate bookkeeping used by the unchoke policies.
+hold a piece bitmap plus per-piece partial block maps and a bounded set
+of upload slots.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .metrics import PopularityRecord
 
 DEFAULT_PIECE_SIZE = 262144
 DEFAULT_BLOCK_SIZE = 16384
+_NOT_CANDIDATE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,6 @@ class PeerState:
     neighbourhood: set[str] = field(default_factory=set)
     regular_slots: set[str] = field(default_factory=set)
     optimistic_slot: str | None = None
-    download_rate_history: dict[str, float] = field(default_factory=dict)
-    forward_rate_history: dict[str, float] = field(default_factory=dict)
     popularity_record: PopularityRecord | None = None
 
     @property
@@ -172,30 +171,28 @@ def record_block(peer: PeerState, content: ContentSpec, piece: int, block: int) 
 
 def rarest_first(
     peer: PeerState,
-    neighbour_have_maps: Sequence[np.ndarray],
+    replicas: np.ndarray,
     rng: random.Random,
     among: np.ndarray | None = None,
 ) -> int | None:
     """Pick a missing piece with the fewest replicas among neighbours.
 
-    `among` optionally restricts candidates (e.g. to the wanted region).
-    Ties break uniformly at random with the run's generator. Returns None
-    when no neighbour holds anything useful.
+    `replicas[k]` is the number of neighbours holding piece k. `among`,
+    when given, is the candidate set (e.g. the wanted region) and must
+    exclude pieces the peer holds; by default every missing piece is a
+    candidate. Ties break uniformly at random with the run's generator.
+    Returns None when no neighbour holds a candidate.
     """
-    need = ~peer.have
-    if among is not None:
-        need = need & among
-    if not need.any() or not neighbour_have_maps:
-        return None
-    replicas = np.zeros(peer.have.shape[0], dtype=np.int64)
-    for have_map in neighbour_have_maps:
-        replicas += have_map
-    candidates = need & (replicas > 0)
-    if not candidates.any():
-        return None
-    counts = np.where(candidates, replicas, np.iinfo(np.int64).max)
+    need = ~peer.have if among is None else among
+    counts = np.where(need, replicas, _NOT_CANDIDATE)
     best = counts.min()
-    tied = np.flatnonzero(counts == best)
+    if best == 0:
+        # Pieces that no neighbour holds are not candidates.
+        counts[counts == 0] = _NOT_CANDIDATE
+        best = counts.min()
+    if best == _NOT_CANDIDATE:
+        return None
+    tied = (counts == best).nonzero()[0]
     return int(tied[rng.randrange(len(tied))])
 
 
@@ -244,6 +241,8 @@ class SwarmConfig:
             raise ValueError("invalid neighbourhood range")
         if self.neighbourhood_floor >= lo:
             raise ValueError("neighbourhood_floor must sit below the target range")
+        if self.neighbourhood_target is not None and not lo <= self.neighbourhood_target <= hi:
+            raise ValueError("neighbourhood_target must lie in the neighbourhood range")
         if self.pipeline_depth <= 0:
             raise ValueError("pipeline_depth must be positive")
         if self.regular_slot_count < 0 or self.optimistic_slot_count < 0:
@@ -268,7 +267,6 @@ class SwarmConfig:
 @dataclass(frozen=True)
 class TrackerEntry:
     join_time: float
-    last_update: float
 
 
 @dataclass
@@ -294,7 +292,7 @@ def tracker_join(
         raise ValueError("join times must be non-decreasing")
     others = list(tracker.registry)
     sample = rng.sample(others, min(len(others), tracker.list_size))
-    tracker.registry[peer_id] = TrackerEntry(join_time=now, last_update=now)
+    tracker.registry[peer_id] = TrackerEntry(join_time=now)
     tracker._last_join = now
     return sample
 

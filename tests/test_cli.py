@@ -226,6 +226,29 @@ class TestSimulate:
         assert report["per_peer"]["c0"]["continuity_index"] == 1.0
         assert report["per_peer"]["c0"]["interruption_count"] == 0
 
+    def _assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_invalid_swarm_value_is_config_error(self, tmp_path, capsys):
+        bad = SIM_INI.replace("neighbourhood_floor = 3", "neighbourhood_floor = 12")
+        cfg = write(tmp_path, "sim.ini", bad)
+        assert main(["simulate", "--config", cfg]) == 1
+        self._assert_one_line_error(capsys)
+
+    def test_block_size_must_divide_piece_size(self, tmp_path, capsys):
+        bad = SIM_INI.replace("block_size = 16384", "block_size = 10000")
+        cfg = write(tmp_path, "sim.ini", bad)
+        assert main(["simulate", "--config", cfg]) == 1
+        self._assert_one_line_error(capsys)
+
+    def test_missing_trace_file_is_input_error(self, tmp_path, capsys):
+        bad = SIM_INI.replace("profile = hi", f"trace = {tmp_path / 'absent.csv'}")
+        cfg = write(tmp_path, "sim.ini", bad)
+        assert main(["simulate", "--config", cfg]) == 2
+        self._assert_one_line_error(capsys)
+
 
 class TestCompare:
     def test_two_labels_three_reps(self, tmp_path, capsys):

@@ -8,13 +8,13 @@ from swarmsim.errors import ConfigError
 from swarmsim.metrics import PopularityRecord
 from swarmsim.policies import (
     CandidateInfo,
+    HolderView,
     PolicyKind,
     PolicySpec,
     baseline_request_target,
     capacity_check_and_reselect,
     evaluate_set_dispersion,
     optimistic_unchoke,
-    per_piece_optimistic_hook,
     select_neighbors_greedy,
     tit_for_tat_unchoke,
 )
@@ -389,14 +389,34 @@ class TestBaselines:
         ns = [holder("a", [1], queue=0), holder("b", [0], queue=9)]
         assert baseline_request_target(PolicySpec(PolicyKind.LLP), 0, ns, 0.0) == "b"
 
-
-class TestPerPieceHook:
-    def test_one_trigger_per_played_piece(self):
-        times = [1.0, 2.5, 7.0]
-        assert per_piece_optimistic_hook(times) == times
-
-    def test_no_playback_no_triggers(self):
-        assert per_piece_optimistic_hook([]) == []
+    def test_holder_views_pick_like_candidate_infos(self):
+        rng = random.Random(3)
+        infos = [
+            holder(
+                f"p{i}",
+                {0, rng.randrange(8)} if i % 3 else {rng.randrange(1, 8)},
+                join=float(rng.randint(0, 50)),
+                queue=rng.randint(0, 5),
+                sent=rng.randint(0, 5),
+            )
+            for i in range(9)
+        ]
+        views = [
+            HolderView(c.peer_id, c.buffer_summary, c.join_time, c.queue_length, c.requests_sent_to)
+            for c in infos
+        ]
+        specs = [
+            PolicySpec(PolicyKind.LLP),
+            PolicySpec(PolicyKind.LRP),
+            PolicySpec(PolicyKind.TRACKER_CLOSEST),
+            PolicySpec(PolicyKind.YNP, n=2),
+            PolicySpec(PolicyKind.CNP, n=2),
+        ]
+        for spec in specs:
+            for seed in range(5):
+                want = baseline_request_target(spec, 0, infos, 20.0, random.Random(seed))
+                got = baseline_request_target(spec, 0, views, 20.0, random.Random(seed))
+                assert got == want
 
 
 class TestPolicySpec:

@@ -166,8 +166,21 @@ class TestRun:
         assert a.report.to_json() != b.report.to_json()
 
     def test_conservation_every_policy(self):
-        for policy, n in [("dispersiongreedy", None), ("llp", None), ("ynp", 3)]:
-            cfg = sim_config(policy, seed=5, n=n, sessions=15, check_invariants=True)
+        cases = [
+            ("dispersiongreedy", None, 0.0),
+            ("llp", None, 0.0),
+            ("ynp", 3, 0.0),
+            ("lrp", None, 0.3),
+        ]
+        for policy, n, linger in cases:
+            cfg = sim_config(
+                policy,
+                seed=5,
+                n=n,
+                sessions=15,
+                linger_as_seed_fraction=linger,
+                check_invariants=True,
+            )
             rep = run(cfg).report
             assert rep.aggregate["uploaded_bytes"] == rep.aggregate["downloaded_bytes"]
 

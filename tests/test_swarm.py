@@ -119,17 +119,23 @@ class TestRarestFirst:
         m[list(pieces)] = True
         return m
 
+    def _replicas(self, maps):
+        return np.sum(maps, axis=0, dtype=np.int64)
+
     def test_single_available_piece(self):
         p = self._leecher(have_pieces=range(1, 10))
-        assert rarest_first(p, [self._have_map([0])], random.Random(1)) == 0
+        replicas = self._replicas([self._have_map([0])])
+        assert rarest_first(p, replicas, random.Random(1)) == 0
 
     def test_nothing_missing(self):
         p = self._leecher(have_pieces=range(10))
-        assert rarest_first(p, [self._have_map(range(10))], random.Random(1)) is None
+        replicas = self._replicas([self._have_map(range(10))])
+        assert rarest_first(p, replicas, random.Random(1)) is None
 
     def test_no_neighbour_has_anything(self):
         p = self._leecher()
-        assert rarest_first(p, [self._have_map([])], random.Random(1)) is None
+        replicas = self._replicas([self._have_map([])])
+        assert rarest_first(p, replicas, random.Random(1)) is None
 
     def test_minimum_replica_count_wins(self):
         # Replica counts for pieces 0..3 are [3, 1, 2, 1].
@@ -146,9 +152,10 @@ class TestRarestFirst:
         best = min(oracle.values())
         tied = {k for k, v in oracle.items() if v == best}
         assert tied == {1, 3}
+        replicas = self._replicas(maps)
         seen = set()
         for seed in range(40):
-            choice = rarest_first(p, maps, random.Random(seed))
+            choice = rarest_first(p, replicas, random.Random(seed))
             assert choice in tied
             seen.add(choice)
         assert seen == tied
@@ -157,13 +164,13 @@ class TestRarestFirst:
         p = self._leecher()
         among = np.zeros(CONTENT.num_pieces, dtype=bool)
         among[5] = True
-        maps = [self._have_map(range(10))]
-        assert rarest_first(p, maps, random.Random(1), among=among) == 5
+        replicas = self._replicas([self._have_map(range(10))])
+        assert rarest_first(p, replicas, random.Random(1), among=among) == 5
 
     def test_deterministic_given_seed(self):
         p = self._leecher()
-        maps = [self._have_map(range(10))]
-        picks = {rarest_first(p, maps, random.Random(9)) for _ in range(5)}
+        replicas = self._replicas([self._have_map(range(10))])
+        picks = {rarest_first(p, replicas, random.Random(9)) for _ in range(5)}
         assert len(picks) == 1
 
 
@@ -226,3 +233,11 @@ class TestSwarmConfig:
     def test_floor_below_range(self):
         with pytest.raises(ValueError):
             SwarmConfig(neighbourhood_range=(10, 20), neighbourhood_floor=15)
+
+    def test_target_inside_range(self):
+        with pytest.raises(ValueError, match="neighbourhood_target"):
+            SwarmConfig(neighbourhood_range=(6, 10), neighbourhood_floor=3, neighbourhood_target=50)
+        with pytest.raises(ValueError, match="neighbourhood_target"):
+            SwarmConfig(neighbourhood_range=(6, 10), neighbourhood_floor=3, neighbourhood_target=5)
+        cfg = SwarmConfig(neighbourhood_range=(6, 10), neighbourhood_floor=3, neighbourhood_target=10)
+        assert cfg.target == 10
