@@ -95,9 +95,9 @@ class HolderView(NamedTuple):
 
     peer_id: str
     buffer_summary: np.ndarray
-    join_time: float = 0.0
-    queue_length: int = 0
-    requests_sent_to: int = 0
+    join_time: float
+    queue_length: int
+    requests_sent_to: int
 
 
 @dataclass(frozen=True)
