@@ -137,6 +137,13 @@ class TestRarestFirst:
         replicas = self._replicas([self._have_map([])])
         assert rarest_first(p, replicas, random.Random(1)) is None
 
+    def test_pieces_no_neighbour_holds_are_skipped(self):
+        # Replica counts are 0 for every missing piece but 3 (two holders)
+        # and 7 (one holder), so the zero counts must not win the minimum.
+        p = self._leecher()
+        replicas = self._replicas([self._have_map([3, 7]), self._have_map([3])])
+        assert rarest_first(p, replicas, random.Random(1)) == 7
+
     def test_minimum_replica_count_wins(self):
         # Replica counts for pieces 0..3 are [3, 1, 2, 1].
         p = self._leecher(have_pieces=range(4, 10))
