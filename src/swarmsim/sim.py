@@ -4,8 +4,13 @@ One run simulates a swarm serving a single object to interactive clients.
 Each workload session becomes a leecher that joins at its first request,
 downloads the pieces its requests cover, and departs when its session
 ends. Transfers share each sender's upload capacity equally across its
-busy slots, with completion events rescheduled whenever the share
-changes. All randomness flows from one seeded generator, and events tie
+busy slots. Whenever the share changes, every active transfer of the
+sender moves to the new rate, and only the one that finishes first (ties
+broken by receiver id) holds a completion event: a busy sender has
+exactly one pending completion. All state of one direction of a peer
+pair (queued and in-service blocks, requests, assigned pieces, bytes in
+the current unchoke window) lives in one link record that both peers
+share. All randomness flows from one seeded generator, and events tie
 on time through monotonically assigned sequence numbers, so a (config,
 seed) pair reproduces the run byte for byte.
 """
@@ -18,7 +23,7 @@ import heapq
 import json
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -282,6 +287,7 @@ class _Transfer:
     __slots__ = (
         "sender",
         "receiver",
+        "link",
         "piece",
         "block",
         "nbytes",
@@ -292,9 +298,12 @@ class _Transfer:
         "cancelled",
     )
 
-    def __init__(self, sender: str, receiver: str, piece: int, block: int, nbytes: int):
+    def __init__(
+        self, sender: str, receiver: str, link: _Link, piece: int, block: int, nbytes: int
+    ):
         self.sender = sender
         self.receiver = receiver
+        self.link = link
         self.piece = piece
         self.block = block
         self.nbytes = nbytes
@@ -305,12 +314,28 @@ class _Transfer:
         self.cancelled = False
 
 
-class _Channel:
-    __slots__ = ("queue", "current")
+class _Link:
+    """One direction of a peer pair: what the receiver gets from the sender.
+
+    Both ends hold the same record. The receiver keeps it in `links` for
+    as long as the pair lasts, since lrp reads `requests_sent`; the sender
+    keeps it in `channels` while a block is queued or in service on it.
+    A choke clears the queue, `outstanding` and `assigned` but lets the
+    block in service finish.
+    """
+
+    __slots__ = ("queue", "current", "window", "outstanding", "assigned", "requests_sent")
 
     def __init__(self):
         self.queue: deque[tuple[int, int]] = deque()
         self.current: _Transfer | None = None
+        # bytes delivered since the last unchoke tick
+        self.window = 0
+        # blocks requested and not yet delivered
+        self.outstanding: set[tuple[int, int]] = set()
+        # pieces the receiver fetches from this sender only
+        self.assigned: set[int] = set()
+        self.requests_sent = 0
 
 
 class _RunPeer:
@@ -318,25 +343,24 @@ class _RunPeer:
 
     def __init__(self, state: PeerState, session: Session | None):
         self.state = state
+        self.peer_id = state.peer_id
         self.session = session
         self.joined = False
         self.alive = False
         self.lingering = False
         self.qos_cutoff: float | None = None
-        # upload side
-        self.channels: dict[str, _Channel] = {}
-        self.sent_window: dict[str, int] = {}
+        # upload side: busy links by receiver, and the payload of the one
+        # pending completion event while any transfer is in service
+        self.channels: dict[str, _Link] = {}
+        self.pending: tuple[_Transfer, int] | None = None
         self.forward_accum: dict[str, int] = {}
         self.forward_snapshot: dict[str, int] = {}
-        # download side
+        # download side: links by sender
         self.unchoked_by: set[str] = set()
-        self.outstanding: dict[str, set[tuple[int, int]]] = {}
+        self.links: dict[str, _Link] = {}
         self.inflight: set[tuple[int, int]] = set()
-        self.piece_owner: dict[int, str] = {}
-        self.assigned_to: dict[str, set[int]] = {}
-        self.recv_window: dict[str, int] = {}
+        self.piece_owner: dict[int, _Link] = {}
         self.block_source: dict[tuple[int, int], str] = {}
-        self.requests_sent: dict[str, int] = {}
         self.wanted = np.zeros(state.have.shape[0], dtype=bool)
         # replicas[k]: how many alive neighbours hold piece k
         self.replicas = np.zeros(state.have.shape[0], dtype=np.int64)
@@ -352,10 +376,6 @@ class _RunPeer:
         self.piece_arrival: dict[int, float] = {}
         self.first_piece_time: float | None = None
         self.formation: DispersionReport | None = None
-
-    @property
-    def peer_id(self) -> str:
-        return self.state.peer_id
 
     def unchokes(self, other: str) -> bool:
         return other in self.state.regular_slots or self.state.optimistic_slot == other
@@ -433,6 +453,18 @@ def event_log_lines(events: Iterable[dict]) -> str:
     return "".join(json.dumps(e) + "\n" for e in events)
 
 
+def _block_lengths(content: ContentSpec) -> list[tuple[int, ...]]:
+    """The block lengths of every piece; all pieces but the last share one tuple."""
+
+    def lengths(piece: int) -> tuple[int, ...]:
+        return tuple(
+            content.block_length(piece, b) for b in range(content.blocks_in_piece(piece))
+        )
+
+    last = content.num_pieces - 1
+    return [lengths(0)] * last + [lengths(last)]
+
+
 class _Engine:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -455,7 +487,11 @@ class _Engine:
         # Set by every change to links, have-maps or wanted sets; read by
         # the invariant check to decide whether to recount.
         self._maps_changed = True
+        # Links whose window holds bytes since the last unchoke tick.
+        self._windowed: list[_Link] = []
         self.granularity = self.content.piece_duration
+        self._yang = cfg.policy.kind in _YANG_KINDS
+        self._block_lengths = _block_lengths(self.content)
 
         wl = cfg.workload
         if isinstance(wl, GeneratorConfig):
@@ -519,24 +555,27 @@ class _Engine:
         return self.cfg.capacity_classes[-1].rate
 
     def loop(self) -> None:
-        horizon = self.cfg.horizon
-        while self.heap:
-            t, _, kind, payload = heapq.heappop(self.heap)
-            if t > horizon + _EPS:
+        end = self.cfg.horizon + _EPS
+        check = self.cfg.check_invariants
+        heap = self.heap
+        heappop = heapq.heappop
+        dispatch = self._dispatch
+        while heap:
+            t, _, kind, payload = heappop(heap)
+            if t > end:
                 break
             self.now = t
-            handled = self._dispatch(kind, payload)
-            if handled and self.cfg.check_invariants:
+            if dispatch(kind, payload) and check:
                 self._check_invariants()
-        self.now = min(self.now, horizon)
+        self.now = min(self.now, self.cfg.horizon)
 
     def _dispatch(self, kind: EventKind, payload: tuple) -> bool:
+        if kind is EventKind.BLOCK_TRANSFER_COMPLETE:
+            return self._on_block_complete(*payload)
         if kind is EventKind.PEER_ARRIVAL:
             return self._on_arrival(*payload)
         if kind is EventKind.REQUEST_ISSUED:
             return self._on_request(*payload)
-        if kind is EventKind.BLOCK_TRANSFER_COMPLETE:
-            return self._on_block_complete(*payload)
         if kind is EventKind.UNCHOKE_TICK:
             return self._on_unchoke_tick()
         if kind is EventKind.OPTIMISTIC_TICK:
@@ -604,14 +643,16 @@ class _Engine:
         queue_len = 0
         if self.cfg.policy.kind is PolicyKind.LLP:
             queue_len = sum(
-                len(ch.queue) + (1 if ch.current else 0) for ch in holder.channels.values()
+                len(link.queue) + (1 if link.current else 0)
+                for link in holder.channels.values()
             )
+        link = requester.links.get(st.peer_id)
         return HolderView(
             peer_id=st.peer_id,
             buffer_summary=st.have,
             join_time=st.join_time,
             queue_length=queue_len,
-            requests_sent_to=requester.requests_sent.get(st.peer_id, 0),
+            requests_sent_to=link.requests_sent if link is not None else 0,
         )
 
     def _form_neighbourhood(self, peer: _RunPeer, candidates: list[str]) -> list[str]:
@@ -717,42 +758,52 @@ class _Engine:
         return True
 
     def _cancel_downloads(self, peer: _RunPeer) -> None:
-        """Drop this peer's pending requests and in-flight inbound blocks."""
+        """Drop this peer's pending requests and in-flight inbound blocks.
+
+        Only unchoked links are cancelled: a block in service on a link
+        that has been choked still finishes and is delivered.
+        """
         for uid in sorted(peer.unchoked_by):
             up = self.peers[uid]
-            ch = up.channels.pop(peer.peer_id, None)
-            if ch is not None:
-                ch.queue.clear()
-                if ch.current is not None:
-                    ch.current.cancelled = True
-                    ch.current = None
+            link = up.channels.pop(peer.peer_id, None)
+            if link is not None:
+                link.queue.clear()
+                if link.current is not None:
+                    link.current.cancelled = True
+                    link.current = None
                     self._reshare_sender(up)
         peer.unchoked_by.clear()
-        peer.outstanding.clear()
+        for link in peer.links.values():
+            link.outstanding.clear()
+            link.assigned.clear()
         peer.inflight.clear()
         peer.piece_owner.clear()
-        peer.assigned_to.clear()
 
     def _cancel_uploads(self, peer: _RunPeer) -> None:
-        for rid, ch in sorted(peer.channels.items()):
+        """Cancel every block a departing peer queues or serves."""
+        for rid, link in peer.channels.items():
             dl = self.peers[rid]
-            for blk in ch.queue:
-                dl.outstanding.get(peer.peer_id, set()).discard(blk)
-                dl.inflight.discard(blk)
-            ch.queue.clear()
-            if ch.current is not None:
-                ch.current.cancelled = True
-                blk = (ch.current.piece, ch.current.block)
-                dl.outstanding.get(peer.peer_id, set()).discard(blk)
-                dl.inflight.discard(blk)
-                ch.current = None
+            dl.inflight.difference_update(link.queue)
+            link.queue.clear()
+            tr = link.current
+            if tr is not None:
+                tr.cancelled = True
+                dl.inflight.discard((tr.piece, tr.block))
+                link.current = None
+            self._drop_requests(dl, link)
             dl.unchoked_by.discard(peer.peer_id)
-            dl.outstanding.pop(peer.peer_id, None)
-            for piece in dl.assigned_to.pop(peer.peer_id, set()):
-                dl.piece_owner.pop(piece, None)
         peer.channels.clear()
+        peer.pending = None
         peer.state.regular_slots.clear()
         peer.state.optimistic_slot = None
+
+    @staticmethod
+    def _drop_requests(dl: _RunPeer, link: _Link) -> None:
+        """Forget what `dl` requested or assigned on `link`."""
+        link.outstanding.clear()
+        for piece in link.assigned:
+            dl.piece_owner.pop(piece, None)
+        link.assigned.clear()
 
     # -- requests and playback ----------------------------------------------
 
@@ -858,14 +909,21 @@ class _Engine:
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
         delta = self.swarm.unchoke_interval
         if peer.state.is_seed or peer.lingering:
-            return {n: peer.sent_window.get(n, 0) / delta for n in interested}
-        if self.cfg.policy.kind is PolicyKind.GIVE_TO_GET:
+            # bytes this peer sent to each neighbour
+            links = [self.peers[n].links.get(peer.peer_id) for n in interested]
+        elif self.cfg.policy.kind is PolicyKind.GIVE_TO_GET:
             window = self.swarm.optimistic_interval
             return {
                 n: self.peers[n].forward_snapshot.get(peer.peer_id, 0) / window
                 for n in interested
             }
-        return {n: peer.recv_window.get(n, 0) / delta for n in interested}
+        else:
+            # bytes each neighbour sent to this peer
+            links = [peer.links.get(n) for n in interested]
+        return {
+            n: (link.window if link is not None else 0) / delta
+            for n, link in zip(interested, links)
+        }
 
     def _on_unchoke_tick(self) -> bool:
         alive = self._alive_ids()
@@ -883,9 +941,9 @@ class _Engine:
                 if not self.peers[opt].alive or opt not in peer.state.neighbourhood:
                     peer.state.optimistic_slot = None
             self._apply_slot_diff(peer, old, peer.unchoked_set())
-        for p in self.peers.values():
-            p.recv_window.clear()
-            p.sent_window.clear()
+        for link in self._windowed:
+            link.window = 0
+        self._windowed.clear()
         self._log(EventKind.UNCHOKE_TICK, None)
         next_t = self.now + self.swarm.unchoke_interval
         if next_t <= self.cfg.horizon + _EPS:
@@ -920,25 +978,20 @@ class _Engine:
         return True
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
+        pid = peer.peer_id
         for rid in sorted(old - new):
-            dl = self.peers.get(rid)
-            ch = peer.channels.get(rid)
-            if ch is not None:
-                for blk in ch.queue:
-                    if dl is not None:
-                        dl.outstanding.get(peer.peer_id, set()).discard(blk)
-                        dl.inflight.discard(blk)
-                ch.queue.clear()
-                if ch.current is None:
+            dl = self.peers[rid]
+            link = dl.links.get(pid)
+            if link is not None:
+                dl.inflight.difference_update(link.queue)
+                link.queue.clear()
+                if link.current is None:
                     peer.channels.pop(rid, None)
-            if dl is not None:
-                dl.unchoked_by.discard(peer.peer_id)
-                dl.outstanding.pop(peer.peer_id, None)
-                for piece in dl.assigned_to.pop(peer.peer_id, set()):
-                    dl.piece_owner.pop(piece, None)
+                self._drop_requests(dl, link)
+            dl.unchoked_by.discard(pid)
         for rid in sorted(new - old):
-            dl = self.peers.get(rid)
-            if dl is None or not dl.alive:
+            dl = self.peers[rid]
+            if not dl.alive:
                 continue
             dl.unchoked_by.add(peer.peer_id)
             self._fill_pipeline(dl, peer)
@@ -957,15 +1010,14 @@ class _Engine:
 
     # -- block transfer machinery ---------------------------------------------
 
-    def _missing_blocks(self, peer: _RunPeer, piece: int):
+    def _missing_blocks(self, peer: _RunPeer, piece: int) -> list[tuple[int, int]]:
         part = peer.state.partial.get(piece)
         if part is None:
-            blocks = range(self.content.blocks_in_piece(piece))
+            blocks = range(len(self._block_lengths[piece]))
         else:
-            blocks = [int(b) for b in np.flatnonzero(~part)]
-        for b in blocks:
-            if (piece, b) not in peer.inflight:
-                yield (piece, b)
+            blocks = [b for b, got in enumerate(part.tolist()) if not got]
+        inflight = peer.inflight
+        return [(piece, b) for b in blocks if (piece, b) not in inflight]
 
     def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer) -> int | None:
         avail = dl.wanted & up.state.have
@@ -977,7 +1029,7 @@ class _Engine:
         piece = rarest_first(dl.state, dl.replicas, self.rng, among=avail)
         if piece is None:
             return None
-        if self.cfg.policy.kind in _YANG_KINDS:
+        if self._yang:
             holders = [
                 self._holder_view(self.peers[u], dl)
                 for u in sorted(dl.unchoked_by)
@@ -991,127 +1043,154 @@ class _Engine:
                     return None
         return piece
 
-    def _candidate_blocks(self, dl: _RunPeer, up: _RunPeer):
-        for piece in sorted(dl.assigned_to.get(up.peer_id, ())):
+    def _candidate_blocks(self, dl: _RunPeer, up: _RunPeer, link: _Link):
+        for piece in sorted(link.assigned):
             yield from self._missing_blocks(dl, piece)
         while True:
             piece = self._pick_new_piece(dl, up)
             if piece is None:
                 return
-            dl.piece_owner[piece] = up.peer_id
-            dl.assigned_to.setdefault(up.peer_id, set()).add(piece)
-            yielded = False
-            for blk in self._missing_blocks(dl, piece):
-                yielded = True
-                yield blk
-            if not yielded:
+            dl.piece_owner[piece] = link
+            link.assigned.add(piece)
+            blocks = self._missing_blocks(dl, piece)
+            if not blocks:
                 return
+            yield from blocks
 
     def _fill_pipeline(self, dl: _RunPeer, up: _RunPeer) -> None:
         if not dl.alive or not up.alive or dl.state.is_seed or dl.lingering:
             return
         if not up.unchokes(dl.peer_id):
             return
-        outst = dl.outstanding.setdefault(up.peer_id, set())
+        link = dl.links.get(up.peer_id)
+        if link is None:
+            link = dl.links[up.peer_id] = _Link()
         new = pipeline_requests(
-            len(outst), self.swarm.pipeline_depth, self._candidate_blocks(dl, up)
+            len(link.outstanding),
+            self.swarm.pipeline_depth,
+            self._candidate_blocks(dl, up, link),
         )
         if not new:
             return
-        ch = up.channels.get(dl.peer_id)
-        if ch is None:
-            ch = up.channels[dl.peer_id] = _Channel()
-        for blk in new:
-            outst.add(blk)
-            dl.inflight.add(blk)
-            dl.requests_sent[up.peer_id] = dl.requests_sent.get(up.peer_id, 0) + 1
-            ch.queue.append(blk)
-        if ch.current is None:
-            self._service_channel(up, dl.peer_id)
+        up.channels[dl.peer_id] = link
+        link.outstanding.update(new)
+        dl.inflight.update(new)
+        link.queue.extend(new)
+        link.requests_sent += len(new)
+        if link.current is None:
+            self._service_channel(up, link, dl.peer_id)
 
-    def _service_channel(self, up: _RunPeer, rid: str) -> None:
-        ch = up.channels.get(rid)
-        if ch is None or ch.current is not None or not ch.queue:
+    def _service_channel(self, up: _RunPeer, link: _Link, rid: str) -> None:
+        """Start the next queued block on an idle link."""
+        if link.current is not None or not link.queue:
             return
-        piece, block = ch.queue.popleft()
-        if not up.state.has_piece(piece):
+        piece, block = link.queue.popleft()
+        if not up.state.have[piece]:
             raise InvariantError(
                 f"{up.peer_id} asked to serve incomplete piece {piece}"
             )
-        tr = _Transfer(up.peer_id, rid, piece, block, self.content.block_length(piece, block))
+        tr = _Transfer(
+            up.peer_id, rid, link, piece, block, self._block_lengths[piece][block]
+        )
         tr.t_last = self.now
-        ch.current = tr
+        link.current = tr
         self._reshare_sender(up)
 
     def _reshare_sender(self, up: _RunPeer) -> None:
-        active = [ch.current for ch in up.channels.values() if ch.current is not None]
+        """Split `up`'s capacity equally over its active transfers.
+
+        Each active transfer is charged the bytes sent at its old rate and
+        moves to the new share. Only the transfer that finishes first, ties
+        broken by receiver id, gets a completion event: a busy sender has
+        exactly one pending completion, whose payload `up.pending` keeps.
+        The version bump makes every earlier event of the sender stale.
+        Each handled completion reshares its sender, so the next transfer's
+        event is pushed then.
+        """
+        now = self.now
+        active = [link.current for link in up.channels.values() if link.current is not None]
         if not active:
+            up.pending = None
             return
         share = up.state.upload_capacity / len(active)
-        for tr in sorted(active, key=lambda t: t.receiver):
-            elapsed = self.now - tr.t_last
+        first = None
+        first_eta = 0.0
+        for tr in active:
+            elapsed = now - tr.t_last
             if elapsed > 0 and tr.rate > 0:
                 tr.remaining = max(tr.remaining - tr.rate * elapsed, 0.0)
-            tr.t_last = self.now
+            tr.t_last = now
             tr.rate = share
             tr.version += 1
-            eta = self.now + tr.remaining / share
-            self._schedule(eta, EventKind.BLOCK_TRANSFER_COMPLETE, (tr, tr.version))
+            eta = now + tr.remaining / share
+            if first is None or eta < first_eta or (
+                eta == first_eta and tr.receiver < first.receiver
+            ):
+                first, first_eta = tr, eta
+        up.pending = payload = (first, first.version)
+        self._schedule(first_eta, EventKind.BLOCK_TRANSFER_COMPLETE, payload)
 
     def _on_block_complete(self, tr: _Transfer, version: int) -> bool:
         if tr.cancelled or version != tr.version:
             return False
         up = self.peers[tr.sender]
         dl = self.peers[tr.receiver]
-        ch = up.channels.get(tr.receiver)
-        if ch is not None and ch.current is tr:
-            ch.current = None
-        blk = (tr.piece, tr.block)
+        link = tr.link
+        link.current = None
         if dl.alive:
             nbytes = tr.nbytes
             up.uploaded += nbytes
             dl.downloaded += nbytes
             self.total_uploaded += nbytes
             self.total_downloaded += nbytes
-            up.sent_window[dl.peer_id] = up.sent_window.get(dl.peer_id, 0) + nbytes
-            dl.recv_window[up.peer_id] = dl.recv_window.get(up.peer_id, 0) + nbytes
+            if not link.window:
+                self._windowed.append(link)
+            link.window += nbytes
+            piece = tr.piece
+            blk = (piece, tr.block)
             origin = up.block_source.get(blk)
-            if origin is not None and origin != dl.peer_id:
+            if origin is not None and origin != tr.receiver:
                 up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
-            dl.block_source[blk] = up.peer_id
-            dl.outstanding.get(up.peer_id, set()).discard(blk)
+            dl.block_source[blk] = tr.sender
+            link.outstanding.discard(blk)
             dl.inflight.discard(blk)
-            completed = record_block(dl.state, self.content, tr.piece, tr.block)
-            self._log(
-                EventKind.BLOCK_TRANSFER_COMPLETE,
-                tr.receiver,
-                sender=tr.sender,
-                piece=tr.piece,
-                block=tr.block,
-                completed=completed,
-            )
+            completed = record_block(dl.state, self.content, piece, tr.block)
+            if self.events is not None:
+                self.events.append(
+                    {
+                        "time": self.now,
+                        "kind": EventKind.BLOCK_TRANSFER_COMPLETE.value,
+                        "actor": tr.receiver,
+                        "sender": tr.sender,
+                        "piece": piece,
+                        "block": tr.block,
+                        "completed": completed,
+                    }
+                )
             if completed:
+                peers = self.peers
                 for nid in dl.state.neighbourhood:
-                    self.peers[nid].replicas[tr.piece] += 1
+                    peers[nid].replicas[piece] += 1
                 self._maps_changed = True
-                self._on_piece_complete(dl, up, tr.piece)
+                self._on_piece_complete(dl, piece)
             self._fill_pipeline(dl, up)
-        if ch is not None and ch.current is None:
-            self._service_channel(up, tr.receiver)
-            if ch.current is None:
-                if not ch.queue:
-                    up.channels.pop(tr.receiver, None)
+        if link.current is None:
+            # The refill above did not start a block here; start the next
+            # queued one, or retire the idle link. Either reshares.
+            self._service_channel(up, link, tr.receiver)
+            if link.current is None:
+                up.channels.pop(tr.receiver, None)
                 self._reshare_sender(up)
         return True
 
-    def _on_piece_complete(self, dl: _RunPeer, up: _RunPeer, piece: int) -> None:
+    def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
         dl.piece_arrival[piece] = self.now
         if dl.first_piece_time is None:
             dl.first_piece_time = self.now
         dl.wanted[piece] = False
         owner = dl.piece_owner.pop(piece, None)
         if owner is not None:
-            dl.assigned_to.get(owner, set()).discard(piece)
+            owner.assigned.discard(piece)
         self._try_start_playback(dl)
         if (
             self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC
@@ -1146,30 +1225,70 @@ class _Engine:
                 raise InvariantError(f"{pid} optimistic slot duplicates a regular slot")
             if len(st.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
+            links = list(peer.links.values())
             if st.is_seed:
-                if peer.inflight or peer.outstanding:
+                if peer.inflight or links:
                     raise InvariantError(f"seed {pid} has outstanding requests")
                 if not st.have.all():
                     raise InvariantError(f"seed {pid} lost pieces")
             elif peer.channels:
-                served = [ch.current.piece for ch in peer.channels.values() if ch.current]
-                served += [piece for ch in peer.channels.values() for piece, _ in ch.queue]
+                served = [link.current.piece for link in peer.channels.values() if link.current]
+                served += [piece for link in peer.channels.values() for piece, _ in link.queue]
                 if not st.have[served].all():
                     raise InvariantError(f"{pid} queues or serves a piece it lacks")
-            if peer.outstanding and not set().union(*peer.outstanding.values()) <= peer.inflight:
-                raise InvariantError(f"{pid} has outstanding requests that are not in flight")
-            # Every owned piece sits in its owner's assigned set, and the
-            # assigned sets hold nothing else.
-            owners = peer.piece_owner
-            assigned = peer.assigned_to
-            if (assigned or owners) and (
-                sum(map(len, assigned.values())) != len(owners)
-                or any(piece not in assigned.get(owner, ()) for piece, owner in owners.items())
-            ):
-                raise InvariantError(f"{pid} piece owners and assigned sets disagree")
+            self._check_inbound(pid, peer, links)
+            self._check_pending(pid, peer)
         if self._maps_changed and alive:
             self._maps_changed = False
             self._check_links_and_pieces(alive)
+
+    @staticmethod
+    def _check_inbound(pid: str, peer: _RunPeer, links: list[_Link]) -> None:
+        """Requests, in-flight blocks and piece owners agree with the links
+        toward `peer`."""
+        outstanding = set().union(*(link.outstanding for link in links))
+        if not outstanding <= peer.inflight:
+            raise InvariantError(f"{pid} has outstanding requests that are not in flight")
+        on_links = Counter()
+        for link in links:
+            on_links.update(link.queue)
+            if link.current is not None:
+                on_links[link.current.piece, link.current.block] += 1
+        if any(on_links[blk] != 1 for blk in peer.inflight):
+            raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
+        # Every owned piece sits in its owner's assigned set, and the
+        # assigned sets hold nothing else.
+        owners = peer.piece_owner
+        if sum(len(link.assigned) for link in links) != len(owners) or any(
+            piece not in link.assigned or link not in links for piece, link in owners.items()
+        ):
+            raise InvariantError(f"{pid} piece owners and assigned sets disagree")
+
+    @staticmethod
+    def _check_pending(pid: str, peer: _RunPeer) -> None:
+        """A busy sender's one live completion event is for the transfer
+        that finishes first, ties broken by receiver id.
+
+        Each reshare bumps the version of every active transfer and records
+        the payload it pushes, so a payload whose version is current is the
+        only live completion event of the sender.
+        """
+        active = [link.current for link in peer.channels.values() if link.current]
+        if not active:
+            if peer.pending is not None:
+                raise InvariantError(f"{pid} serves nothing but keeps a pending completion")
+            return
+        if peer.pending is None:
+            raise InvariantError(f"{pid} serves blocks with no pending completion")
+        tr, version = peer.pending
+        if tr.version != version or tr.cancelled or tr not in active:
+            raise InvariantError(f"{pid} has no live completion event")
+        first = min(active, key=lambda t: (t.t_last + t.remaining / t.rate, t.receiver))
+        if first is not tr:
+            raise InvariantError(
+                f"{pid} has a pending completion for {tr.receiver}, "
+                f"but the transfer to {first.receiver} finishes first"
+            )
 
     def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:
         """Links join alive peers both ways, no peer wants a piece it holds,
