@@ -60,6 +60,8 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
     try:
         with open(path) as fh:
             parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}")
     return {name: dict(parser[name]) for name in parser.sections()}
@@ -209,7 +211,16 @@ def _write_or_print(text: str, out: str | None) -> None:
             raise TraceError(f"cannot write {out}: {exc}")
 
 
+def _check_granularity(granularity: float, object_length: float) -> None:
+    if not 0 < granularity <= object_length:
+        raise ConfigError(
+            f"--granularity must lie in (0, {object_length}], the object length; "
+            f"got {granularity}"
+        )
+
+
 def cmd_generate(args) -> int:
+    _check_granularity(args.granularity, args.object_len)
     cfg = GeneratorConfig(
         profile=InteractivityProfile.from_token(args.profile),
         session_count=args.sessions,
@@ -268,6 +279,7 @@ def cmd_analyze(args) -> int:
         observation_window=args.window,
         playback_rate=args.playback_rate,
     )
+    _check_granularity(args.granularity, workload.object_length)
     report = _analyze_report(workload, args.granularity, args.top)
     if args.format == "csv":
         _write_or_print(_analyze_csv(report), args.out)

@@ -453,7 +453,7 @@ def event_log_lines(events: Iterable[dict]) -> str:
     return "".join(json.dumps(e) + "\n" for e in events)
 
 
-def _block_lengths(content: ContentSpec) -> list[tuple[int, ...]]:
+def _block_length_table(content: ContentSpec) -> list[tuple[int, ...]]:
     """The block lengths of every piece; all pieces but the last share one tuple."""
 
     def lengths(piece: int) -> tuple[int, ...]:
@@ -491,7 +491,7 @@ class _Engine:
         self._windowed: list[_Link] = []
         self.granularity = self.content.piece_duration
         self._yang = cfg.policy.kind in _YANG_KINDS
-        self._block_lengths = _block_lengths(self.content)
+        self._block_lengths = _block_length_table(self.content)
 
         wl = cfg.workload
         if isinstance(wl, GeneratorConfig):

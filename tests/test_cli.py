@@ -66,6 +66,12 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestGenerate:
     def test_generate_then_analyze(self, tmp_path, capsys):
         trace = tmp_path / "li.csv"
@@ -226,28 +232,27 @@ class TestSimulate:
         assert report["per_peer"]["c0"]["continuity_index"] == 1.0
         assert report["per_peer"]["c0"]["interruption_count"] == 0
 
-    def _assert_one_line_error(self, capsys):
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-
     def test_invalid_swarm_value_is_config_error(self, tmp_path, capsys):
         bad = SIM_INI.replace("neighbourhood_floor = 3", "neighbourhood_floor = 12")
         cfg = write(tmp_path, "sim.ini", bad)
         assert main(["simulate", "--config", cfg]) == 1
-        self._assert_one_line_error(capsys)
+        assert_one_line_error(capsys)
 
     def test_block_size_must_divide_piece_size(self, tmp_path, capsys):
         bad = SIM_INI.replace("block_size = 16384", "block_size = 10000")
         cfg = write(tmp_path, "sim.ini", bad)
         assert main(["simulate", "--config", cfg]) == 1
-        self._assert_one_line_error(capsys)
+        assert_one_line_error(capsys)
 
     def test_missing_trace_file_is_input_error(self, tmp_path, capsys):
         bad = SIM_INI.replace("profile = hi", f"trace = {tmp_path / 'absent.csv'}")
         cfg = write(tmp_path, "sim.ini", bad)
         assert main(["simulate", "--config", cfg]) == 2
-        self._assert_one_line_error(capsys)
+        assert_one_line_error(capsys)
+
+    def test_missing_config_is_config_error(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 1
+        assert_one_line_error(capsys)
 
 
 class TestCompare:
@@ -273,6 +278,27 @@ class TestCompare:
     def test_empty_spec_is_usage_error(self, tmp_path, capsys):
         spec = write(tmp_path, "exp.ini", "[experiment]\nbase_seed = 1\nrepetitions = 1\n")
         assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+
+    def test_missing_spec_is_config_error(self, tmp_path, capsys):
+        spec = str(tmp_path / "absent.ini")
+        assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+@pytest.mark.parametrize("granularity", ["50", "0", "-1", "nan"])
+def test_bad_granularity_is_config_error(tmp_path, capsys, command, granularity):
+    trace = tmp_path / "t.csv"
+    args = ["generate", "--profile", "hi", "--sessions", "3", "--object-len", "10"]
+    if command == "analyze":
+        assert main(args + ["--out", str(trace)]) == 0
+        capsys.readouterr()
+        args = ["analyze", "--trace", str(trace), "--object-len", "10"]
+    out = tmp_path / "out"
+    assert main(args + ["--granularity", granularity, "--out", str(out)]) == 1
+    assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 class TestUsage:
