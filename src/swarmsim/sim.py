@@ -317,11 +317,11 @@ class _Transfer:
 class _Link:
     """One direction of a peer pair: what the receiver gets from the sender.
 
-    Both ends hold the same record. The receiver keeps it in `links` for
-    as long as the pair lasts, since lrp reads `requests_sent`; the sender
-    keeps it in `channels` while a block is queued or in service on it.
-    A choke clears the queue, `outstanding` and `assigned` but lets the
-    block in service finish.
+    Both ends hold the same record. The receiver keeps it in `links`
+    until it stops requesting, since lrp reads `requests_sent`; the
+    sender keeps it in `channels` while a block is queued or in service
+    on it. A choke clears the queue, `outstanding` and `assigned` but
+    lets the block in service finish.
     """
 
     __slots__ = ("queue", "current", "window", "outstanding", "assigned", "requests_sent")
@@ -758,10 +758,11 @@ class _Engine:
         return True
 
     def _cancel_downloads(self, peer: _RunPeer) -> None:
-        """Drop this peer's pending requests and in-flight inbound blocks.
+        """Drop this peer's requests and in-flight inbound blocks.
 
         Only unchoked links are cancelled: a block in service on a link
-        that has been choked still finishes and is delivered.
+        that has been choked still finishes and is delivered. The peer
+        lingers or departs and never requests again, so its links go too.
         """
         for uid in sorted(peer.unchoked_by):
             up = self.peers[uid]
@@ -773,9 +774,7 @@ class _Engine:
                     link.current = None
                     self._reshare_sender(up)
         peer.unchoked_by.clear()
-        for link in peer.links.values():
-            link.outstanding.clear()
-            link.assigned.clear()
+        peer.links.clear()
         peer.inflight.clear()
         peer.piece_owner.clear()
 
@@ -1156,16 +1155,13 @@ class _Engine:
             dl.inflight.discard(blk)
             completed = record_block(dl.state, self.content, piece, tr.block)
             if self.events is not None:
-                self.events.append(
-                    {
-                        "time": self.now,
-                        "kind": EventKind.BLOCK_TRANSFER_COMPLETE.value,
-                        "actor": tr.receiver,
-                        "sender": tr.sender,
-                        "piece": piece,
-                        "block": tr.block,
-                        "completed": completed,
-                    }
+                self._log(
+                    EventKind.BLOCK_TRANSFER_COMPLETE,
+                    tr.receiver,
+                    sender=tr.sender,
+                    piece=piece,
+                    block=tr.block,
+                    completed=completed,
                 )
             if completed:
                 peers = self.peers
