@@ -220,7 +220,6 @@ def _check_granularity(granularity: float, object_length: float) -> None:
 
 
 def cmd_generate(args) -> int:
-    _check_granularity(args.granularity, args.object_len)
     cfg = GeneratorConfig(
         profile=InteractivityProfile.from_token(args.profile),
         session_count=args.sessions,
@@ -231,6 +230,7 @@ def cmd_generate(args) -> int:
         playback_rate=args.playback_rate,
         seed=args.seed,
     )
+    _check_granularity(args.granularity, cfg.object_length)
     workload = generate_workload(cfg)
     _write_or_print(serialize_trace(workload), args.out)
     report = metrics.workload_report(workload, args.granularity)
