@@ -23,7 +23,7 @@ import heapq
 import json
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -1232,8 +1232,10 @@ class _Engine:
                 served += [piece for link in peer.channels.values() for piece, _ in link.queue]
                 if not st.have[served].all():
                     raise InvariantError(f"{pid} queues or serves a piece it lacks")
-            self._check_inbound(pid, peer, links)
-            self._check_pending(pid, peer)
+            if links or peer.inflight or peer.piece_owner:
+                self._check_inbound(pid, peer, links)
+            if peer.channels or peer.pending is not None:
+                self._check_pending(pid, peer)
         if self._maps_changed and alive:
             self._maps_changed = False
             self._check_links_and_pieces(alive)
@@ -1241,21 +1243,33 @@ class _Engine:
     @staticmethod
     def _check_inbound(pid: str, peer: _RunPeer, links: list[_Link]) -> None:
         """Requests, in-flight blocks and piece owners agree with the links
-        toward `peer`."""
-        outstanding = set().union(*(link.outstanding for link in links))
-        if not outstanding <= peer.inflight:
-            raise InvariantError(f"{pid} has outstanding requests that are not in flight")
-        on_links = Counter()
+        toward `peer`.
+
+        The blocks queued or in service on those links are exactly the
+        in-flight blocks, each on one link: all of them are in flight, and
+        there are as many as there are in-flight blocks.
+        """
+        inflight = peer.inflight
+        on_links = 0
+        n_assigned = 0
         for link in links:
-            on_links.update(link.queue)
-            if link.current is not None:
-                on_links[link.current.piece, link.current.block] += 1
-        if any(on_links[blk] != 1 for blk in peer.inflight):
+            if not (link.queue or link.current or link.outstanding or link.assigned):
+                continue
+            if not link.outstanding <= inflight:
+                raise InvariantError(f"{pid} has outstanding requests that are not in flight")
+            cur = link.current
+            if not inflight.issuperset(link.queue) or (
+                cur is not None and (cur.piece, cur.block) not in inflight
+            ):
+                raise InvariantError(f"{pid} has a block on a link that is not in flight")
+            on_links += len(link.queue) + (cur is not None)
+            n_assigned += len(link.assigned)
+        if on_links != len(inflight):
             raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
         # Every owned piece sits in its owner's assigned set, and the
         # assigned sets hold nothing else.
         owners = peer.piece_owner
-        if sum(len(link.assigned) for link in links) != len(owners) or any(
+        if n_assigned != len(owners) or any(
             piece not in link.assigned or link not in links for piece, link in owners.items()
         ):
             raise InvariantError(f"{pid} piece owners and assigned sets disagree")
