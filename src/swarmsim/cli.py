@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import multiprocessing
 import os
 import statistics
@@ -219,6 +220,11 @@ def _check_granularity(granularity: float, object_length: float) -> None:
         )
 
 
+def _check_positive(flag: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be a positive finite number; got {value}")
+
+
 def cmd_generate(args) -> int:
     cfg = GeneratorConfig(
         profile=InteractivityProfile.from_token(args.profile),
@@ -268,6 +274,9 @@ def _analyze_csv(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    _check_positive("--object-len", args.object_len)
+    _check_positive("--window", args.window)
+    _check_positive("--playback-rate", args.playback_rate)
     try:
         with open(args.trace) as fh:
             text = fh.read()

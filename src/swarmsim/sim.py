@@ -360,7 +360,8 @@ class _RunPeer:
         self.links: dict[str, _Link] = {}
         self.inflight: set[tuple[int, int]] = set()
         self.piece_owner: dict[int, _Link] = {}
-        self.block_source: dict[tuple[int, int], str] = {}
+        # piece -> sender of each block; feeds give-to-get's and greedy's forward credit
+        self.block_source: dict[int, list[str | None]] = {}
         self.wanted = np.zeros(state.have.shape[0], dtype=bool)
         # replicas[k]: how many alive neighbours hold piece k
         self.replicas = np.zeros(state.have.shape[0], dtype=np.int64)
@@ -1011,19 +1012,17 @@ class _Engine:
 
     def _missing_blocks(self, peer: _RunPeer, piece: int) -> list[tuple[int, int]]:
         part = peer.state.partial.get(piece)
+        inflight = peer.inflight
         if part is None:
             blocks = range(len(self._block_lengths[piece]))
-        else:
-            blocks = [b for b, got in enumerate(part.tolist()) if not got]
-        inflight = peer.inflight
-        return [(piece, b) for b in blocks if (piece, b) not in inflight]
+            return [(piece, b) for b in blocks if (piece, b) not in inflight]
+        return [(piece, b) for b, got in enumerate(part) if not got and (piece, b) not in inflight]
 
     def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer) -> int | None:
         avail = dl.wanted & up.state.have
         if dl.piece_owner:
-            assigned = np.fromiter(dl.piece_owner.keys(), dtype=np.int64)
-            avail[assigned] = False
-        if not avail.any():
+            avail[list(dl.piece_owner)] = False
+        if not np.count_nonzero(avail):
             return None
         piece = rarest_first(dl.state, dl.replicas, self.rng, among=avail)
         if piece is None:
@@ -1146,21 +1145,27 @@ class _Engine:
                 self._windowed.append(link)
             link.window += nbytes
             piece = tr.piece
-            blk = (piece, tr.block)
-            origin = up.block_source.get(blk)
-            if origin is not None and origin != tr.receiver:
-                up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
-            dl.block_source[blk] = tr.sender
+            block = tr.block
+            sources = up.block_source.get(piece)
+            if sources is not None:
+                origin = sources[block]
+                if origin is not None and origin != tr.receiver:
+                    up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
+            sources = dl.block_source.get(piece)
+            if sources is None:
+                sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
+            sources[block] = tr.sender
+            blk = (piece, block)
             link.outstanding.discard(blk)
             dl.inflight.discard(blk)
-            completed = record_block(dl.state, self.content, piece, tr.block)
+            completed = record_block(dl.state, self.content, piece, block)
             if self.events is not None:
                 self._log(
                     EventKind.BLOCK_TRANSFER_COMPLETE,
                     tr.receiver,
                     sender=tr.sender,
                     piece=piece,
-                    block=tr.block,
+                    block=block,
                     completed=completed,
                 )
             if completed:
@@ -1300,13 +1305,29 @@ class _Engine:
                 f"but the transfer to {first.receiver} finishes first"
             )
 
+    @staticmethod
+    def _check_held_pieces(pid: str, peer: _RunPeer) -> None:
+        """A leecher holds exactly the pieces it completed, and keeps block
+        maps only for pieces it is still receiving."""
+        have = peer.state.have
+        arrived = list(peer.piece_arrival)
+        if np.count_nonzero(have) != len(arrived) or not have[arrived].all():
+            raise InvariantError(f"{pid} holds pieces other than those it completed")
+        for piece, blocks in peer.state.partial.items():
+            if have[piece] or False not in blocks:
+                raise InvariantError(f"{pid} keeps a block map for complete piece {piece}")
+
     def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:
-        """Links join alive peers both ways, no peer wants a piece it holds,
-        and every replica count equals a recount over the neighbours.
+        """Links join alive peers both ways, no leecher lost a piece, no
+        peer wants a piece it holds, and every replica count equals a
+        recount over the neighbours.
 
         Runs after each event that links, unlinks, completes or requests a
         piece; no other event changes what it checks.
         """
+        for pid, peer in alive.items():
+            if not peer.state.is_seed:
+                self._check_held_pieces(pid, peer)
         ids = list(alive)
         peers = list(alive.values())
         index = {pid: i for i, pid in enumerate(ids)}

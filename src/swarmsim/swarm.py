@@ -2,8 +2,10 @@
 
 Content is split into pieces (the accounting unit; only complete pieces
 can be served) and pieces into blocks (the transmission unit). Peers
-hold a piece bitmap plus per-piece partial block maps and a bounded set
-of upload slots.
+hold a piece bitmap (a numpy bool array), a plain list of booleans per
+partially received piece, and a bounded set of upload slots. Block
+bookkeeping stays in plain Python because it runs once per delivered
+block, where a numpy call costs more than the work it does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .metrics import PopularityRecord
 
 DEFAULT_PIECE_SIZE = 262144
 DEFAULT_BLOCK_SIZE = 16384
-_NOT_CANDIDATE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ class PeerState:
     upload_capacity: float
     join_time: float
     have: np.ndarray
-    partial: dict[int, np.ndarray] = field(default_factory=dict)
+    # piece -> received flag per block, for pieces begun but not complete
+    partial: dict[int, list[bool]] = field(default_factory=dict)
     neighbourhood: set[str] = field(default_factory=set)
     regular_slots: set[str] = field(default_factory=set)
     optimistic_slot: str | None = None
@@ -149,24 +151,27 @@ def record_block(peer: PeerState, content: ContentSpec, piece: int, block: int) 
 
     Duplicate blocks signal a scheduler bug and raise InvariantError.
     """
-    if not 0 <= piece < content.num_pieces:
+    have = peer.have
+    if not 0 <= piece < len(have):
         raise ValueError(f"piece {piece} out of range")
-    if peer.has_piece(piece):
+    if have[piece]:
         raise InvariantError(f"{peer.peer_id} received block for already complete piece {piece}")
     blocks = peer.partial.get(piece)
     if blocks is None:
-        blocks = np.zeros(content.blocks_in_piece(piece), dtype=bool)
-        peer.partial[piece] = blocks
-    if not 0 <= block < blocks.shape[0]:
+        n = content.blocks_in_piece(piece)
+        if not 0 <= block < n:
+            raise ValueError(f"block {block} out of range for piece {piece}")
+        blocks = peer.partial[piece] = [False] * n
+    elif not 0 <= block < len(blocks):
         raise ValueError(f"block {block} out of range for piece {piece}")
-    if blocks[block]:
+    elif blocks[block]:
         raise InvariantError(f"{peer.peer_id} received duplicate block ({piece}, {block})")
     blocks[block] = True
-    if blocks.all():
-        peer.have[piece] = True
-        del peer.partial[piece]
-        return True
-    return False
+    if False in blocks:
+        return False
+    have[piece] = True
+    del peer.partial[piece]
+    return True
 
 
 def rarest_first(
@@ -180,19 +185,17 @@ def rarest_first(
     `replicas[k]` is the number of neighbours holding piece k. `among`,
     when given, is the candidate set (e.g. the wanted region) and must
     exclude pieces the peer holds; by default every missing piece is a
-    candidate. Ties break uniformly at random with the run's generator.
-    Returns None when no neighbour holds a candidate.
+    candidate. Pieces that no neighbour holds are not candidates. Ties
+    break uniformly at random with the run's generator, over the tied
+    pieces in ascending order. Returns None, drawing nothing, when no
+    neighbour holds a candidate.
     """
     need = ~peer.have if among is None else among
-    counts = np.where(need, replicas, _NOT_CANDIDATE)
-    best = counts.min()
-    if best == 0:
-        # Pieces that no neighbour holds are not candidates.
-        counts[counts == 0] = _NOT_CANDIDATE
-        best = counts.min()
-    if best == _NOT_CANDIDATE:
+    candidates = (need & (replicas > 0)).nonzero()[0]
+    if not candidates.size:
         return None
-    tied = (counts == best).nonzero()[0]
+    counts = replicas[candidates]
+    tied = candidates[counts == counts.min()]
     return int(tied[rng.randrange(len(tied))])
 
 

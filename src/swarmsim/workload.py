@@ -293,12 +293,15 @@ def parse_trace(
         reqs = sorted(by_client[client_id], key=lambda r: r.arrival_time)
         sessions.append(Session(client_id, tuple(reqs)))
 
-    return Workload(
-        object_length=object_length,
-        playback_rate=playback_rate,
-        sessions=tuple(sessions),
-        observation_window=observation_window,
-    )
+    try:
+        return Workload(
+            object_length=object_length,
+            playback_rate=playback_rate,
+            sessions=tuple(sessions),
+            observation_window=observation_window,
+        )
+    except ValueError as exc:
+        raise TraceError(str(exc))
 
 
 def serialize_trace(workload: Workload) -> str:
@@ -347,16 +350,12 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.session_count <= 0:
             raise ConfigError("session_count must be positive")
-        if self.object_length <= 0:
-            raise ConfigError("object_length must be positive")
         if not 0 < self.start_skew < 1:
             raise ConfigError("start_skew must lie strictly between 0 and 1")
-        if self.playback_rate <= 0:
-            raise ConfigError("playback_rate must be positive")
-        for name in ("mean_session_gap", "mean_intra_gap"):
+        for name in ("object_length", "playback_rate", "mean_session_gap", "mean_intra_gap"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a positive finite number; got {value}")
 
     @property
     def session_gap(self) -> float:

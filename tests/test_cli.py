@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsim.cli import main
 
@@ -66,10 +72,11 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def assert_one_line_error(capsys):
+def assert_one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 class TestGenerate:
@@ -299,6 +306,126 @@ def test_bad_granularity_is_config_error(tmp_path, capsys, command, granularity)
     assert main(args + ["--granularity", granularity, "--out", str(out)]) == 1
     assert_one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--object-len", "object_length"),
+        ("--playback-rate", "playback_rate"),
+        ("--mean-gap", "mean_session_gap"),
+        ("--intra-gap", "mean_intra_gap"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_generator_input_is_config_error(tmp_path, capsys, flag, field, value):
+    args = ["generate", "--profile", "hi", "--sessions", "3", "--object-len", "10"]
+    out = tmp_path / "out"
+    assert main(args + [f"{flag}={value}", "--out", str(out)]) == 1
+    err = assert_one_line_error(capsys)
+    assert field in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", ["--object-len=inf", "--object-len=0", "--window=nan", "--playback-rate=-1"]
+)
+def test_bad_analyze_flag_is_config_error(tmp_path, capsys, flag):
+    trace = write(tmp_path, "t.csv", f"# object_length=100\n{HEADER}\nc1,0,0,10,play\n")
+    assert main(["analyze", "--trace", trace, flag]) == 1
+    assert flag.split("=")[0] in assert_one_line_error(capsys)
+
+
+def test_zero_object_length_comment_is_trace_error(tmp_path, capsys):
+    trace = write(tmp_path, "t.csv", f"# object_length=0\n{HEADER}\nc1,0,0,0,play\n")
+    assert main(["analyze", "--trace", trace]) == 2
+    assert "object_length" in assert_one_line_error(capsys)
+
+
+def _run_cli(argv: list[str]) -> int:
+    """`main(argv)` with its output captured; fails on any exception."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+# Numbers as they may appear on a command line or in a trace: small,
+# special, zero, negative, and not a number at all.
+NUMBER_TOKENS = st.one_of(
+    st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e-3", "abc", ""]),
+    st.floats(min_value=0.5, max_value=500.0).map(repr),
+)
+
+
+class TestErrorContract:
+    """Arbitrary input exits 0, 1 or 2 and never raises out of `main`."""
+
+    @given(
+        sessions=st.integers(min_value=-2, max_value=20),
+        object_len=NUMBER_TOKENS,
+        extra=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["--mean-gap", "--intra-gap", "--skew", "--playback-rate", "--granularity"]
+                ),
+                st.one_of(NUMBER_TOKENS, st.floats(min_value=0.01, max_value=0.99).map(repr)),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generate_numeric_flags(self, sessions, object_len, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["generate", "--profile", "hi", "--sessions", str(sessions)]
+            argv += [f"--object-len={object_len}", "--out", str(Path(tmp) / "t.csv")]
+            argv += [f"{flag}={value}" for flag, value in extra]
+            assert _run_cli(argv) in (0, 1, 2)
+
+    @given(
+        meta=st.one_of(
+            st.just("# object_length=100\n"),
+            st.builds("# object_length={}\n".format, NUMBER_TOKENS),
+            st.text(max_size=20).map(lambda t: "#" + t.replace("\n", " ") + "\n"),
+            st.just(""),
+        ),
+        header=st.sampled_from([HEADER, "client_id,arrival_time", ""]),
+        rows=st.lists(
+            st.builds(
+                lambda client, arrival, start, length, kind: (
+                    f"{client},{arrival!r},{start!r},{start + length!r},{kind}"
+                ),
+                st.sampled_from(["c1", "c2", "c3"]),
+                st.floats(min_value=0.0, max_value=100.0),
+                st.floats(min_value=0.0, max_value=50.0),
+                st.floats(min_value=0.0, max_value=50.0),
+                st.sampled_from(["play", "pause", "jumpf", "jumpb", "stop"]),
+            ),
+            max_size=5,
+        ),
+        bad_rows=st.lists(
+            st.one_of(
+                st.builds(
+                    "{},{},{},{},{}".format,
+                    st.sampled_from(["c1", ""]),
+                    NUMBER_TOKENS,
+                    NUMBER_TOKENS,
+                    NUMBER_TOKENS,
+                    st.sampled_from(["play", "skip"]),
+                ),
+                st.text(max_size=20).map(lambda t: t.replace("\n", " ")),
+            ),
+            max_size=1,
+        ),
+        object_len=st.one_of(st.none(), st.just("100"), NUMBER_TOKENS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_analyze_trace_lines(self, meta, header, rows, bad_rows, object_len):
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = Path(tmp) / "t.csv"
+            trace.write_text(meta + header + "\n" + "\n".join(rows + bad_rows) + "\n")
+            argv = ["analyze", "--trace", str(trace)]
+            if object_len is not None:
+                argv.append(f"--object-len={object_len}")
+            assert _run_cli(argv) in (0, 1, 2)
 
 
 class TestUsage:

@@ -209,6 +209,28 @@ class TestRecordBlock:
         with pytest.raises(InvariantError):
             record_block(p, CONTENT, 0, 0)
 
+    @pytest.mark.parametrize("piece", [-1, CONTENT.num_pieces])
+    def test_piece_out_of_range(self, piece):
+        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        with pytest.raises(ValueError, match="piece"):
+            record_block(p, CONTENT, piece, 0)
+        assert not p.partial
+
+    def test_block_past_short_last_piece(self):
+        # 2.5 pieces: the last piece holds 2 of the 4 blocks a full piece has.
+        content = ContentSpec(total_size=2 * 65536 + 32768, piece_size=65536, block_size=16384)
+        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, content)
+        last = content.num_pieces - 1
+        assert content.blocks_in_piece(last) == 2
+        for block in (2, -1):
+            with pytest.raises(ValueError, match="block"):
+                record_block(p, content, last, block)
+        assert not p.partial  # a rejected block leaves no block map behind
+        assert record_block(p, content, last, 0) is False
+        with pytest.raises(ValueError, match="block"):
+            record_block(p, content, last, 2)
+        assert record_block(p, content, last, 1) is True
+
     def test_seed_starts_complete(self):
         s = new_peer("s", PeerRole.SEED, 1.0, 0.0, CONTENT)
         assert s.have.all()
