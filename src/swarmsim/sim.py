@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import heapq
+import itertools
 import json
 import math
 import random
@@ -1306,16 +1307,25 @@ class _Engine:
             )
 
     @staticmethod
-    def _check_held_pieces(pid: str, peer: _RunPeer) -> None:
-        """A leecher holds exactly the pieces it completed, and keeps block
-        maps only for pieces it is still receiving."""
-        have = peer.state.have
-        arrived = list(peer.piece_arrival)
-        if np.count_nonzero(have) != len(arrived) or not have[arrived].all():
-            raise InvariantError(f"{pid} holds pieces other than those it completed")
-        for piece, blocks in peer.state.partial.items():
-            if have[piece] or False not in blocks:
-                raise InvariantError(f"{pid} keeps a block map for complete piece {piece}")
+    def _check_held_pieces(ids: list[str], peers: list[_RunPeer], have: np.ndarray) -> None:
+        """Each alive leecher holds exactly the pieces it completed, and keeps
+        block maps only for pieces it is still receiving.
+
+        `have` stacks the have-maps of `peers`, whose ids are `ids`.
+        """
+        rows = [i for i, peer in enumerate(peers) if not peer.state.is_seed]
+        sizes = [len(peers[i].piece_arrival) for i in rows]
+        miscounted = have[rows].sum(axis=1) != sizes
+        arrival_rows = np.repeat(np.array(rows, dtype=np.intp), sizes)
+        arrived = itertools.chain.from_iterable(peers[i].piece_arrival for i in rows)
+        unheld = ~have[arrival_rows, np.fromiter(arrived, np.intp, len(arrival_rows))]
+        if miscounted.any() or unheld.any():
+            bad = rows[miscounted.argmax()] if miscounted.any() else arrival_rows[unheld.argmax()]
+            raise InvariantError(f"{ids[bad]} holds pieces other than those it completed")
+        for i in rows:
+            for piece, blocks in peers[i].state.partial.items():
+                if have[i, piece] or False not in blocks:
+                    raise InvariantError(f"{ids[i]} keeps a block map for complete piece {piece}")
 
     def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:
         """Links join alive peers both ways, no leecher lost a piece, no
@@ -1325,9 +1335,6 @@ class _Engine:
         Runs after each event that links, unlinks, completes or requests a
         piece; no other event changes what it checks.
         """
-        for pid, peer in alive.items():
-            if not peer.state.is_seed:
-                self._check_held_pieces(pid, peer)
         ids = list(alive)
         peers = list(alive.values())
         index = {pid: i for i, pid in enumerate(ids)}
@@ -1343,6 +1350,7 @@ class _Engine:
             i, j = one_way[0]
             raise InvariantError(f"link between {ids[i]} and {ids[j]} is one-way")
         have = np.stack([peer.state.have for peer in peers])
+        self._check_held_pieces(ids, peers, have)
         bad = np.flatnonzero((np.stack([peer.wanted for peer in peers]) & have).any(axis=1))
         if bad.size:
             raise InvariantError(f"{ids[bad[0]]} wants a piece it holds")
