@@ -69,28 +69,19 @@ class CandidateInfo:
     peer_id: str
     popularity_record: PopularityRecord
     request_rate: float = 0.0
-    join_time: float = 0.0
     has_started: bool = False
-    buffer_summary: np.ndarray | None = None
-    queue_length: int = 0
-    requests_sent_to: int = 0
     recent_forward_rate: float = 0.0
 
     def __post_init__(self):
         if self.request_rate < 0:
             raise ValueError("request_rate must be non-negative")
-        if self.buffer_summary is not None:
-            started = bool(np.any(self.buffer_summary))
-            if started != self.has_started:
-                raise ValueError("has_started must match a non-empty buffer_summary")
 
 
 class HolderView(NamedTuple):
-    """What a request-target baseline reads of a neighbour.
+    """What a request-target baseline reads of a neighbour at one pick.
 
-    The cheap counterpart of CandidateInfo for per-pick use: no record,
-    and `buffer_summary` may be the neighbour's live have-map, since the
-    view is read once, at the pick that builds it.
+    `buffer_summary` may be the neighbour's live have-map, since the view
+    is read once, at the pick that builds it.
     """
 
     peer_id: str
@@ -247,7 +238,7 @@ def optimistic_unchoke(candidates: Sequence[str], rng: random.Random) -> str | N
 def baseline_request_target(
     spec: PolicySpec,
     piece: int,
-    neighbours: Sequence[CandidateInfo | HolderView],
+    neighbours: Sequence[HolderView],
     self_join_time: float,
     rng: random.Random | None = None,
 ) -> str:
@@ -259,11 +250,7 @@ def baseline_request_target(
     trackerclosest: nearest join time to our own. ynp: uniform among the
     n youngest holders. cnp: uniform among the n holders closest in age.
     """
-    holders = [
-        c
-        for c in neighbours
-        if c.buffer_summary is not None and bool(c.buffer_summary[piece])
-    ]
+    holders = [c for c in neighbours if c.buffer_summary[piece]]
     if not holders:
         raise ValueError(f"no neighbour holds piece {piece}")
     kind = spec.kind

@@ -119,6 +119,12 @@ class SimConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
+        finite = [("horizon", self.horizon)]
+        for cc in self.capacity_classes:
+            finite += [("capacity class rate", cc.rate), ("capacity class fraction", cc.fraction)]
+        for name, value in finite:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number; got {value}")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
         if self.initial_seeds < 1:
@@ -628,7 +634,6 @@ class _Engine:
             peer_id=st.peer_id,
             popularity_record=st.popularity_record,
             request_rate=self._request_rate(peer),
-            join_time=st.join_time,
             has_started=st.has_started(),
             recent_forward_rate=(
                 sum(peer.forward_snapshot.values()) / self.swarm.optimistic_interval

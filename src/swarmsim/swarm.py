@@ -129,12 +129,11 @@ def new_peer(
     upload_capacity: float,
     join_time: float,
     content: ContentSpec,
-    record_granularity: float | None = None,
 ) -> PeerState:
     have = np.zeros(content.num_pieces, dtype=bool)
     if role is PeerRole.SEED:
         have[:] = True
-    granularity = record_granularity or content.piece_duration
+    granularity = content.piece_duration
     horizon = int(math.ceil(content.duration / granularity - 1e-9))
     return PeerState(
         peer_id=peer_id,
@@ -234,8 +233,10 @@ class SwarmConfig:
     tracker_update_interval: float = 1800.0
 
     def __post_init__(self):
-        if self.unchoke_interval <= 0:
-            raise ValueError("unchoke_interval must be positive")
+        for name in ("unchoke_interval", "optimistic_interval", "tracker_update_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number; got {value}")
         ratio = self.optimistic_interval / self.unchoke_interval
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ValueError("optimistic_interval must be a multiple of the unchoke interval")
@@ -252,8 +253,6 @@ class SwarmConfig:
             raise ValueError("slot counts must be non-negative")
         if self.tracker_list_size <= 0:
             raise ValueError("tracker_list_size must be positive")
-        if self.tracker_update_interval <= 0:
-            raise ValueError("tracker_update_interval must be positive")
 
     @property
     def target(self) -> int:
@@ -267,22 +266,18 @@ class SwarmConfig:
         return self.regular_slot_count + self.optimistic_slot_count
 
 
-@dataclass(frozen=True)
-class TrackerEntry:
-    join_time: float
-
-
 @dataclass
 class TrackerState:
-    """Central registry of swarm members with join times."""
+    """Central registry of swarm members, in join order.
+
+    The registry is a dict for its insertion order, which fixes the order
+    that `rng.sample` draws from; its values are unused.
+    """
 
     update_interval: float = 1800.0
     list_size: int = 40
-    registry: dict[str, TrackerEntry] = field(default_factory=dict)
+    registry: dict[str, None] = field(default_factory=dict)
     _last_join: float = field(default=-math.inf, repr=False)
-
-    def join_time(self, peer_id: str) -> float:
-        return self.registry[peer_id].join_time
 
 
 def tracker_join(
@@ -295,7 +290,7 @@ def tracker_join(
         raise ValueError("join times must be non-decreasing")
     others = list(tracker.registry)
     sample = rng.sample(others, min(len(others), tracker.list_size))
-    tracker.registry[peer_id] = TrackerEntry(join_time=now)
+    tracker.registry[peer_id] = None
     tracker._last_join = now
     return sample
 

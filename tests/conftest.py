@@ -46,20 +46,3 @@ def sim_config(policy: str, seed: int, *, n: int | None = None, **kwargs) -> Sim
     defaults.update(kwargs)
     return SimConfig(**defaults)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so per-test timings stay honest."""
-    import numpy as np
-
-    from swarmsim import kernels
-
-    if kernels.backend() == "numba":
-        kernels.coverage_counts(np.array([0.0]), np.array([1.0]), 1.0, 4)
-        kernels.greedy_select(
-            np.zeros(4, dtype=np.int64),
-            np.ones((2, 4), dtype=np.int64),
-            np.zeros((2, 2), dtype=np.int64),
-            1,
-        )
-    yield

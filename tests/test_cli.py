@@ -9,6 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsim.cli import main
+from swarmsim.workload import (
+    GeneratorConfig,
+    InteractivityProfile,
+    generate_workload,
+    serialize_trace,
+)
 
 HEADER = "client_id,arrival_time,start_pos,end_pos,interaction"
 
@@ -336,6 +342,31 @@ def test_bad_analyze_flag_is_config_error(tmp_path, capsys, flag):
     assert flag.split("=")[0] in assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_horizon_is_config_error(tmp_path, capsys, value):
+    cfg = write(tmp_path, "sim.ini", SIM_INI)
+    out = tmp_path / "qos.json"
+    assert main(["simulate", "--config", cfg, f"--horizon={value}", "--out", str(out)]) == 1
+    assert "horizon" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("unchoke_interval", "nan"),
+        ("unchoke_interval", "inf"),
+        ("optimistic_interval", "inf"),
+        ("tracker_update_interval", "nan"),
+    ],
+)
+def test_non_finite_swarm_interval_is_config_error(tmp_path, capsys, key, value):
+    ini = SIM_INI.replace("[swarm]\n", f"[swarm]\n{key} = {value}\n")
+    cfg = write(tmp_path, "sim.ini", ini)
+    assert main(["simulate", "--config", cfg]) == 1
+    assert key in assert_one_line_error(capsys)
+
+
 def test_zero_object_length_comment_is_trace_error(tmp_path, capsys):
     trace = write(tmp_path, "t.csv", f"# object_length=0\n{HEADER}\nc1,0,0,0,play\n")
     assert main(["analyze", "--trace", trace]) == 2
@@ -353,6 +384,44 @@ def _run_cli(argv: list[str]) -> int:
 NUMBER_TOKENS = st.one_of(
     st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e-3", "abc", ""]),
     st.floats(min_value=0.5, max_value=500.0).map(repr),
+)
+
+
+# One small HI session set over a 30 s object, for simulate examples.
+TINY_TRACE = serialize_trace(
+    generate_workload(
+        GeneratorConfig(
+            profile=InteractivityProfile.HI,
+            session_count=3,
+            object_length=30.0,
+            mean_session_gap=5.0,
+            playback_rate=65536.0,
+            seed=0,
+        )
+    )
+)
+# Half plausible values, half special, zero, negative or not a number.
+INI_TOKENS = st.one_of(
+    st.sampled_from(["1", "2", "5", "10", "30"]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "abc", ""]),
+)
+SWARM_KEYS = [
+    "unchoke_interval",
+    "optimistic_interval",
+    "neighbourhood_min",
+    "neighbourhood_max",
+    "neighbourhood_target",
+    "neighbourhood_floor",
+    "pipeline_depth",
+    "regular_slots",
+    "optimistic_slots",
+    "tracker_list_size",
+    "tracker_update_interval",
+]
+RUN_KEYS = ["seed", "initial_seeds", "startup_pieces", "linger_fraction"]
+CAPACITY_TOKENS = st.one_of(
+    st.sampled_from(["262144:1.0", "131072:0.5,262144:0.5"]),
+    st.sampled_from(["nan:1.0", "inf:1.0", "262144:nan", "0:1", "abc"]),
 )
 
 
@@ -425,6 +494,50 @@ class TestErrorContract:
             argv = ["analyze", "--trace", str(trace)]
             if object_len is not None:
                 argv.append(f"--object-len={object_len}")
+            assert _run_cli(argv) in (0, 1, 2)
+
+    # The horizon set leaves out huge finite values such as 1e300: the
+    # periodic ticks reschedule themselves up to the horizon, so such a
+    # run never ends.
+    @given(
+        horizon=st.one_of(
+            st.just("30"), st.sampled_from(["nan", "inf", "-inf", "0", "-1", "abc"])
+        ),
+        swarm=st.dictionaries(st.sampled_from(SWARM_KEYS), INI_TOKENS, max_size=2),
+        run=st.dictionaries(st.sampled_from(RUN_KEYS), INI_TOKENS, max_size=2),
+        capacity=CAPACITY_TOKENS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_simulate_ini_values(self, horizon, swarm, run, capacity):
+        base = {
+            "neighbourhood_min": "6",
+            "neighbourhood_max": "10",
+            "neighbourhood_target": "8",
+            "neighbourhood_floor": "3",
+        }
+        base.update(swarm)
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = Path(tmp) / "t.csv"
+            trace.write_text(TINY_TRACE)
+            lines = [
+                "[content]",
+                "playback_rate = 65536",
+                "piece_size = 65536",
+                "block_size = 16384",
+                "[workload]",
+                f"trace = {trace}",
+                "[swarm]",
+                *(f"{k} = {v}" for k, v in base.items()),
+                "[policy]",
+                "kind = dispersiongreedy",
+                "[run]",
+                f"horizon = {horizon}",
+                f"capacity_classes = {capacity}",
+                *(f"{k} = {v}" for k, v in run.items()),
+            ]
+            ini = Path(tmp) / "sim.ini"
+            ini.write_text("\n".join(lines) + "\n")
+            argv = ["simulate", "--config", str(ini), "--out", str(Path(tmp) / "qos.json")]
             assert _run_cli(argv) in (0, 1, 2)
 
 

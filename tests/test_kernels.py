@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -9,33 +6,7 @@ import pytest
 from swarmsim import kernels
 
 
-@pytest.fixture
-def both_backends():
-    if not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba not importable")
-    saved = kernels.backend()
-    yield
-    kernels.set_backend(saved)
-
-
-def random_coverage_case(rng):
-    n = rng.randint(0, 40)
-    starts = np.array([rng.uniform(0, 90) for _ in range(n)])
-    ends = starts + np.array([rng.uniform(0, 30) for _ in range(n)])
-    return starts, ends, rng.choice([0.5, 1.0, 2.0, 3.7]), rng.randint(1, 128)
-
-
 class TestCoverageCounts:
-    def test_backends_agree(self, both_backends):
-        rng = random.Random(7)
-        for _ in range(50):
-            starts, ends, g, horizon = random_coverage_case(rng)
-            kernels.set_backend("numba")
-            a = kernels.coverage_counts(starts, ends, g, horizon)
-            kernels.set_backend("numpy")
-            b = kernels.coverage_counts(starts, ends, g, horizon)
-            np.testing.assert_array_equal(a, b)
-
     def test_half_open_interval_semantics(self):
         counts = kernels.coverage_counts(
             np.array([0.0, 5.0]), np.array([10.0, 15.0]), 5.0, 3
@@ -58,34 +29,23 @@ class TestCoverageCounts:
         with pytest.raises(ValueError):
             kernels.coverage_counts(np.array([0.0]), np.array([1.0]), 0.0, 4)
 
+    def test_bin_span_matches_coverage(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            start = rng.uniform(0, 50)
+            end = start + rng.uniform(0, 20)
+            g = rng.choice([0.25, 1.0, 2.0])
+            horizon = 64
+            lo, hi = kernels.bin_span(start, end, g, horizon)
+            counts = kernels.coverage_counts(
+                np.array([start]), np.array([end]), g, horizon
+            )
+            expect = np.zeros(horizon, dtype=np.int64)
+            expect[lo:hi] = 1
+            np.testing.assert_array_equal(counts, expect)
+
 
 class TestGreedySelect:
-    def _random_case(self, rng):
-        horizon = rng.randint(2, 48)
-        n = rng.randint(1, 10)
-        base = np.array([rng.randint(0, 3) for _ in range(horizon)], dtype=np.int64)
-        cands = np.array(
-            [[rng.randint(0, 2) for _ in range(horizon)] for _ in range(n)], dtype=np.int64
-        )
-        keys = np.column_stack(
-            [
-                np.array([rng.randint(0, 2) for _ in range(n)], dtype=np.int64),
-                np.arange(n, dtype=np.int64),
-            ]
-        )
-        return base, cands, keys, rng.randint(0, n + 2)
-
-    def test_backends_agree(self, both_backends):
-        rng = random.Random(123)
-        for _ in range(80):
-            base, cands, keys, max_size = self._random_case(rng)
-            kernels.set_backend("numba")
-            a = kernels.greedy_select(base, cands, keys, max_size)
-            kernels.set_backend("numpy")
-            b = kernels.greedy_select(base, cands, keys, max_size)
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
-
     def test_empty_candidates(self):
         sel, dist, mass = kernels.greedy_select(
             np.zeros(4, dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
@@ -104,40 +64,3 @@ class TestGreedySelect:
                 np.zeros(4, dtype=np.int64), np.zeros((2, 4), dtype=np.int64),
                 np.zeros((1, 1), dtype=np.int64), 1,
             )
-
-
-class TestBackendSelection:
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fortran")
-
-    def test_env_flag_forces_numpy(self):
-        code = "from swarmsim import kernels; print(kernels.backend())"
-        env = dict(os.environ, SWARMSIM_KERNELS="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_flag_rejects_unknown(self):
-        code = "import swarmsim.kernels"
-        env = dict(os.environ, SWARMSIM_KERNELS="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode != 0
-
-    def test_bin_span_matches_coverage(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            start = rng.uniform(0, 50)
-            end = start + rng.uniform(0, 20)
-            g = rng.choice([0.25, 1.0, 2.0])
-            horizon = 64
-            lo, hi = kernels.bin_span(start, end, g, horizon)
-            counts = kernels.coverage_counts(
-                np.array([start]), np.array([end]), g, horizon
-            )
-            expect = np.zeros(horizon, dtype=np.int64)
-            expect[lo:hi] = 1
-            np.testing.assert_array_equal(counts, expect)

@@ -27,12 +27,11 @@ def rec(pairs, horizon=HORIZON):
     return PopularityRecord.from_pairs(1.0, horizon, pairs)
 
 
-def cand(pid, pairs, *, rate=0.0, started=False, join=0.0, fwd=0.0, horizon=HORIZON):
+def cand(pid, pairs, *, rate=0.0, started=False, fwd=0.0, horizon=HORIZON):
     return CandidateInfo(
         peer_id=pid,
         popularity_record=rec(pairs, horizon),
         request_rate=rate,
-        join_time=join,
         has_started=started,
         recent_forward_rate=fwd,
     )
@@ -334,12 +333,10 @@ class TestOptimistic:
 def holder(pid, pieces, *, join=0.0, queue=0, sent=0, total=8):
     buf = np.zeros(total, dtype=bool)
     buf[list(pieces)] = True
-    return CandidateInfo(
+    return HolderView(
         peer_id=pid,
-        popularity_record=rec([]),
-        join_time=join,
-        has_started=bool(buf.any()),
         buffer_summary=buf,
+        join_time=join,
         queue_length=queue,
         requests_sent_to=sent,
     )
@@ -388,35 +385,6 @@ class TestBaselines:
     def test_only_holders_considered(self):
         ns = [holder("a", [1], queue=0), holder("b", [0], queue=9)]
         assert baseline_request_target(PolicySpec(PolicyKind.LLP), 0, ns, 0.0) == "b"
-
-    def test_holder_views_pick_like_candidate_infos(self):
-        rng = random.Random(3)
-        infos = [
-            holder(
-                f"p{i}",
-                {0, rng.randrange(8)} if i % 3 else {rng.randrange(1, 8)},
-                join=float(rng.randint(0, 50)),
-                queue=rng.randint(0, 5),
-                sent=rng.randint(0, 5),
-            )
-            for i in range(9)
-        ]
-        views = [
-            HolderView(c.peer_id, c.buffer_summary, c.join_time, c.queue_length, c.requests_sent_to)
-            for c in infos
-        ]
-        specs = [
-            PolicySpec(PolicyKind.LLP),
-            PolicySpec(PolicyKind.LRP),
-            PolicySpec(PolicyKind.TRACKER_CLOSEST),
-            PolicySpec(PolicyKind.YNP, n=2),
-            PolicySpec(PolicyKind.CNP, n=2),
-        ]
-        for spec in specs:
-            for seed in range(5):
-                want = baseline_request_target(spec, 0, infos, 20.0, random.Random(seed))
-                got = baseline_request_target(spec, 0, views, 20.0, random.Random(seed))
-                assert got == want
 
 
 class TestPolicySpec:

@@ -249,6 +249,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             sim_config("random", seed=1, horizon=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_horizon_finite(self, value):
+        with pytest.raises(ConfigError, match="horizon"):
+            sim_config("random", seed=1, horizon=value)
+
+    @pytest.mark.parametrize(
+        "rate, fraction",
+        [(float("nan"), 1.0), (float("inf"), 1.0), (4 * PLAYBACK, float("nan"))],
+    )
+    def test_capacity_class_finite(self, rate, fraction):
+        with pytest.raises(ConfigError, match="capacity class"):
+            sim_config("random", seed=1, capacity_classes=(CapacityClass(rate, fraction),))
+
     def test_needs_one_seed(self):
         with pytest.raises(ConfigError):
             sim_config("random", seed=1, initial_seeds=0)

@@ -259,6 +259,14 @@ class TestSwarmConfig:
         with pytest.raises(ValueError):
             SwarmConfig(unchoke_interval=10.0, optimistic_interval=25.0)
 
+    @pytest.mark.parametrize(
+        "field", ["unchoke_interval", "optimistic_interval", "tracker_update_interval"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_intervals_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SwarmConfig(**{field: value})
+
     def test_floor_below_range(self):
         with pytest.raises(ValueError):
             SwarmConfig(neighbourhood_range=(10, 20), neighbourhood_floor=15)
