@@ -430,6 +430,8 @@ def _comparison_csv(spec: ExperimentSpec, table: dict[str, dict]) -> str:
 
 
 def cmd_compare(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1; got {args.jobs}")
     spec = load_experiment_spec(args.spec)
     jobs = []
     for label in spec.labels:
@@ -439,8 +441,8 @@ def cmd_compare(args) -> int:
             seed = spec.base_seed + rep
             cfg = build_sim_config(spec.configs[label], seed=seed)
             jobs.append((label, rep, cfg))
-    workers = args.jobs or os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
+    workers = min(args.jobs or os.cpu_count() or 1, len(jobs))
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_compare_worker, jobs)
     else:

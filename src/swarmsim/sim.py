@@ -8,9 +8,10 @@ busy slots. Whenever the share changes, every active transfer of the
 sender moves to the new rate, and only the one that finishes first (ties
 broken by receiver id) holds a completion event: a busy sender has
 exactly one pending completion. All state of one direction of a peer
-pair (queued and in-service blocks, requests, assigned pieces, bytes in
-the current unchoke window) lives in one link record that both peers
-share. All randomness flows from one seeded generator, and events tie
+pair (queued blocks, the block in service and its transfer progress,
+requests, bytes in the current unchoke window) lives in one link record
+that both peers share; the receiver's piece owners point at it. All
+randomness flows from one seeded generator, and events tie
 on time through monotonically assigned sequence numbers, so a (config,
 seed) pair reproduces the run byte for byte.
 """
@@ -51,7 +52,6 @@ from .swarm import (
     SwarmConfig,
     TrackerState,
     new_peer,
-    pipeline_requests,
     rarest_first,
     record_block,
     tracker_join,
@@ -290,58 +290,52 @@ def playback_model(
 # Engine internals
 
 
-class _Transfer:
-    __slots__ = (
-        "sender",
-        "receiver",
-        "link",
-        "piece",
-        "block",
-        "nbytes",
-        "remaining",
-        "rate",
-        "t_last",
-        "version",
-        "cancelled",
-    )
-
-    def __init__(
-        self, sender: str, receiver: str, link: _Link, piece: int, block: int, nbytes: int
-    ):
-        self.sender = sender
-        self.receiver = receiver
-        self.link = link
-        self.piece = piece
-        self.block = block
-        self.nbytes = nbytes
-        self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.t_last = 0.0
-        self.version = 0
-        self.cancelled = False
-
-
 class _Link:
-    """One direction of a peer pair: what the receiver gets from the sender.
+    """One direction of a peer pair: what `receiver` gets from `sender`.
 
     Both ends hold the same record. The receiver keeps it in `links`
     until it stops requesting, since lrp reads `requests_sent`; the
     sender keeps it in `channels` while a block is queued or in service
-    on it. A choke clears the queue, `outstanding` and `assigned` but
-    lets the block in service finish.
+    on it. The block in service moves at `rate` and had `remaining`
+    bytes left at `t_last`. Every reshare and every cancel bumps
+    `version`, so a completion event whose version is not the link's
+    current one is stale.
+
+    The pipeline holds the queued blocks plus the block in service. A
+    choke clears the queue and releases the pieces the receiver owns on
+    this link, but lets the block in service finish. That block was
+    requested before the choke, so `pre_choke` keeps it out of the
+    pipeline count if the link is unchoked again; the next block to
+    start clears the flag.
     """
 
-    __slots__ = ("queue", "current", "window", "outstanding", "assigned", "requests_sent")
+    __slots__ = (
+        "sender",
+        "receiver",
+        "queue",
+        "serving",
+        "remaining",
+        "rate",
+        "t_last",
+        "version",
+        "pre_choke",
+        "window",
+        "requests_sent",
+    )
 
-    def __init__(self):
+    def __init__(self, sender: str, receiver: str):
+        self.sender = sender
+        self.receiver = receiver
         self.queue: deque[tuple[int, int]] = deque()
-        self.current: _Transfer | None = None
+        # (piece, block) in service
+        self.serving: tuple[int, int] | None = None
+        self.remaining = 0.0
+        self.rate = 0.0
+        self.t_last = 0.0
+        self.version = 0
+        self.pre_choke = False
         # bytes delivered since the last unchoke tick
         self.window = 0
-        # blocks requested and not yet delivered
-        self.outstanding: set[tuple[int, int]] = set()
-        # pieces the receiver fetches from this sender only
-        self.assigned: set[int] = set()
         self.requests_sent = 0
 
 
@@ -359,7 +353,7 @@ class _RunPeer:
         # upload side: busy links by receiver, and the payload of the one
         # pending completion event while any transfer is in service
         self.channels: dict[str, _Link] = {}
-        self.pending: tuple[_Transfer, int] | None = None
+        self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
         self.forward_snapshot: dict[str, int] = {}
         # download side: links by sender
@@ -650,7 +644,7 @@ class _Engine:
         queue_len = 0
         if self.cfg.policy.kind is PolicyKind.LLP:
             queue_len = sum(
-                len(link.queue) + (1 if link.current else 0)
+                len(link.queue) + (1 if link.serving else 0)
                 for link in holder.channels.values()
             )
         link = requester.links.get(st.peer_id)
@@ -776,9 +770,9 @@ class _Engine:
             link = up.channels.pop(peer.peer_id, None)
             if link is not None:
                 link.queue.clear()
-                if link.current is not None:
-                    link.current.cancelled = True
-                    link.current = None
+                if link.serving is not None:
+                    link.serving = None
+                    link.version += 1
                     self._reshare_sender(up)
         peer.unchoked_by.clear()
         peer.links.clear()
@@ -791,11 +785,10 @@ class _Engine:
             dl = self.peers[rid]
             dl.inflight.difference_update(link.queue)
             link.queue.clear()
-            tr = link.current
-            if tr is not None:
-                tr.cancelled = True
-                dl.inflight.discard((tr.piece, tr.block))
-                link.current = None
+            if link.serving is not None:
+                dl.inflight.discard(link.serving)
+                link.serving = None
+                link.version += 1
             self._drop_requests(dl, link)
             dl.unchoked_by.discard(peer.peer_id)
         peer.channels.clear()
@@ -805,11 +798,11 @@ class _Engine:
 
     @staticmethod
     def _drop_requests(dl: _RunPeer, link: _Link) -> None:
-        """Forget what `dl` requested or assigned on `link`."""
-        link.outstanding.clear()
-        for piece in link.assigned:
-            dl.piece_owner.pop(piece, None)
-        link.assigned.clear()
+        """Release the pieces `dl` owns on `link`; a block still in service
+        there no longer counts toward the pipeline."""
+        link.pre_choke = True
+        for piece in [p for p, owner in dl.piece_owner.items() if owner is link]:
+            del dl.piece_owner[piece]
 
     # -- requests and playback ----------------------------------------------
 
@@ -991,7 +984,7 @@ class _Engine:
             if link is not None:
                 dl.inflight.difference_update(link.queue)
                 link.queue.clear()
-                if link.current is None:
+                if link.serving is None:
                     peer.channels.pop(rid, None)
                 self._drop_requests(dl, link)
             dl.unchoked_by.discard(pid)
@@ -1047,102 +1040,108 @@ class _Engine:
                     return None
         return piece
 
-    def _candidate_blocks(self, dl: _RunPeer, up: _RunPeer, link: _Link):
-        for piece in sorted(link.assigned):
-            yield from self._missing_blocks(dl, piece)
-        while True:
-            piece = self._pick_new_piece(dl, up)
-            if piece is None:
-                return
-            dl.piece_owner[piece] = link
-            link.assigned.add(piece)
-            blocks = self._missing_blocks(dl, piece)
-            if not blocks:
-                return
-            yield from blocks
-
     def _fill_pipeline(self, dl: _RunPeer, up: _RunPeer) -> None:
+        """Request blocks from `up` until the link's pipeline is full.
+
+        The missing blocks of the pieces `dl` owns on the link come first,
+        in piece then block order. Then new pieces are picked one at a
+        time while room is left, until the pick fails or the picked piece
+        has no missing block (it stays owned all the same).
+        """
         if not dl.alive or not up.alive or dl.state.is_seed or dl.lingering:
             return
         if not up.unchokes(dl.peer_id):
             return
         link = dl.links.get(up.peer_id)
         if link is None:
-            link = dl.links[up.peer_id] = _Link()
-        new = pipeline_requests(
-            len(link.outstanding),
-            self.swarm.pipeline_depth,
-            self._candidate_blocks(dl, up, link),
-        )
+            link = dl.links[up.peer_id] = _Link(up.peer_id, dl.peer_id)
+        in_pipeline = len(link.queue) + (link.serving is not None and not link.pre_choke)
+        room = self.swarm.pipeline_depth - in_pipeline
+        if room <= 0:
+            return
+        owners = dl.piece_owner
+        new: list[tuple[int, int]] = []
+        for piece in sorted(p for p, owner in owners.items() if owner is link):
+            new += self._missing_blocks(dl, piece)
+            if len(new) >= room:
+                break
+        while len(new) < room:
+            piece = self._pick_new_piece(dl, up)
+            if piece is None:
+                break
+            owners[piece] = link
+            blocks = self._missing_blocks(dl, piece)
+            if not blocks:
+                break
+            new += blocks
         if not new:
             return
+        del new[room:]
         up.channels[dl.peer_id] = link
-        link.outstanding.update(new)
         dl.inflight.update(new)
         link.queue.extend(new)
         link.requests_sent += len(new)
-        if link.current is None:
-            self._service_channel(up, link, dl.peer_id)
+        if link.serving is None:
+            self._service_channel(up, link)
 
-    def _service_channel(self, up: _RunPeer, link: _Link, rid: str) -> None:
+    def _service_channel(self, up: _RunPeer, link: _Link) -> None:
         """Start the next queued block on an idle link."""
-        if link.current is not None or not link.queue:
+        if link.serving is not None or not link.queue:
             return
-        piece, block = link.queue.popleft()
+        link.serving = link.queue.popleft()
+        piece, block = link.serving
         if not up.state.have[piece]:
             raise InvariantError(
                 f"{up.peer_id} asked to serve incomplete piece {piece}"
             )
-        tr = _Transfer(
-            up.peer_id, rid, link, piece, block, self._block_lengths[piece][block]
-        )
-        tr.t_last = self.now
-        link.current = tr
+        link.remaining = float(self._block_lengths[piece][block])
+        link.t_last = self.now
+        link.pre_choke = False
         self._reshare_sender(up)
 
     def _reshare_sender(self, up: _RunPeer) -> None:
         """Split `up`'s capacity equally over its active transfers.
 
-        Each active transfer is charged the bytes sent at its old rate and
-        moves to the new share. Only the transfer that finishes first, ties
-        broken by receiver id, gets a completion event: a busy sender has
-        exactly one pending completion, whose payload `up.pending` keeps.
-        The version bump makes every earlier event of the sender stale.
-        Each handled completion reshares its sender, so the next transfer's
-        event is pushed then.
+        Each link with a block in service is charged the bytes sent at its
+        old rate and moves to the new share. Only the block that finishes
+        first, ties broken by receiver id, gets a completion event: a busy
+        sender has exactly one pending completion, whose payload
+        `up.pending` keeps. The version bump makes every earlier event of
+        the sender stale. Each handled completion reshares its sender, so
+        the next block's event is pushed then.
         """
         now = self.now
-        active = [link.current for link in up.channels.values() if link.current is not None]
+        active = [link for link in up.channels.values() if link.serving is not None]
         if not active:
             up.pending = None
             return
         share = up.state.upload_capacity / len(active)
         first = None
         first_eta = 0.0
-        for tr in active:
-            elapsed = now - tr.t_last
-            if elapsed > 0 and tr.rate > 0:
-                tr.remaining = max(tr.remaining - tr.rate * elapsed, 0.0)
-            tr.t_last = now
-            tr.rate = share
-            tr.version += 1
-            eta = now + tr.remaining / share
+        for link in active:
+            elapsed = now - link.t_last
+            if elapsed > 0 and link.rate > 0:
+                link.remaining = max(link.remaining - link.rate * elapsed, 0.0)
+            link.t_last = now
+            link.rate = share
+            link.version += 1
+            eta = now + link.remaining / share
             if first is None or eta < first_eta or (
-                eta == first_eta and tr.receiver < first.receiver
+                eta == first_eta and link.receiver < first.receiver
             ):
-                first, first_eta = tr, eta
+                first, first_eta = link, eta
         up.pending = payload = (first, first.version)
         self._schedule(first_eta, EventKind.BLOCK_TRANSFER_COMPLETE, payload)
 
-    def _on_block_complete(self, tr: _Transfer, version: int) -> bool:
-        if tr.cancelled or version != tr.version:
+    def _on_block_complete(self, link: _Link, version: int) -> bool:
+        if version != link.version:
             return False
-        up = self.peers[tr.sender]
-        dl = self.peers[tr.receiver]
-        link = tr.link
-        link.current = None
+        up = self.peers[link.sender]
+        dl = self.peers[link.receiver]
+        piece, block = blk = link.serving
+        link.serving = None
         if dl.alive:
-            nbytes = tr.nbytes
+            nbytes = self._block_lengths[piece][block]
             up.uploaded += nbytes
             dl.downloaded += nbytes
             self.total_uploaded += nbytes
@@ -1150,26 +1149,22 @@ class _Engine:
             if not link.window:
                 self._windowed.append(link)
             link.window += nbytes
-            piece = tr.piece
-            block = tr.block
             sources = up.block_source.get(piece)
             if sources is not None:
                 origin = sources[block]
-                if origin is not None and origin != tr.receiver:
+                if origin is not None and origin != link.receiver:
                     up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
             sources = dl.block_source.get(piece)
             if sources is None:
                 sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
-            sources[block] = tr.sender
-            blk = (piece, block)
-            link.outstanding.discard(blk)
+            sources[block] = link.sender
             dl.inflight.discard(blk)
             completed = record_block(dl.state, self.content, piece, block)
             if self.events is not None:
                 self._log(
                     EventKind.BLOCK_TRANSFER_COMPLETE,
-                    tr.receiver,
-                    sender=tr.sender,
+                    link.receiver,
+                    sender=link.sender,
                     piece=piece,
                     block=block,
                     completed=completed,
@@ -1181,12 +1176,12 @@ class _Engine:
                 self._maps_changed = True
                 self._on_piece_complete(dl, piece)
             self._fill_pipeline(dl, up)
-        if link.current is None:
+        if link.serving is None:
             # The refill above did not start a block here; start the next
             # queued one, or retire the idle link. Either reshares.
-            self._service_channel(up, link, tr.receiver)
-            if link.current is None:
-                up.channels.pop(tr.receiver, None)
+            self._service_channel(up, link)
+            if link.serving is None:
+                up.channels.pop(link.receiver, None)
                 self._reshare_sender(up)
         return True
 
@@ -1195,9 +1190,7 @@ class _Engine:
         if dl.first_piece_time is None:
             dl.first_piece_time = self.now
         dl.wanted[piece] = False
-        owner = dl.piece_owner.pop(piece, None)
-        if owner is not None:
-            owner.assigned.discard(piece)
+        dl.piece_owner.pop(piece, None)
         self._try_start_playback(dl)
         if (
             self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC
@@ -1239,7 +1232,7 @@ class _Engine:
                 if not st.have.all():
                     raise InvariantError(f"seed {pid} lost pieces")
             elif peer.channels:
-                served = [link.current.piece for link in peer.channels.values() if link.current]
+                served = [link.serving[0] for link in peer.channels.values() if link.serving]
                 served += [piece for link in peer.channels.values() for piece, _ in link.queue]
                 if not st.have[served].all():
                     raise InvariantError(f"{pid} queues or serves a piece it lacks")
@@ -1253,62 +1246,58 @@ class _Engine:
 
     @staticmethod
     def _check_inbound(pid: str, peer: _RunPeer, links: list[_Link]) -> None:
-        """Requests, in-flight blocks and piece owners agree with the links
-        toward `peer`.
+        """In-flight blocks and piece owners agree with the links toward
+        `peer`.
 
         The blocks queued or in service on those links are exactly the
         in-flight blocks, each on one link: all of them are in flight, and
-        there are as many as there are in-flight blocks.
+        there are as many as there are in-flight blocks. Each owned piece
+        is missing, and its owner is the link from a sender that unchokes
+        `peer`.
         """
         inflight = peer.inflight
         on_links = 0
-        n_assigned = 0
         for link in links:
-            if not (link.queue or link.current or link.outstanding or link.assigned):
+            if not (link.queue or link.serving):
                 continue
-            if not link.outstanding <= inflight:
-                raise InvariantError(f"{pid} has outstanding requests that are not in flight")
-            cur = link.current
             if not inflight.issuperset(link.queue) or (
-                cur is not None and (cur.piece, cur.block) not in inflight
+                link.serving is not None and link.serving not in inflight
             ):
                 raise InvariantError(f"{pid} has a block on a link that is not in flight")
-            on_links += len(link.queue) + (cur is not None)
-            n_assigned += len(link.assigned)
+            on_links += len(link.queue) + (link.serving is not None)
         if on_links != len(inflight):
             raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
-        # Every owned piece sits in its owner's assigned set, and the
-        # assigned sets hold nothing else.
-        owners = peer.piece_owner
-        if n_assigned != len(owners) or any(
-            piece not in link.assigned or link not in links for piece, link in owners.items()
-        ):
-            raise InvariantError(f"{pid} piece owners and assigned sets disagree")
+        have = peer.state.have
+        for piece, link in peer.piece_owner.items():
+            if have[piece]:
+                raise InvariantError(f"{pid} owns piece {piece}, which it holds")
+            if link.sender not in peer.unchoked_by or peer.links.get(link.sender) is not link:
+                raise InvariantError(f"{pid} owns piece {piece} on a link that is not unchoked")
 
     @staticmethod
     def _check_pending(pid: str, peer: _RunPeer) -> None:
-        """A busy sender's one live completion event is for the transfer
-        that finishes first, ties broken by receiver id.
+        """A busy sender's one live completion event is for the block in
+        service that finishes first, ties broken by receiver id.
 
-        Each reshare bumps the version of every active transfer and records
-        the payload it pushes, so a payload whose version is current is the
-        only live completion event of the sender.
+        Each reshare bumps the version of every link with a block in
+        service and records the payload it pushes, so a payload whose
+        version is current is the only live completion event of the sender.
         """
-        active = [link.current for link in peer.channels.values() if link.current]
+        active = [link for link in peer.channels.values() if link.serving]
         if not active:
             if peer.pending is not None:
                 raise InvariantError(f"{pid} serves nothing but keeps a pending completion")
             return
         if peer.pending is None:
             raise InvariantError(f"{pid} serves blocks with no pending completion")
-        tr, version = peer.pending
-        if tr.version != version or tr.cancelled or tr not in active:
+        link, version = peer.pending
+        if link.version != version or link not in active:
             raise InvariantError(f"{pid} has no live completion event")
-        first = min(active, key=lambda t: (t.t_last + t.remaining / t.rate, t.receiver))
-        if first is not tr:
+        first = min(active, key=lambda k: (k.t_last + k.remaining / k.rate, k.receiver))
+        if first is not link:
             raise InvariantError(
-                f"{pid} has a pending completion for {tr.receiver}, "
-                f"but the transfer to {first.receiver} finishes first"
+                f"{pid} has a pending completion for {link.receiver}, "
+                f"but the block to {first.receiver} finishes first"
             )
 
     @staticmethod

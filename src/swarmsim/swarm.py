@@ -14,7 +14,6 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -196,25 +195,6 @@ def rarest_first(
     counts = replicas[candidates]
     tied = candidates[counts == counts.min()]
     return int(tied[rng.randrange(len(tied))])
-
-
-def pipeline_requests(
-    outstanding: int, pipeline_depth: int, candidate_blocks: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Blocks to request now so `pipeline_depth` stay outstanding.
-
-    Takes from candidate_blocks until the pipeline is full or candidates
-    run out.
-    """
-    want = pipeline_depth - outstanding
-    if want <= 0:
-        return []
-    out = []
-    for blk in candidate_blocks:
-        out.append(blk)
-        if len(out) >= want:
-            break
-    return out
 
 
 @dataclass(frozen=True)

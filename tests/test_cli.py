@@ -288,6 +288,40 @@ class TestCompare:
         assert (out1 / "comparison.json").read_bytes() == (out2 / "comparison.json").read_bytes()
         assert (out1 / "comparison.csv").read_bytes() == (out2 / "comparison.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs, sizes", [("64", [6]), ("2", [2]), (None, [6]), ("1", [])])
+    def test_pool_sized_to_jobs(self, tmp_path, capsys, monkeypatch, jobs, sizes):
+        # Six jobs (two labels, three repetitions); the fake pool runs them
+        # in this process and records the size it was asked for.
+        made = []
+
+        class FakePool:
+            def __init__(self, processes):
+                made.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr("swarmsim.cli.multiprocessing.Pool", FakePool)
+        monkeypatch.setattr("swarmsim.cli.os.cpu_count", lambda: 64)
+        spec = write(tmp_path, "exp.ini", EXPERIMENT_INI)
+        args = ["compare", "--spec", spec, "--out", str(tmp_path / "cmp")]
+        assert main(args + (["--jobs", jobs] if jobs else [])) == 0
+        assert made == sizes
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        spec = write(tmp_path, "exp.ini", EXPERIMENT_INI)
+        out = tmp_path / "x"
+        assert main(["compare", "--spec", spec, "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_empty_spec_is_usage_error(self, tmp_path, capsys):
         spec = write(tmp_path, "exp.ini", "[experiment]\nbase_seed = 1\nrepetitions = 1\n")
         assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1

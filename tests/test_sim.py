@@ -3,10 +3,12 @@ import json
 import pytest
 
 from conftest import PLAYBACK, sim_config, small_swarm
-from swarmsim.errors import ConfigError
+from swarmsim import sim
+from swarmsim.errors import ConfigError, InvariantError
 from swarmsim.policies import PolicySpec
 from swarmsim.sim import (
     CapacityClass,
+    EventKind,
     SimConfig,
     continuity_index,
     event_log_lines,
@@ -171,6 +173,9 @@ class TestRun:
             ("llp", None, 0.0),
             ("ynp", 3, 0.0),
             ("lrp", None, 0.3),
+            # re-rolls slots at every played piece, choking links with a
+            # block in service
+            ("perpieceoptimistic", None, 0.3),
         ]
         for policy, n, linger in cases:
             cfg = sim_config(
@@ -234,6 +239,80 @@ class TestRun:
         )
         rep = run(cfg).report
         assert rep.aggregate["uploaded_bytes"] == rep.aggregate["downloaded_bytes"]
+
+
+def _finish_time(link):
+    return link.t_last + link.remaining / link.rate
+
+
+class TestInvariantMutations:
+    """Each test breaks one piece of link bookkeeping in the engine and
+    expects the invariant check of a checked run to catch it."""
+
+    @staticmethod
+    def run_checked(match):
+        cfg = sim_config(
+            "titfortat", seed=0, sessions=30, linger_as_seed_fraction=0.3, check_invariants=True
+        )
+        with pytest.raises(InvariantError, match=match):
+            run(cfg)
+
+    def test_owners_kept_on_choke(self, monkeypatch):
+        def keep_owners(dl, link):
+            link.pre_choke = True
+
+        monkeypatch.setattr(sim._Engine, "_drop_requests", staticmethod(keep_owners))
+        self.run_checked("not unchoked")
+
+    def test_requested_block_not_in_flight(self, monkeypatch):
+        fill = sim._Engine._fill_pipeline
+
+        def fill_one_short(self, dl, up):
+            link = dl.links.get(up.peer_id)
+            before = link.requests_sent if link is not None else 0
+            fill(self, dl, up)
+            link = dl.links.get(up.peer_id)
+            if link is not None and link.requests_sent > before:
+                dl.inflight.discard(link.queue[-1] if link.queue else link.serving)
+
+        monkeypatch.setattr(sim._Engine, "_fill_pipeline", fill_one_short)
+        self.run_checked("not in flight")
+
+    def test_latest_pending_completion(self, monkeypatch):
+        reshare = sim._Engine._reshare_sender
+
+        def reshare_latest(self, up):
+            # Run the reshare with pushes swallowed, then push the block
+            # that finishes last instead of the one that finishes first.
+            self._schedule = lambda t, kind, payload: None
+            try:
+                reshare(self, up)
+            finally:
+                del self._schedule
+            if up.pending is not None:
+                active = [link for link in up.channels.values() if link.serving]
+                last = max(active, key=lambda k: (_finish_time(k), k.receiver))
+                up.pending = payload = (last, last.version)
+                self._schedule(_finish_time(last), EventKind.BLOCK_TRANSFER_COMPLETE, payload)
+
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_latest)
+        self.run_checked("finishes first")
+
+    def test_cancelled_upload_left_in_flight(self, monkeypatch):
+        cancel = sim._Engine._cancel_uploads
+
+        def cancel_keeping_inflight(self, peer):
+            served = [
+                (self.peers[rid], link.serving)
+                for rid, link in peer.channels.items()
+                if link.serving is not None
+            ]
+            cancel(self, peer)
+            for dl, blk in served:
+                dl.inflight.add(blk)
+
+        monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_keeping_inflight)
+        self.run_checked("exactly one link")
 
 
 class TestConfigValidation:

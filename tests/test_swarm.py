@@ -10,7 +10,6 @@ from swarmsim.swarm import (
     SwarmConfig,
     TrackerState,
     new_peer,
-    pipeline_requests,
     rarest_first,
     record_block,
     tracker_join,
@@ -234,19 +233,6 @@ class TestRecordBlock:
     def test_seed_starts_complete(self):
         s = new_peer("s", PeerRole.SEED, 1.0, 0.0, CONTENT)
         assert s.have.all()
-
-
-class TestPipeline:
-    def test_fill_from_empty(self):
-        blocks = [(0, b) for b in range(10)]
-        assert pipeline_requests(0, 5, iter(blocks)) == blocks[:5]
-
-    def test_full_pipeline_requests_nothing(self):
-        assert pipeline_requests(5, 5, iter([(0, 0)])) == []
-
-    def test_fewer_candidates_than_space(self):
-        blocks = [(0, 0), (0, 1), (0, 2)]
-        assert pipeline_requests(0, 5, iter(blocks)) == blocks
 
 
 class TestSwarmConfig:
