@@ -10,10 +10,12 @@ broken by receiver id) holds a completion event: a busy sender has
 exactly one pending completion. All state of one direction of a peer
 pair (queued blocks, the block in service and its transfer progress,
 requests, bytes in the current unchoke window) lives in one link record
-that both peers share; the receiver's piece owners point at it. All
-randomness flows from one seeded generator, and events tie
-on time through monotonically assigned sequence numbers, so a (config,
-seed) pair reproduces the run byte for byte.
+that both peers share; the receiver's piece owners point at it. A link's
+requests end only in `_Engine._choke`. Playback starts by one rule,
+`_play_start`, for the report and the play-triggered variant alike. All
+randomness flows from one seeded generator, and events tie on time
+through monotonically assigned sequence numbers, so a (config, seed)
+pair reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -219,6 +221,32 @@ class PlaybackReport:
         return sum(e - s for s, e in self.stall_intervals) / len(self.stall_intervals)
 
 
+def _play_start(
+    req: Request, region: range, piece_arrivals: Mapping[int, float], startup_pieces: int
+) -> float | None:
+    """When playback of `req` starts: once it is issued and the region's
+    first `startup_pieces` pieces have arrived; None while one is missing."""
+    start = req.arrival_time
+    for k in region[:startup_pieces]:
+        arr = piece_arrivals.get(k)
+        if arr is None:
+            return None
+        start = max(start, arr)
+    return start
+
+
+def _deadlines(
+    start: float, region: range, window_end: float, piece_duration: float
+) -> Iterable[tuple[int, float]]:
+    """(piece, deadline) of each piece of `region` due before the window
+    closes, one piece duration apart from `start` on."""
+    for j, k in enumerate(region):
+        due = start + j * piece_duration
+        if due >= window_end - _EPS:
+            return
+        yield k, due
+
+
 def playback_model(
     requests: Sequence[Request],
     piece_arrivals: Mapping[int, float],
@@ -250,24 +278,13 @@ def playback_model(
         if len(region) == 0:
             play_starts.append(req.arrival_time if req.arrival_time < window_end else None)
             continue
-        lead = list(region)[: min(startup_pieces, len(region))]
-        start = req.arrival_time
-        startable = True
-        for k in lead:
-            arr = piece_arrivals.get(k)
-            if arr is None:
-                startable = False
-                break
-            start = max(start, arr)
-        if not startable or start >= window_end - _EPS:
+        start = _play_start(req, region, piece_arrivals, startup_pieces)
+        if start is None or start >= window_end - _EPS:
             play_starts.append(None)
             continue
         play_starts.append(start)
         request_stalls: list[tuple[float, float]] = []
-        for j, k in enumerate(region):
-            due = start + j * pd
-            if due >= window_end - _EPS:
-                break
+        for k, due in _deadlines(start, region, window_end, pd):
             due_total += 1
             arr = piece_arrivals.get(k)
             if arr is not None and arr <= due + _EPS:
@@ -301,12 +318,13 @@ class _Link:
     `version`, so a completion event whose version is not the link's
     current one is stale.
 
-    The pipeline holds the queued blocks plus the block in service. A
-    choke clears the queue and releases the pieces the receiver owns on
-    this link, but lets the block in service finish. That block was
-    requested before the choke, so `pre_choke` keeps it out of the
-    pipeline count if the link is unchoked again; the next block to
-    start clears the flag.
+    The pipeline holds the queued blocks plus the block in service.
+    `_Engine._choke` is the one place where a link's requests end: it
+    clears the queue and releases the pieces the receiver owns on this
+    link. A choke lets the block in service finish; a departure or a
+    linger cancels it. A block left to finish was requested before the
+    choke, so `pre_choke` keeps it out of the pipeline count if the link
+    is unchoked again; the next block to start clears the flag.
     """
 
     __slots__ = (
@@ -369,14 +387,11 @@ class _RunPeer:
         # session progress
         self.requests_made = 0
         self.current_req = -1
-        self.pending_start = False
         self.playback_version = 0
-        self.play_starts_live: list[float | None] = []
         # accounting
         self.uploaded = 0
         self.downloaded = 0
         self.piece_arrival: dict[int, float] = {}
-        self.first_piece_time: float | None = None
         self.formation: DispersionReport | None = None
 
     def unchokes(self, other: str) -> bool:
@@ -404,19 +419,7 @@ class PeerQoS:
     formation: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "continuity_index": self.continuity_index,
-            "startup_delay": self.startup_delay,
-            "bootstrap_time": self.bootstrap_time,
-            "mean_time_to_return": self.mean_time_to_return,
-            "interruption_count": self.interruption_count,
-            "total_download_time": self.total_download_time,
-            "link_utilization": self.link_utilization,
-            "downloaded_bytes": self.downloaded_bytes,
-            "uploaded_bytes": self.uploaded_bytes,
-            "download_rate": self.download_rate,
-            "formation": self.formation,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -767,42 +770,44 @@ class _Engine:
         """
         for uid in sorted(peer.unchoked_by):
             up = self.peers[uid]
-            link = up.channels.pop(peer.peer_id, None)
-            if link is not None:
-                link.queue.clear()
-                if link.serving is not None:
-                    link.serving = None
-                    link.version += 1
-                    self._reshare_sender(up)
-        peer.unchoked_by.clear()
+            if self._choke(up, peer, cancel=True):
+                self._reshare_sender(up)
         peer.links.clear()
         peer.inflight.clear()
-        peer.piece_owner.clear()
 
     def _cancel_uploads(self, peer: _RunPeer) -> None:
-        """Cancel every block a departing peer queues or serves."""
-        for rid, link in peer.channels.items():
-            dl = self.peers[rid]
-            dl.inflight.difference_update(link.queue)
-            link.queue.clear()
-            if link.serving is not None:
-                dl.inflight.discard(link.serving)
-                link.serving = None
-                link.version += 1
-            self._drop_requests(dl, link)
-            dl.unchoked_by.discard(peer.peer_id)
-        peer.channels.clear()
+        """Cancel every link of a departing peer to a peer it serves or unchokes."""
+        for rid in sorted(peer.channels.keys() | peer.unchoked_set()):
+            self._choke(peer, self.peers[rid], cancel=True)
         peer.pending = None
         peer.state.regular_slots.clear()
         peer.state.optimistic_slot = None
 
-    @staticmethod
-    def _drop_requests(dl: _RunPeer, link: _Link) -> None:
-        """Release the pieces `dl` owns on `link`; a block still in service
-        there no longer counts toward the pipeline."""
+    def _choke(self, up: _RunPeer, dl: _RunPeer, cancel: bool) -> bool:
+        """End `dl`'s requests to `up`: drop the queued blocks and the
+        pieces `dl` owns on the link, and retire the link from `up.channels`
+        once idle. The block in service finishes unless `cancel` is set;
+        returns whether it was cancelled, so that `up` needs a reshare.
+        """
+        dl.unchoked_by.discard(up.peer_id)
+        # A lingering receiver has dropped its links, but a block still in
+        # service on a link choked before it lingered stays in `channels`.
+        link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
+        if link is None:
+            return False
+        dl.inflight.difference_update(link.queue)
+        link.queue.clear()
         link.pre_choke = True
         for piece in [p for p, owner in dl.piece_owner.items() if owner is link]:
             del dl.piece_owner[piece]
+        cancelled = cancel and link.serving is not None
+        if cancelled:
+            dl.inflight.discard(link.serving)
+            link.serving = None
+            link.version += 1
+        if link.serving is None:
+            up.channels.pop(dl.peer_id, None)
+        return cancelled
 
     # -- requests and playback ----------------------------------------------
 
@@ -823,18 +828,14 @@ class _Engine:
             self._record_request_coverage(peer, req)
             peer.requests_made += 1
         peer.current_req = idx
-        peer.playback_version += 1
-        peer.pending_start = False
-        while len(peer.play_starts_live) <= idx:
-            peer.play_starts_live.append(None)
         region = self.content.pieces_for_interval(req.start_pos, req.end_pos)
         peer.wanted[:] = False
         self._maps_changed = True
         if len(region) > 0:
             peer.wanted[region.start : region.stop] = True
             peer.wanted &= ~peer.state.have
-            peer.pending_start = True
-            self._try_start_playback(peer)
+        if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC:
+            self._per_piece_optimistic(peer)
         for uid in sorted(peer.unchoked_by):
             self._fill_pipeline(peer, self.peers[uid])
         self._log(
@@ -846,40 +847,41 @@ class _Engine:
         )
         return True
 
-    def _current_region(self, peer: _RunPeer) -> range:
-        req = peer.session.requests[peer.current_req]
-        return self.content.pieces_for_interval(req.start_pos, req.end_pos)
+    def _per_piece_optimistic(self, peer: _RunPeer, piece: int | None = None) -> None:
+        """The play-triggered variant's hook at a request (`piece` None)
+        and at each completed piece.
 
-    def _try_start_playback(self, peer: _RunPeer) -> None:
-        if not peer.pending_start:
-            return
-        region = self._current_region(peer)
-        lead = list(region)[: min(self.cfg.startup_pieces, len(region))]
-        if not all(peer.state.has_piece(k) for k in lead):
-            return
-        peer.pending_start = False
-        peer.play_starts_live[peer.current_req] = self.now
-        if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC:
-            self._schedule_playback_ticks(peer, region)
-
-    def _schedule_playback_ticks(self, peer: _RunPeer, region: range) -> None:
-        pd = self.content.piece_duration
-        start = self.now
-        window_end = self.cfg.horizon
+        When the playback start becomes defined, at the request or when a
+        lead piece completes, a tick is pushed for each deadline of the
+        request's window. A piece completing at or after its deadline is
+        consumed on arrival and re-rolls the optimistic slot.
+        """
+        if piece is None:
+            peer.playback_version += 1
         idx = peer.current_req
-        if idx + 1 < len(peer.session.requests):
-            window_end = min(window_end, peer.session.requests[idx + 1].arrival_time)
-        for j, k in enumerate(region):
-            due = start + j * pd
-            if due >= window_end - _EPS:
-                break
-            self._schedule(
-                due, EventKind.PLAYBACK_TICK, (peer.peer_id, peer.playback_version, k, due)
-            )
+        requests = peer.session.requests
+        req = requests[idx]
+        region = self.content.pieces_for_interval(req.start_pos, req.end_pos)
+        startup = self.cfg.startup_pieces
+        start = _play_start(req, region, peer.piece_arrival, startup)
+        if start is None:
+            return
+        pd = self.content.piece_duration
+        if piece is None or piece in region[:startup]:
+            window_end = self.cfg.horizon
+            if idx + 1 < len(requests):
+                window_end = min(window_end, requests[idx + 1].arrival_time)
+            for k, due in _deadlines(start, region, window_end, pd):
+                self._schedule(
+                    due, EventKind.PLAYBACK_TICK, (peer.peer_id, peer.playback_version, k, due)
+                )
+        if piece is not None and piece in region:
+            if start + (piece - region.start) * pd <= self.now + _EPS:
+                self._reoptimistic(peer)
 
     def _on_playback_tick(self, pid: str, version: int, piece: int, due: float) -> bool:
         peer = self.peers[pid]
-        if not peer.alive or version != peer.playback_version:
+        if not peer.alive or peer.lingering or version != peer.playback_version:
             return False
         if peer.state.has_piece(piece):
             # Piece consumed on time: the play-triggered variant re-rolls
@@ -977,17 +979,8 @@ class _Engine:
         return True
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
-        pid = peer.peer_id
         for rid in sorted(old - new):
-            dl = self.peers[rid]
-            link = dl.links.get(pid)
-            if link is not None:
-                dl.inflight.difference_update(link.queue)
-                link.queue.clear()
-                if link.serving is None:
-                    peer.channels.pop(rid, None)
-                self._drop_requests(dl, link)
-            dl.unchoked_by.discard(pid)
+            self._choke(peer, self.peers[rid], cancel=False)
         for rid in sorted(new - old):
             dl = self.peers[rid]
             if not dl.alive:
@@ -1187,24 +1180,10 @@ class _Engine:
 
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
         dl.piece_arrival[piece] = self.now
-        if dl.first_piece_time is None:
-            dl.first_piece_time = self.now
         dl.wanted[piece] = False
         dl.piece_owner.pop(piece, None)
-        self._try_start_playback(dl)
-        if (
-            self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC
-            and dl.current_req >= 0
-            and dl.play_starts_live[dl.current_req] is not None
-        ):
-            region = self._current_region(dl)
-            if region.start <= piece < region.stop:
-                due = dl.play_starts_live[dl.current_req] + (
-                    piece - region.start
-                ) * self.content.piece_duration
-                if due <= self.now + _EPS:
-                    # Late piece consumed on arrival counts as played.
-                    self._reoptimistic(dl)
+        if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC and not dl.lingering:
+            self._per_piece_optimistic(dl, piece)
 
     # -- invariants -----------------------------------------------------------
 
@@ -1225,6 +1204,15 @@ class _Engine:
                 raise InvariantError(f"{pid} optimistic slot duplicates a regular slot")
             if len(st.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
+            # unchoked_by mirrors the senders' slots; a lingering receiver
+            # requests nothing and has dropped its list
+            for uid in peer.unchoked_by:
+                if uid not in alive or not alive[uid].unchokes(pid):
+                    raise InvariantError(f"{pid} lists {uid} as unchoking it, but it does not")
+            for rid in peer.unchoked_set():
+                dl = alive.get(rid)
+                if dl is not None and not dl.lingering and pid not in dl.unchoked_by:
+                    raise InvariantError(f"{pid} unchokes {rid}, which does not list it")
             links = list(peer.links.values())
             if st.is_seed:
                 if peer.inflight or links:
@@ -1383,10 +1371,9 @@ class _Engine:
                 if first_start is not None
                 else max(cutoff - session.requests[0].arrival_time, 0.0)
             )
+            first_piece = min(peer.piece_arrival.values(), default=None)
             bootstrap = (
-                peer.first_piece_time - join
-                if peer.first_piece_time is not None
-                else max(cutoff - join, 0.0)
+                first_piece - join if first_piece is not None else max(cutoff - join, 0.0)
             )
             wanted_union: set[int] = set()
             for req in session.requests:

@@ -229,8 +229,10 @@ class SwarmConfig:
             raise ValueError("neighbourhood_target must lie in the neighbourhood range")
         if self.pipeline_depth <= 0:
             raise ValueError("pipeline_depth must be positive")
-        if self.regular_slot_count < 0 or self.optimistic_slot_count < 0:
-            raise ValueError("slot counts must be non-negative")
+        if self.regular_slot_count < 0:
+            raise ValueError("regular_slot_count must be non-negative")
+        if self.optimistic_slot_count not in (0, 1):
+            raise ValueError("optimistic_slot_count must be 0 or 1: a peer has one optimistic slot")
         if self.tracker_list_size <= 0:
             raise ValueError("tracker_list_size must be positive")
 

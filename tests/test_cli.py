@@ -251,6 +251,12 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 1
         assert_one_line_error(capsys)
 
+    def test_optimistic_slots_above_one_is_config_error(self, tmp_path, capsys):
+        ini = SIM_INI.replace("[swarm]\n", "[swarm]\noptimistic_slots = 3\n")
+        cfg = write(tmp_path, "sim.ini", ini)
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "optimistic_slot" in assert_one_line_error(capsys)
+
     def test_block_size_must_divide_piece_size(self, tmp_path, capsys):
         bad = SIM_INI.replace("block_size = 16384", "block_size = 10000")
         cfg = write(tmp_path, "sim.ini", bad)

@@ -224,6 +224,26 @@ class TestRun:
         assert any(e["kind"] == "playback_tick" for e in shah)
         assert not any(e["kind"] == "playback_tick" for e in plain)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_playback_after_departure(self, seed):
+        # A lingering peer's session has ended: it plays nothing more.
+        cfg = sim_config(
+            "perpieceoptimistic",
+            seed=seed,
+            sessions=30,
+            linger_as_seed_fraction=1.0,
+            record_events=True,
+        )
+        ticks = []
+        departed: set[str] = set()
+        for e in run(cfg).events:
+            if e["kind"] == "peer_departure":
+                departed.add(e["actor"])
+            elif e["kind"] == "playback_tick":
+                ticks.append(e["actor"] in departed)
+        assert ticks, "expected playback ticks"
+        assert sum(ticks) == 0, "playback ticks logged after their peer departed"
+
     def test_formation_dispersion_reported(self):
         rep = run(sim_config("dispersiongreedy", seed=8, sessions=20)).report
         assert rep.aggregate["formation_dispersion"] is not None
@@ -258,11 +278,30 @@ class TestInvariantMutations:
             run(cfg)
 
     def test_owners_kept_on_choke(self, monkeypatch):
-        def keep_owners(dl, link):
-            link.pre_choke = True
+        choke = sim._Engine._choke
 
-        monkeypatch.setattr(sim._Engine, "_drop_requests", staticmethod(keep_owners))
+        def choke_keeping_owners(self, up, dl, cancel):
+            owners = dict(dl.piece_owner)
+            cancelled = choke(self, up, dl, cancel)
+            dl.piece_owner.update(owners)
+            return cancelled
+
+        monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_owners)
         self.run_checked("not unchoked")
+
+    def test_departure_skips_idle_links(self, monkeypatch):
+        def cancel_busy_links(self, peer):
+            # A departing sender that ends only the links with a block
+            # queued or in service: a receiver it unchokes over an idle
+            # link keeps listing it in `unchoked_by`.
+            for rid in sorted(peer.channels):
+                self._choke(peer, self.peers[rid], cancel=True)
+            peer.pending = None
+            peer.state.regular_slots.clear()
+            peer.state.optimistic_slot = None
+
+        monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_busy_links)
+        self.run_checked("as unchoking it, but it does not")
 
     def test_requested_block_not_in_flight(self, monkeypatch):
         fill = sim._Engine._fill_pipeline

@@ -253,6 +253,12 @@ class TestSwarmConfig:
         with pytest.raises(ValueError, match=field):
             SwarmConfig(**{field: value})
 
+    def test_one_optimistic_slot_at_most(self):
+        # The engine keeps a single optimistic slot per peer.
+        with pytest.raises(ValueError, match="optimistic_slot_count"):
+            SwarmConfig(optimistic_slot_count=3)
+        assert SwarmConfig(optimistic_slot_count=0).total_slots == 4
+
     def test_floor_below_range(self):
         with pytest.raises(ValueError):
             SwarmConfig(neighbourhood_range=(10, 20), neighbourhood_floor=15)
