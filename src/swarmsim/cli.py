@@ -277,6 +277,8 @@ def cmd_analyze(args) -> int:
     _check_positive("--object-len", args.object_len)
     _check_positive("--window", args.window)
     _check_positive("--playback-rate", args.playback_rate)
+    if args.top < 0:
+        raise ConfigError(f"--top must be at least 0; got {args.top}")
     try:
         with open(args.trace) as fh:
             text = fh.read()
@@ -460,8 +462,8 @@ def cmd_compare(args) -> int:
         "repetitions": spec.repetitions,
         "labels": {label: table[label] for label in spec.labels},
     }
-    (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
-    (out_dir / "comparison.csv").write_text(_comparison_csv(spec, table))
+    _write_or_print(json.dumps(doc, indent=2) + "\n", str(out_dir / "comparison.json"))
+    _write_or_print(_comparison_csv(spec, table), str(out_dir / "comparison.csv"))
     print(f"wrote {out_dir / 'comparison.json'} and {out_dir / 'comparison.csv'}")
     return 0
 

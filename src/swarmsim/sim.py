@@ -10,16 +10,22 @@ broken by receiver id) holds a completion event: a busy sender has
 exactly one pending completion. All state of one direction of a peer
 pair (queued blocks, the block in service and its transfer progress,
 requests, bytes in the current unchoke window) lives in one link record
-that both peers share; the receiver's piece owners point at it. A link's
-requests end only in `_Engine._choke`. Playback starts by one rule,
-`_play_start`, for the report and the play-triggered variant alike. All
-randomness flows from one seeded generator, and events tie on time
-through monotonically assigned sequence numbers, so a (config, seed)
-pair reproduces the run byte for byte.
+that both peers share; the receiver's piece owners point at it. Each link
+also keeps a cursor: the not yet requested blocks of the pieces the
+receiver owns on it, in piece then block order. A refill pops from the
+cursor and picks a new piece only when the cursor runs dry. A link's
+requests end only in `_Engine._choke`, which clears the cursor; when it
+cancels a block in service whose piece the receiver now owns on another
+link, the block goes back into that link's cursor. Playback starts by
+one rule, `_play_start`, for the report and the play-triggered variant
+alike. All randomness flows from one seeded generator, and events tie on
+time through monotonically assigned sequence numbers, so a (config,
+seed) pair reproduces the run byte for byte.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 import heapq
@@ -319,18 +325,26 @@ class _Link:
     current one is stale.
 
     The pipeline holds the queued blocks plus the block in service.
-    `_Engine._choke` is the one place where a link's requests end: it
-    clears the queue and releases the pieces the receiver owns on this
-    link. A choke lets the block in service finish; a departure or a
-    linger cancels it. A block left to finish was requested before the
-    choke, so `pre_choke` keeps it out of the pipeline count if the link
-    is unchoked again; the next block to start clears the flag.
+    `cursor` holds the blocks of the pieces the receiver owns on this link
+    that are neither received nor in flight, in (piece, block) order. A
+    pick fills it with the picked piece's missing blocks, and a refill
+    pops from its front. `_Engine._choke` is the one place where a link's
+    requests end: it clears the queue and the cursor and releases the
+    pieces the receiver owns on this link. A choke lets the block in
+    service finish; a departure or a linger cancels it. A block left to
+    finish was requested before the choke, so `pre_choke` keeps it out of
+    the pipeline count if the link is unchoked again; the next block to
+    start clears the flag. If the block is cancelled later and its piece
+    is by then owned on another link, it re-enters that link's cursor at
+    its (piece, block) position: no other block becomes unrequested
+    outside a refill.
     """
 
     __slots__ = (
         "sender",
         "receiver",
         "queue",
+        "cursor",
         "serving",
         "remaining",
         "rate",
@@ -345,6 +359,7 @@ class _Link:
         self.sender = sender
         self.receiver = receiver
         self.queue: deque[tuple[int, int]] = deque()
+        self.cursor: list[tuple[int, int]] = []
         # (piece, block) in service
         self.serving: tuple[int, int] | None = None
         self.remaining = 0.0
@@ -784,10 +799,12 @@ class _Engine:
         peer.state.optimistic_slot = None
 
     def _choke(self, up: _RunPeer, dl: _RunPeer, cancel: bool) -> bool:
-        """End `dl`'s requests to `up`: drop the queued blocks and the
-        pieces `dl` owns on the link, and retire the link from `up.channels`
-        once idle. The block in service finishes unless `cancel` is set;
-        returns whether it was cancelled, so that `up` needs a reshare.
+        """End `dl`'s requests to `up`: drop the queued blocks, the cursor
+        and the pieces `dl` owns on the link, and retire the link from
+        `up.channels` once idle. The block in service finishes unless
+        `cancel` is set; returns whether it was cancelled, so that `up`
+        needs a reshare. A cancelled block whose piece `dl` owns on another
+        link re-enters that link's cursor.
         """
         dl.unchoked_by.discard(up.peer_id)
         # A lingering receiver has dropped its links, but a block still in
@@ -797,12 +814,17 @@ class _Engine:
             return False
         dl.inflight.difference_update(link.queue)
         link.queue.clear()
+        link.cursor.clear()
         link.pre_choke = True
         for piece in [p for p, owner in dl.piece_owner.items() if owner is link]:
             del dl.piece_owner[piece]
         cancelled = cancel and link.serving is not None
         if cancelled:
-            dl.inflight.discard(link.serving)
+            blk = link.serving
+            dl.inflight.discard(blk)
+            owner = dl.piece_owner.get(blk[0])
+            if owner is not None:
+                bisect.insort(owner.cursor, blk)
             link.serving = None
             link.version += 1
         if link.serving is None:
@@ -1036,10 +1058,12 @@ class _Engine:
     def _fill_pipeline(self, dl: _RunPeer, up: _RunPeer) -> None:
         """Request blocks from `up` until the link's pipeline is full.
 
-        The missing blocks of the pieces `dl` owns on the link come first,
-        in piece then block order. Then new pieces are picked one at a
-        time while room is left, until the pick fails or the picked piece
-        has no missing block (it stays owned all the same).
+        The link's cursor, the unrequested blocks of the pieces `dl` owns
+        on it, comes first. While it holds less than the room left, new
+        pieces are picked one at a time and their missing blocks appended,
+        until the pick fails or the picked piece has no missing block (it
+        stays owned all the same). Only the last picked piece can have
+        blocks left over, so the cursor stays in (piece, block) order.
         """
         if not dl.alive or not up.alive or dl.state.is_seed or dl.lingering:
             return
@@ -1052,24 +1076,20 @@ class _Engine:
         room = self.swarm.pipeline_depth - in_pipeline
         if room <= 0:
             return
-        owners = dl.piece_owner
-        new: list[tuple[int, int]] = []
-        for piece in sorted(p for p, owner in owners.items() if owner is link):
-            new += self._missing_blocks(dl, piece)
-            if len(new) >= room:
-                break
-        while len(new) < room:
+        cursor = link.cursor
+        while len(cursor) < room:
             piece = self._pick_new_piece(dl, up)
             if piece is None:
                 break
-            owners[piece] = link
+            dl.piece_owner[piece] = link
             blocks = self._missing_blocks(dl, piece)
             if not blocks:
                 break
-            new += blocks
-        if not new:
+            cursor += blocks
+        if not cursor:
             return
-        del new[room:]
+        new = cursor[:room]
+        del cursor[:room]
         up.channels[dl.peer_id] = link
         dl.inflight.update(new)
         link.queue.extend(new)
@@ -1225,7 +1245,7 @@ class _Engine:
                 if not st.have[served].all():
                     raise InvariantError(f"{pid} queues or serves a piece it lacks")
             if links or peer.inflight or peer.piece_owner:
-                self._check_inbound(pid, peer, links)
+                self._check_inbound(pid, peer, links, self._block_lengths)
             if peer.channels or peer.pending is not None:
                 self._check_pending(pid, peer)
         if self._maps_changed and alive:
@@ -1233,19 +1253,43 @@ class _Engine:
             self._check_links_and_pieces(alive)
 
     @staticmethod
-    def _check_inbound(pid: str, peer: _RunPeer, links: list[_Link]) -> None:
-        """In-flight blocks and piece owners agree with the links toward
-        `peer`.
+    def _check_inbound(
+        pid: str, peer: _RunPeer, links: list[_Link], block_lengths: list[tuple[int, ...]]
+    ) -> None:
+        """In-flight blocks, piece owners and cursors agree with the links
+        toward `peer`.
 
         The blocks queued or in service on those links are exactly the
         in-flight blocks, each on one link: all of them are in flight, and
         there are as many as there are in-flight blocks. Each owned piece
         is missing, and its owner is the link from a sender that unchokes
-        `peer`.
+        `peer`. Each cursor is strictly ascending and holds only blocks of
+        pieces its link owns that are neither received nor in flight, and
+        the cursors hold as many blocks as the owned pieces have such
+        blocks, so every unrequested block is on exactly one cursor.
         """
         inflight = peer.inflight
-        on_links = 0
+        owners = peer.piece_owner
+        partial = peer.state.partial
+        on_links = on_cursors = 0
         for link in links:
+            if link.cursor:
+                prev = (-1, -1)
+                for blk in link.cursor:
+                    piece, block = blk
+                    part = partial.get(piece)
+                    if (
+                        blk <= prev
+                        or owners.get(piece) is not link
+                        or blk in inflight
+                        or (part is not None and part[block])
+                    ):
+                        raise InvariantError(
+                            f"{pid} has cursor entry {blk} out of order or not an "
+                            "unrequested block of a piece its link owns"
+                        )
+                    prev = blk
+                on_cursors += len(link.cursor)
             if not (link.queue or link.serving):
                 continue
             if not inflight.issuperset(link.queue) or (
@@ -1256,11 +1300,25 @@ class _Engine:
         if on_links != len(inflight):
             raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
         have = peer.state.have
-        for piece, link in peer.piece_owner.items():
+        unrequested = 0
+        for piece, link in owners.items():
             if have[piece]:
                 raise InvariantError(f"{pid} owns piece {piece}, which it holds")
             if link.sender not in peer.unchoked_by or peer.links.get(link.sender) is not link:
                 raise InvariantError(f"{pid} owns piece {piece} on a link that is not unchoked")
+            part = partial.get(piece)
+            unrequested += len(block_lengths[piece]) if part is None else part.count(False)
+        # less the owned pieces' blocks that are in flight and not received
+        for piece, block in inflight:
+            if piece in owners:
+                part = partial.get(piece)
+                if part is None or not part[block]:
+                    unrequested -= 1
+        if unrequested != on_cursors:
+            raise InvariantError(
+                f"{pid}'s cursors hold {on_cursors} blocks, but its owned pieces "
+                f"have {unrequested} unrequested"
+            )
 
     @staticmethod
     def _check_pending(pid: str, peer: _RunPeer) -> None:

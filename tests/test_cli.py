@@ -179,6 +179,16 @@ class TestAnalyze:
         assert cells["m"] == "10"
         assert cells["profiles_li"] == "0"
 
+    @pytest.mark.parametrize("top", ["-1", "-2"])
+    def test_negative_top_is_config_error(self, tmp_path, capsys, top):
+        rows = "\n".join(f"c{i},{float(i)!r},{float(i)!r},{float(i + 1)!r},play" for i in range(5))
+        trace = write(tmp_path, "five.csv", f"{HEADER}\n{rows}\n")
+        args = ["analyze", "--trace", trace, "--object-len", "120", "--window", "120"]
+        assert main(args + ["--top", top]) == 1
+        assert "--top" in assert_one_line_error(capsys)
+        assert main(args + ["--top", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["top_positions"] == []
+
 
 class TestSimulate:
     def test_minimal_run(self, tmp_path, capsys):
@@ -327,6 +337,14 @@ class TestCompare:
         assert main(["compare", "--spec", spec, "--out", str(out), "--jobs", jobs]) == 1
         assert "--jobs" in assert_one_line_error(capsys)
         assert not out.exists()
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        one_rep = EXPERIMENT_INI.replace("repetitions = 3", "repetitions = 1")
+        spec = write(tmp_path, "exp.ini", one_rep)
+        out = tmp_path / "cmp"
+        (out / "comparison.json").mkdir(parents=True)
+        assert main(["compare", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
+        assert "comparison.json" in assert_one_line_error(capsys)
 
     def test_empty_spec_is_usage_error(self, tmp_path, capsys):
         spec = write(tmp_path, "exp.ini", "[experiment]\nbase_seed = 1\nrepetitions = 1\n")
@@ -525,15 +543,18 @@ class TestErrorContract:
             max_size=1,
         ),
         object_len=st.one_of(st.none(), st.just("100"), NUMBER_TOKENS),
+        top=st.one_of(st.none(), st.integers(min_value=-3, max_value=5)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_analyze_trace_lines(self, meta, header, rows, bad_rows, object_len):
+    def test_analyze_trace_lines(self, meta, header, rows, bad_rows, object_len, top):
         with tempfile.TemporaryDirectory() as tmp:
             trace = Path(tmp) / "t.csv"
             trace.write_text(meta + header + "\n" + "\n".join(rows + bad_rows) + "\n")
             argv = ["analyze", "--trace", str(trace)]
             if object_len is not None:
                 argv.append(f"--object-len={object_len}")
+            if top is not None:
+                argv.append(f"--top={top}")
             assert _run_cli(argv) in (0, 1, 2)
 
     # The horizon set leaves out huge finite values such as 1e300: the

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import types
 
 import pytest
 
@@ -265,6 +267,70 @@ def _finish_time(link):
     return link.t_last + link.remaining / link.rate
 
 
+def _reentry_engine():
+    """A hand-built swarm where a cancelled block's piece is owned on
+    another link, a case no simulated run has reached.
+
+    Two seeds and one leecher `c0` that wants only piece 7, with one
+    block per pipeline so that blocks stay unrequested. `seed00` serves
+    (7, 0) and chokes `c0`, which releases piece 7 while the block is
+    still in service; `seed01` then picks piece 7 and serves (7, 1),
+    leaving (7, 2) and (7, 3) unrequested. Returns the engine just before
+    `seed00` departs and cancels (7, 0).
+    """
+    cfg = single_leecher_config(
+        initial_seeds=2, swarm=dataclasses.replace(small_swarm(), pipeline_depth=1)
+    )
+    engine = sim._Engine(cfg)
+    engine.setup()
+    for pid in ("seed00", "seed01", "c0"):
+        engine._on_arrival(pid)
+    s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
+    assert c0.state.neighbourhood == {"seed00", "seed01"}
+    c0.wanted[7] = True
+    engine._check_invariants()
+
+    s0.state.regular_slots.add("c0")
+    engine._apply_slot_diff(s0, set(), {"c0"})
+    assert c0.links["seed00"].serving == (7, 0)
+    s0.state.regular_slots.discard("c0")
+    engine._apply_slot_diff(s0, {"c0"}, set())
+    assert c0.links["seed00"].serving == (7, 0) and 7 not in c0.piece_owner
+    s1.state.regular_slots.add("c0")
+    engine._apply_slot_diff(s1, set(), {"c0"})
+    assert c0.links["seed01"].serving == (7, 1)
+    engine._check_invariants()
+    return engine
+
+
+def _served_in_turn(engine, up, dl):
+    """Complete the block `up` serves to `dl` until none is left; return
+    the blocks served after the current one, in order."""
+    link = dl.links[up.peer_id]
+    served = []
+    while up.pending is not None:
+        engine.now = _finish_time(link)
+        engine._on_block_complete(*up.pending)
+        engine._check_invariants()
+        if link.serving is not None:
+            served.append(link.serving)
+    return served
+
+
+class TestRequestOrder:
+    def test_cancelled_block_requested_again_in_order(self):
+        # The block `seed00` had in service when it choked `c0` is
+        # cancelled when `seed00` departs. Piece 7 is owned on the link
+        # from `seed01` by then, so `c0` requests the block again there,
+        # ahead of the piece's later blocks.
+        engine = _reentry_engine()
+        s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
+        engine._cancel_uploads(s0)
+        engine._check_invariants()
+        assert _served_in_turn(engine, s1, c0) == [(7, 0), (7, 2), (7, 3)]
+        assert c0.state.has_piece(7)
+
+
 class TestInvariantMutations:
     """Each test breaks one piece of link bookkeeping in the engine and
     expects the invariant check of a checked run to catch it."""
@@ -352,6 +418,27 @@ class TestInvariantMutations:
 
         monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_keeping_inflight)
         self.run_checked("exactly one link")
+
+    def test_cursor_kept_on_choke(self, monkeypatch):
+        choke = sim._Engine._choke
+
+        def choke_keeping_cursor(self, up, dl, cancel):
+            link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
+            kept = list(link.cursor) if link is not None else []
+            cancelled = choke(self, up, dl, cancel)
+            if link is not None:
+                link.cursor[:] = kept
+            return cancelled
+
+        monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_cursor)
+        self.run_checked("cursor entry")
+
+    def test_cancelled_block_not_reentered(self, monkeypatch):
+        engine = _reentry_engine()
+        monkeypatch.setattr(sim, "bisect", types.SimpleNamespace(insort=lambda a, x: None))
+        engine._cancel_uploads(engine.peers["seed00"])
+        with pytest.raises(InvariantError, match="cursors hold 2 blocks, but .* have 3 unrequested"):
+            engine._check_invariants()
 
 
 class TestConfigValidation:
