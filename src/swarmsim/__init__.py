@@ -43,7 +43,7 @@ from .sim import (
     playback_model,
     run,
 )
-from .swarm import ContentSpec, PeerRole, PeerState, SwarmConfig, TrackerState
+from .swarm import ContentSpec, SwarmConfig, TrackerState
 from .workload import (
     GeneratorConfig,
     Interaction,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import metrics
 from .errors import ConfigError, EmptyRecordError, InvariantError, SwarmsimError, TraceError
 from .policies import PolicySpec
-from .sim import CapacityClass, QoSReport, SimConfig, event_log_lines, run
+from .sim import CapacityClass, PeerQoS, QoSReport, SimConfig, event_log_lines, run
 from .swarm import ContentSpec, SwarmConfig
 from .workload import (
     DEFAULT_PLAYBACK_RATE,
@@ -35,21 +36,6 @@ from .workload import (
     profile_counts,
     serialize_trace,
 )
-
-AGGREGATE_FIELDS = [
-    "continuity_index",
-    "startup_delay",
-    "bootstrap_time",
-    "mean_time_to_return",
-    "interruption_count",
-    "total_download_time",
-    "link_utilization",
-    "fairness",
-    "formation_dispersion",
-    "uploaded_bytes",
-    "downloaded_bytes",
-]
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits with 2 by default
@@ -321,24 +307,15 @@ def cmd_simulate(args) -> int:
 
 
 def _qos_csv(report: QoSReport) -> str:
-    """Per-peer QoS table; the aggregate stays in the JSON format."""
-    fields = [
-        "continuity_index",
-        "startup_delay",
-        "bootstrap_time",
-        "mean_time_to_return",
-        "interruption_count",
-        "total_download_time",
-        "link_utilization",
-        "downloaded_bytes",
-        "uploaded_bytes",
-        "download_rate",
-        "formation_d",
-    ]
-    lines = [",".join(["peer_id"] + fields)]
+    """Per-peer QoS table, one column per PeerQoS field; the formation
+    column holds only its dispersion `d`. The aggregate stays in the JSON
+    format."""
+    fields = [f.name for f in dataclasses.fields(PeerQoS)]
+    header = ["formation_d" if name == "formation" else name for name in fields]
+    lines = [",".join(["peer_id"] + header)]
     for pid, q in sorted(report.per_peer.items()):
         d = q.to_dict()
-        d["formation_d"] = "" if q.formation is None else q.formation["d"]
+        d["formation"] = "" if q.formation is None else q.formation["d"]
         lines.append(",".join([pid] + [str(d[f]) for f in fields]))
     return "\n".join(lines) + "\n"
 
@@ -395,10 +372,12 @@ def _compare_worker(job: tuple[str, int, SimConfig]) -> tuple[str, int, dict]:
 def _aggregate_labels(
     spec: ExperimentSpec, results: dict[tuple[str, int], dict]
 ) -> dict[str, dict]:
+    # Every report writes the same aggregate keys, in the same order.
+    names = list(results[(spec.labels[0], 0)]["aggregate"])
     out = {}
     for label in spec.labels:
         fields = {}
-        for name in AGGREGATE_FIELDS:
+        for name in names:
             values = []
             for rep in range(spec.repetitions):
                 v = results[(label, rep)]["aggregate"].get(name)
@@ -418,13 +397,12 @@ def _aggregate_labels(
 
 def _comparison_csv(spec: ExperimentSpec, table: dict[str, dict]) -> str:
     header = ["label", "repetitions"]
-    for name in AGGREGATE_FIELDS:
+    for name in table[spec.labels[0]]:
         header += [f"{name}_mean", f"{name}_stdev"]
     lines = [",".join(header)]
     for label in spec.labels:
         row = [label, str(spec.repetitions)]
-        for name in AGGREGATE_FIELDS:
-            cell = table[label][name]
+        for cell in table[label].values():
             row.append("" if cell["mean"] is None else repr(cell["mean"]))
             row.append("" if cell["stdev"] is None else repr(cell["stdev"]))
         lines.append(",".join(row))

@@ -3,7 +3,11 @@
 One run simulates a swarm serving a single object to interactive clients.
 Each workload session becomes a leecher that joins at its first request,
 downloads the pieces its requests cover, and departs when its session
-ends. Transfers share each sender's upload capacity equally across its
+ends; an initial seed is a peer with no session that holds every piece.
+Each peer has one record, `_RunPeer`, which holds both what the protocol
+and the policies read of it (have-map, block maps, neighbourhood, slots,
+popularity record, upload capacity, join time) and the engine's runtime
+state. Transfers share each sender's upload capacity equally across its
 busy slots. Whenever the share changes, every active transfer of the
 sender moves to the new rate, and only the one that finishes first (ties
 broken by receiver id) holds a completion event: a busy sender has
@@ -40,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, TraceError
 from .metrics import DispersionReport, PopularityRecord, make_report, merge_records
 from .policies import (
     CandidateInfo,
@@ -55,11 +59,8 @@ from .policies import (
 )
 from .swarm import (
     ContentSpec,
-    PeerRole,
-    PeerState,
     SwarmConfig,
     TrackerState,
-    new_peer,
     rarest_first,
     record_block,
     tracker_join,
@@ -373,12 +374,48 @@ class _Link:
 
 
 class _RunPeer:
-    """Engine-side runtime wrapper around a protocol PeerState."""
+    """One peer of a run, and the only record of it.
 
-    def __init__(self, state: PeerState, session: Session | None):
-        self.state = state
-        self.peer_id = state.peer_id
+    The protocol side is what piece picking, block receipt and the
+    policies read: the have-map, the block maps of partly received
+    pieces, the neighbourhood, the upload slots, the popularity record on
+    the content's piece grid, the upload capacity and the join time. The
+    rest is the engine's runtime state. A seed is a peer with no session:
+    it joins at time 0 holding every piece. A leecher joins at its
+    session's first request holding none.
+
+    Slots keep each record small: from 30 attributes on, CPython gives
+    an instance its own dict, about five times the memory of the slots.
+    """
+
+    __slots__ = (
+        "peer_id", "session", "upload_capacity", "join_time", "have", "partial",
+        "neighbourhood", "regular_slots", "optimistic_slot", "popularity_record",
+        "joined", "alive", "lingering", "qos_cutoff",
+        "channels", "pending", "forward_accum", "forward_snapshot",
+        "unchoked_by", "links", "inflight", "piece_owner", "block_source", "wanted", "replicas",
+        "requests_made", "current_req", "playback_version",
+        "uploaded", "downloaded", "piece_arrival", "formation",
+    )
+
+    def __init__(
+        self, peer_id: str, session: Session | None, upload_capacity: float, content: ContentSpec
+    ):
+        self.peer_id = peer_id
         self.session = session
+        self.upload_capacity = upload_capacity
+        self.join_time = 0.0 if session is None else session.requests[0].arrival_time
+        num_pieces = content.num_pieces
+        self.have = np.full(num_pieces, session is None)
+        # piece -> received flag per block, for pieces begun but not complete
+        self.partial: dict[int, list[bool]] = {}
+        self.neighbourhood: set[str] = set()
+        self.regular_slots: set[str] = set()
+        self.optimistic_slot: str | None = None
+        granularity = content.piece_duration
+        self.popularity_record = PopularityRecord.empty(
+            granularity, int(math.ceil(content.duration / granularity - _EPS))
+        )
         self.joined = False
         self.alive = False
         self.lingering = False
@@ -396,9 +433,9 @@ class _RunPeer:
         self.piece_owner: dict[int, _Link] = {}
         # piece -> sender of each block; feeds give-to-get's and greedy's forward credit
         self.block_source: dict[int, list[str | None]] = {}
-        self.wanted = np.zeros(state.have.shape[0], dtype=bool)
+        self.wanted = np.zeros(num_pieces, dtype=bool)
         # replicas[k]: how many alive neighbours hold piece k
-        self.replicas = np.zeros(state.have.shape[0], dtype=np.int64)
+        self.replicas = np.zeros(num_pieces, dtype=np.int64)
         # session progress
         self.requests_made = 0
         self.current_req = -1
@@ -410,12 +447,12 @@ class _RunPeer:
         self.formation: DispersionReport | None = None
 
     def unchokes(self, other: str) -> bool:
-        return other in self.state.regular_slots or self.state.optimistic_slot == other
+        return other in self.regular_slots or self.optimistic_slot == other
 
     def unchoked_set(self) -> set[str]:
-        out = set(self.state.regular_slots)
-        if self.state.optimistic_slot is not None:
-            out.add(self.state.optimistic_slot)
+        out = set(self.regular_slots)
+        if self.optimistic_slot is not None:
+            out.add(self.optimistic_slot)
         return out
 
 
@@ -537,23 +574,17 @@ class _Engine:
         width = max(2, len(str(num_seeds)))
         for i in range(num_seeds):
             pid = f"seed{i:0{width}d}"
-            state = new_peer(
-                pid, PeerRole.SEED, self._draw_capacity(cap_rng), 0.0, self.content
-            )
-            self.peers[pid] = _RunPeer(state, None)
+            self.peers[pid] = _RunPeer(pid, None, self._draw_capacity(cap_rng), self.content)
             self._schedule(0.0, EventKind.PEER_ARRIVAL, (pid,))
 
         for session in self.workload.sessions:
             pid = session.client_id
             if pid in self.peers:
-                raise ConfigError(f"duplicate client id {pid}")
-            first = session.requests[0].arrival_time
-            state = new_peer(
-                pid, PeerRole.LEECHER, self._draw_capacity(cap_rng), first, self.content
-            )
-            peer = _RunPeer(state, session)
+                other = "an initial seed" if self.peers[pid].session is None else "another session"
+                raise TraceError(f"client id {pid} clashes with {other}")
+            peer = _RunPeer(pid, session, self._draw_capacity(cap_rng), self.content)
             self.peers[pid] = peer
-            self._schedule(first, EventKind.PEER_ARRIVAL, (pid,))
+            self._schedule(peer.join_time, EventKind.PEER_ARRIVAL, (pid,))
             for idx, req in enumerate(session.requests):
                 self._schedule(req.arrival_time, EventKind.REQUEST_ISSUED, (pid, idx))
             last = session.requests[-1]
@@ -631,7 +662,7 @@ class _Engine:
 
     def _request_rate(self, peer: _RunPeer) -> float:
         """Requests per object duration, floored at one elapsed duration."""
-        elapsed = max(self.now - peer.state.join_time, 0.0)
+        elapsed = max(self.now - peer.join_time, 0.0)
         spans = max(elapsed / self.content.duration, 1.0)
         return peer.requests_made / spans
 
@@ -641,12 +672,11 @@ class _Engine:
         The record is the peer's own, not a copy: the greedy kernel copies
         every candidate record when it stacks them.
         """
-        st = peer.state
         return CandidateInfo(
-            peer_id=st.peer_id,
-            popularity_record=st.popularity_record,
+            peer_id=peer.peer_id,
+            popularity_record=peer.popularity_record,
             request_rate=self._request_rate(peer),
-            has_started=st.has_started(),
+            has_started=bool(peer.have.any()),
             recent_forward_rate=(
                 sum(peer.forward_snapshot.values()) / self.swarm.optimistic_interval
             ),
@@ -658,18 +688,17 @@ class _Engine:
         The queue length is counted only under llp, the one scheme that
         reads it.
         """
-        st = holder.state
         queue_len = 0
         if self.cfg.policy.kind is PolicyKind.LLP:
             queue_len = sum(
                 len(link.queue) + (1 if link.serving else 0)
                 for link in holder.channels.values()
             )
-        link = requester.links.get(st.peer_id)
+        link = requester.links.get(holder.peer_id)
         return HolderView(
-            peer_id=st.peer_id,
-            buffer_summary=st.have,
-            join_time=st.join_time,
+            peer_id=holder.peer_id,
+            buffer_summary=holder.have,
+            join_time=holder.join_time,
             queue_length=queue_len,
             requests_sent_to=link.requests_sent if link is not None else 0,
         )
@@ -684,12 +713,12 @@ class _Engine:
         ):
             infos = [self._candidate_info(self.peers[c]) for c in candidates]
             own = PopularityRecord(
-                self.granularity, peer.state.popularity_record.counts.copy()
+                self.granularity, peer.popularity_record.counts.copy()
             )
             hint = classify_session(peer.session, self.workload.object_length)
             outcome = select_neighbors_greedy(own, infos, target, hint)
             expected = {
-                c: self.peers[c].state.upload_capacity
+                c: self.peers[c].upload_capacity
                 / max(1, self.swarm.regular_slot_count)
                 for c in candidates
             }
@@ -710,8 +739,8 @@ class _Engine:
         return selected
 
     def _formation_report(self, peer: _RunPeer, selected: list[str]) -> DispersionReport | None:
-        records = [peer.state.popularity_record] + [
-            self.peers[s].state.popularity_record for s in selected
+        records = [peer.popularity_record] + [
+            self.peers[s].popularity_record for s in selected
         ]
         merged = merge_records(
             records, granularity=self.granularity, horizon=records[0].horizon
@@ -721,21 +750,24 @@ class _Engine:
         return make_report(merged, self._request_rate(peer))
 
     def _connect(self, a: _RunPeer, b: _RunPeer) -> None:
-        if a.peer_id == b.peer_id or b.peer_id in a.state.neighbourhood:
+        if a.peer_id == b.peer_id or b.peer_id in a.neighbourhood:
             return
-        a.state.neighbourhood.add(b.peer_id)
-        b.state.neighbourhood.add(a.peer_id)
-        a.replicas += b.state.have
-        b.replicas += a.state.have
+        a.neighbourhood.add(b.peer_id)
+        b.neighbourhood.add(a.peer_id)
+        a.replicas += b.have
+        b.replicas += a.have
         self._maps_changed = True
 
     def _refill_neighbourhood(self, peer: _RunPeer) -> None:
-        fresh = tracker_refill(
-            self.tracker, peer.peer_id, peer.state.neighbourhood, self.rng
-        )
-        needed = self.swarm.target - len(peer.state.neighbourhood)
+        """Top `peer`'s neighbourhood up toward the target with fresh tracker
+        candidates once fewer than `neighbourhood_floor` neighbours are alive."""
+        peers = self.peers
+        if sum(1 for n in peer.neighbourhood if peers[n].alive) >= self.swarm.neighbourhood_floor:
+            return
+        fresh = tracker_refill(self.tracker, peer.peer_id, peer.neighbourhood, self.rng)
+        needed = self.swarm.target - len(peer.neighbourhood)
         for other in fresh[: max(needed, 0)]:
-            self._connect(peer, self.peers[other])
+            self._connect(peer, peers[other])
 
     def _on_departure(self, pid: str) -> bool:
         peer = self.peers[pid]
@@ -758,21 +790,17 @@ class _Engine:
         tracker_leave(self.tracker, pid)
         self._cancel_downloads(peer)
         self._cancel_uploads(peer)
-        for nid in sorted(peer.state.neighbourhood):
+        for nid in sorted(peer.neighbourhood):
             other = self.peers.get(nid)
             if other is None or not other.alive:
                 continue
-            other.state.neighbourhood.discard(pid)
-            other.replicas -= peer.state.have
-            other.state.regular_slots.discard(pid)
-            if other.state.optimistic_slot == pid:
-                other.state.optimistic_slot = None
-            alive_neigh = sum(
-                1 for n in other.state.neighbourhood if self.peers[n].alive
-            )
-            if alive_neigh < self.swarm.neighbourhood_floor:
-                self._refill_neighbourhood(other)
-        peer.state.neighbourhood.clear()
+            other.neighbourhood.discard(pid)
+            other.replicas -= peer.have
+            other.regular_slots.discard(pid)
+            if other.optimistic_slot == pid:
+                other.optimistic_slot = None
+            self._refill_neighbourhood(other)
+        peer.neighbourhood.clear()
         self._log(EventKind.PEER_DEPARTURE, pid, lingering=False)
         return True
 
@@ -795,8 +823,8 @@ class _Engine:
         for rid in sorted(peer.channels.keys() | peer.unchoked_set()):
             self._choke(peer, self.peers[rid], cancel=True)
         peer.pending = None
-        peer.state.regular_slots.clear()
-        peer.state.optimistic_slot = None
+        peer.regular_slots.clear()
+        peer.optimistic_slot = None
 
     def _choke(self, up: _RunPeer, dl: _RunPeer, cancel: bool) -> bool:
         """End `dl`'s requests to `up`: drop the queued blocks, the cursor
@@ -834,7 +862,7 @@ class _Engine:
     # -- requests and playback ----------------------------------------------
 
     def _record_request_coverage(self, peer: _RunPeer, req: Request) -> None:
-        record = peer.state.popularity_record
+        record = peer.popularity_record
         lo, hi = kernels.bin_span(req.start_pos, req.end_pos, self.granularity, record.horizon)
         if hi > lo:
             record.counts[lo:hi] += 1
@@ -843,8 +871,6 @@ class _Engine:
         peer = self.peers[pid]
         if not peer.alive or peer.lingering or peer.session is None:
             return False
-        if peer.state.is_seed:
-            raise InvariantError(f"seed {pid} issued a content request")
         req = peer.session.requests[idx]
         if idx > 0:
             self._record_request_coverage(peer, req)
@@ -855,7 +881,7 @@ class _Engine:
         self._maps_changed = True
         if len(region) > 0:
             peer.wanted[region.start : region.stop] = True
-            peer.wanted &= ~peer.state.have
+            peer.wanted &= ~peer.have
         if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC:
             self._per_piece_optimistic(peer)
         for uid in sorted(peer.unchoked_by):
@@ -905,7 +931,7 @@ class _Engine:
         peer = self.peers[pid]
         if not peer.alive or peer.lingering or version != peer.playback_version:
             return False
-        if peer.state.has_piece(piece):
+        if peer.have[piece]:
             # Piece consumed on time: the play-triggered variant re-rolls
             # this peer's optimistic slot at every played piece.
             self._reoptimistic(peer)
@@ -922,16 +948,16 @@ class _Engine:
 
     def _interested(self, peer: _RunPeer, wanting: set[str]) -> list[str]:
         """Neighbours that want a piece `peer` holds, in id order."""
-        have = peer.state.have
+        have = peer.have
         return [
             n
-            for n in sorted(peer.state.neighbourhood)
+            for n in sorted(peer.neighbourhood)
             if n in wanting and (self.peers[n].wanted & have).any()
         ]
 
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
         delta = self.swarm.unchoke_interval
-        if peer.state.is_seed or peer.lingering:
+        if peer.session is None or peer.lingering:
             # bytes this peer sent to each neighbour
             links = [self.peers[n].links.get(peer.peer_id) for n in interested]
         elif self.cfg.policy.kind is PolicyKind.GIVE_TO_GET:
@@ -956,13 +982,13 @@ class _Engine:
             rates = self._rank_rates(peer, self._interested(peer, wanting))
             regular = tit_for_tat_unchoke(rates, self.swarm.regular_slot_count)
             old = peer.unchoked_set()
-            peer.state.regular_slots = set(regular)
-            if peer.state.optimistic_slot in peer.state.regular_slots:
-                peer.state.optimistic_slot = None
-            if peer.state.optimistic_slot is not None:
-                opt = peer.state.optimistic_slot
-                if not self.peers[opt].alive or opt not in peer.state.neighbourhood:
-                    peer.state.optimistic_slot = None
+            peer.regular_slots = set(regular)
+            if peer.optimistic_slot in peer.regular_slots:
+                peer.optimistic_slot = None
+            if peer.optimistic_slot is not None:
+                opt = peer.optimistic_slot
+                if not self.peers[opt].alive or opt not in peer.neighbourhood:
+                    peer.optimistic_slot = None
             self._apply_slot_diff(peer, old, peer.unchoked_set())
         for link in self._windowed:
             link.window = 0
@@ -977,13 +1003,13 @@ class _Engine:
         if self.swarm.optimistic_slot_count == 0:
             return
         if wanting is None:
-            wanting = self._wanting(peer.state.neighbourhood)
+            wanting = self._wanting(peer.neighbourhood)
         choked = [
-            n for n in self._interested(peer, wanting) if n not in peer.state.regular_slots
+            n for n in self._interested(peer, wanting) if n not in peer.regular_slots
         ]
         pick = optimistic_unchoke(choked, self.rng)
         old = peer.unchoked_set()
-        peer.state.optimistic_slot = pick
+        peer.optimistic_slot = pick
         self._apply_slot_diff(peer, old, peer.unchoked_set())
 
     def _on_optimistic_tick(self) -> bool:
@@ -1012,10 +1038,7 @@ class _Engine:
 
     def _on_tracker_update(self) -> bool:
         for pid in self._alive_ids():
-            peer = self.peers[pid]
-            alive_neigh = sum(1 for n in peer.state.neighbourhood if self.peers[n].alive)
-            if alive_neigh < self.swarm.neighbourhood_floor:
-                self._refill_neighbourhood(peer)
+            self._refill_neighbourhood(self.peers[pid])
         self._log(EventKind.TRACKER_UPDATE, None)
         next_t = self.now + self.tracker.update_interval
         if next_t <= self.cfg.horizon + _EPS:
@@ -1025,7 +1048,7 @@ class _Engine:
     # -- block transfer machinery ---------------------------------------------
 
     def _missing_blocks(self, peer: _RunPeer, piece: int) -> list[tuple[int, int]]:
-        part = peer.state.partial.get(piece)
+        part = peer.partial.get(piece)
         inflight = peer.inflight
         if part is None:
             blocks = range(len(self._block_lengths[piece]))
@@ -1033,23 +1056,23 @@ class _Engine:
         return [(piece, b) for b, got in enumerate(part) if not got and (piece, b) not in inflight]
 
     def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer) -> int | None:
-        avail = dl.wanted & up.state.have
+        avail = dl.wanted & up.have
         if dl.piece_owner:
             avail[list(dl.piece_owner)] = False
         if not np.count_nonzero(avail):
             return None
-        piece = rarest_first(dl.state, dl.replicas, self.rng, among=avail)
+        piece = rarest_first(dl, dl.replicas, self.rng, among=avail)
         if piece is None:
             return None
         if self._yang:
             holders = [
                 self._holder_view(self.peers[u], dl)
                 for u in sorted(dl.unchoked_by)
-                if self.peers[u].alive and self.peers[u].state.has_piece(piece)
+                if self.peers[u].alive and self.peers[u].have[piece]
             ]
             if holders:
                 target = baseline_request_target(
-                    self.cfg.policy, piece, holders, dl.state.join_time, self.rng
+                    self.cfg.policy, piece, holders, dl.join_time, self.rng
                 )
                 if target != up.peer_id:
                     return None
@@ -1065,7 +1088,7 @@ class _Engine:
         stays owned all the same). Only the last picked piece can have
         blocks left over, so the cursor stays in (piece, block) order.
         """
-        if not dl.alive or not up.alive or dl.state.is_seed or dl.lingering:
+        if not dl.alive or not up.alive or dl.session is None or dl.lingering:
             return
         if not up.unchokes(dl.peer_id):
             return
@@ -1103,7 +1126,7 @@ class _Engine:
             return
         link.serving = link.queue.popleft()
         piece, block = link.serving
-        if not up.state.have[piece]:
+        if not up.have[piece]:
             raise InvariantError(
                 f"{up.peer_id} asked to serve incomplete piece {piece}"
             )
@@ -1128,7 +1151,7 @@ class _Engine:
         if not active:
             up.pending = None
             return
-        share = up.state.upload_capacity / len(active)
+        share = up.upload_capacity / len(active)
         first = None
         first_eta = 0.0
         for link in active:
@@ -1172,7 +1195,7 @@ class _Engine:
                 sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
             sources[block] = link.sender
             dl.inflight.discard(blk)
-            completed = record_block(dl.state, self.content, piece, block)
+            completed = record_block(dl, self.content, piece, block)
             if self.events is not None:
                 self._log(
                     EventKind.BLOCK_TRANSFER_COMPLETE,
@@ -1184,7 +1207,7 @@ class _Engine:
                 )
             if completed:
                 peers = self.peers
-                for nid in dl.state.neighbourhood:
+                for nid in dl.neighbourhood:
                     peers[nid].replicas[piece] += 1
                 self._maps_changed = True
                 self._on_piece_complete(dl, piece)
@@ -1216,13 +1239,12 @@ class _Engine:
         total_cap = self.swarm.total_slots
         alive = {pid: peer for pid, peer in self.peers.items() if peer.alive}
         for pid, peer in alive.items():
-            st = peer.state
-            if len(st.regular_slots) > regular_cap:
+            if len(peer.regular_slots) > regular_cap:
                 raise InvariantError(f"{pid} exceeds regular slot cap")
-            extra = 1 if st.optimistic_slot is not None else 0
-            if st.optimistic_slot in st.regular_slots:
+            extra = 1 if peer.optimistic_slot is not None else 0
+            if peer.optimistic_slot in peer.regular_slots:
                 raise InvariantError(f"{pid} optimistic slot duplicates a regular slot")
-            if len(st.regular_slots) + extra > total_cap:
+            if len(peer.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
             # unchoked_by mirrors the senders' slots; a lingering receiver
             # requests nothing and has dropped its list
@@ -1234,15 +1256,15 @@ class _Engine:
                 if dl is not None and not dl.lingering and pid not in dl.unchoked_by:
                     raise InvariantError(f"{pid} unchokes {rid}, which does not list it")
             links = list(peer.links.values())
-            if st.is_seed:
+            if peer.session is None:
                 if peer.inflight or links:
                     raise InvariantError(f"seed {pid} has outstanding requests")
-                if not st.have.all():
+                if not peer.have.all():
                     raise InvariantError(f"seed {pid} lost pieces")
             elif peer.channels:
                 served = [link.serving[0] for link in peer.channels.values() if link.serving]
                 served += [piece for link in peer.channels.values() for piece, _ in link.queue]
-                if not st.have[served].all():
+                if not peer.have[served].all():
                     raise InvariantError(f"{pid} queues or serves a piece it lacks")
             if links or peer.inflight or peer.piece_owner:
                 self._check_inbound(pid, peer, links, self._block_lengths)
@@ -1270,7 +1292,7 @@ class _Engine:
         """
         inflight = peer.inflight
         owners = peer.piece_owner
-        partial = peer.state.partial
+        partial = peer.partial
         on_links = on_cursors = 0
         for link in links:
             if link.cursor:
@@ -1299,7 +1321,7 @@ class _Engine:
             on_links += len(link.queue) + (link.serving is not None)
         if on_links != len(inflight):
             raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
-        have = peer.state.have
+        have = peer.have
         unrequested = 0
         for piece, link in owners.items():
             if have[piece]:
@@ -1353,7 +1375,7 @@ class _Engine:
 
         `have` stacks the have-maps of `peers`, whose ids are `ids`.
         """
-        rows = [i for i, peer in enumerate(peers) if not peer.state.is_seed]
+        rows = [i for i, peer in enumerate(peers) if peer.session is not None]
         sizes = [len(peers[i].piece_arrival) for i in rows]
         miscounted = have[rows].sum(axis=1) != sizes
         arrival_rows = np.repeat(np.array(rows, dtype=np.intp), sizes)
@@ -1363,7 +1385,7 @@ class _Engine:
             bad = rows[miscounted.argmax()] if miscounted.any() else arrival_rows[unheld.argmax()]
             raise InvariantError(f"{ids[bad]} holds pieces other than those it completed")
         for i in rows:
-            for piece, blocks in peers[i].state.partial.items():
+            for piece, blocks in peers[i].partial.items():
                 if have[i, piece] or False not in blocks:
                     raise InvariantError(f"{ids[i]} keeps a block map for complete piece {piece}")
 
@@ -1379,17 +1401,17 @@ class _Engine:
         peers = list(alive.values())
         index = {pid: i for i, pid in enumerate(ids)}
         try:
-            cols = [index[nid] for peer in peers for nid in peer.state.neighbourhood]
+            cols = [index[nid] for peer in peers for nid in peer.neighbourhood]
         except KeyError as exc:
             raise InvariantError(f"a neighbourhood keeps departed peer {exc.args[0]}")
-        rows = np.repeat(np.arange(len(ids)), [len(p.state.neighbourhood) for p in peers])
+        rows = np.repeat(np.arange(len(ids)), [len(p.neighbourhood) for p in peers])
         links = np.zeros((len(ids), len(ids)))
         links[rows, cols] = 1.0
         one_way = np.argwhere(links != links.T)
         if one_way.size:
             i, j = one_way[0]
             raise InvariantError(f"link between {ids[i]} and {ids[j]} is one-way")
-        have = np.stack([peer.state.have for peer in peers])
+        have = np.stack([peer.have for peer in peers])
         self._check_held_pieces(ids, peers, have)
         bad = np.flatnonzero((np.stack([peer.wanted for peer in peers]) & have).any(axis=1))
         if bad.size:
@@ -1414,7 +1436,7 @@ class _Engine:
             cutoff = min(
                 peer.qos_cutoff if peer.qos_cutoff is not None else horizon, horizon
             )
-            join = peer.state.join_time
+            join = peer.join_time
             session = peer.session
             playback = playback_model(
                 session.requests,
@@ -1445,7 +1467,7 @@ class _Engine:
             residence = max(cutoff - join, 0.0)
             rate = peer.downloaded / residence if residence > 0 else 0.0
             util = (
-                peer.uploaded / (peer.state.upload_capacity * residence)
+                peer.uploaded / (peer.upload_capacity * residence)
                 if residence > 0
                 else 0.0
             )
@@ -1472,9 +1494,9 @@ class _Engine:
         seed_peers = [p for p in self.peers.values() if p.session is None and p.joined]
         seed_util = []
         for p in seed_peers:
-            span = horizon - p.state.join_time
+            span = horizon - p.join_time
             if span > 0:
-                seed_util.append(min(p.uploaded / (p.state.upload_capacity * span), 1.0))
+                seed_util.append(min(p.uploaded / (p.upload_capacity * span), 1.0))
         aggregate = {
             "continuity_index": _mean([q.continuity_index for q in qs]),
             "startup_delay": _mean([q.startup_delay for q in qs]),

@@ -1,24 +1,27 @@
-"""Swarm protocol state: content grid, peers, tracker, piece scheduling.
+"""Swarm protocol rules: content grid, block receipt, piece picking, tracker.
 
 Content is split into pieces (the accounting unit; only complete pieces
-can be served) and pieces into blocks (the transmission unit). Peers
-hold a piece bitmap (a numpy bool array), a plain list of booleans per
-partially received piece, and a bounded set of upload slots. Block
-bookkeeping stays in plain Python because it runs once per delivered
-block, where a numpy call costs more than the work it does.
+can be served) and pieces into blocks (the transmission unit). A peer,
+the engine's one record of it, holds a piece bitmap (a numpy bool array)
+and a plain list of booleans per partially received piece; the functions
+here read and update those. Block bookkeeping stays in plain Python
+because it runs once per delivered block, where a numpy call costs more
+than the work it does.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantError
-from .metrics import PopularityRecord
+
+if TYPE_CHECKING:
+    from .sim import _RunPeer
 
 DEFAULT_PIECE_SIZE = 262144
 DEFAULT_BLOCK_SIZE = 16384
@@ -90,63 +93,10 @@ class ContentSpec:
         return range(max(lo, 0), min(hi, self.num_pieces))
 
 
-class PeerRole(enum.Enum):
-    LEECHER = "leecher"
-    SEED = "seed"
-
-
-@dataclass
-class PeerState:
-    """Protocol-visible state of one peer."""
-
-    peer_id: str
-    role: PeerRole
-    upload_capacity: float
-    join_time: float
-    have: np.ndarray
-    # piece -> received flag per block, for pieces begun but not complete
-    partial: dict[int, list[bool]] = field(default_factory=dict)
-    neighbourhood: set[str] = field(default_factory=set)
-    regular_slots: set[str] = field(default_factory=set)
-    optimistic_slot: str | None = None
-    popularity_record: PopularityRecord | None = None
-
-    @property
-    def is_seed(self) -> bool:
-        return self.role is PeerRole.SEED
-
-    def has_piece(self, piece: int) -> bool:
-        return bool(self.have[piece])
-
-    def has_started(self) -> bool:
-        return bool(self.have.any())
-
-
-def new_peer(
-    peer_id: str,
-    role: PeerRole,
-    upload_capacity: float,
-    join_time: float,
-    content: ContentSpec,
-) -> PeerState:
-    have = np.zeros(content.num_pieces, dtype=bool)
-    if role is PeerRole.SEED:
-        have[:] = True
-    granularity = content.piece_duration
-    horizon = int(math.ceil(content.duration / granularity - 1e-9))
-    return PeerState(
-        peer_id=peer_id,
-        role=role,
-        upload_capacity=upload_capacity,
-        join_time=join_time,
-        have=have,
-        popularity_record=PopularityRecord.empty(granularity, horizon),
-    )
-
-
-def record_block(peer: PeerState, content: ContentSpec, piece: int, block: int) -> bool:
+def record_block(peer: _RunPeer, content: ContentSpec, piece: int, block: int) -> bool:
     """Mark a received block; True when it completes the piece.
 
+    Reads `peer.peer_id` and updates `peer.have` and `peer.partial`.
     Duplicate blocks signal a scheduler bug and raise InvariantError.
     """
     have = peer.have
@@ -173,7 +123,7 @@ def record_block(peer: PeerState, content: ContentSpec, piece: int, block: int) 
 
 
 def rarest_first(
-    peer: PeerState,
+    peer: _RunPeer,
     replicas: np.ndarray,
     rng: random.Random,
     among: np.ndarray | None = None,
@@ -182,11 +132,12 @@ def rarest_first(
 
     `replicas[k]` is the number of neighbours holding piece k. `among`,
     when given, is the candidate set (e.g. the wanted region) and must
-    exclude pieces the peer holds; by default every missing piece is a
-    candidate. Pieces that no neighbour holds are not candidates. Ties
-    break uniformly at random with the run's generator, over the tied
-    pieces in ascending order. Returns None, drawing nothing, when no
-    neighbour holds a candidate.
+    exclude pieces the peer holds; by default every piece missing from
+    `peer.have` is a candidate, and `peer` is read for nothing else.
+    Pieces that no neighbour holds are not candidates. Ties break
+    uniformly at random with the run's generator, over the tied pieces in
+    ascending order. Returns None, drawing nothing, when no neighbour
+    holds a candidate.
     """
     need = ~peer.have if among is None else among
     candidates = (need & (replicas > 0)).nonzero()[0]

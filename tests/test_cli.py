@@ -231,14 +231,13 @@ class TestSimulate:
         assert lines[0].startswith("peer_id,continuity_index,")
         assert len(lines) == 1 + 12
 
-    def test_minimal_single_leecher_perfect_continuity(self, tmp_path, capsys):
-        # One seed far faster than the playback rate serves one client.
+    @staticmethod
+    def trace_config(tmp_path, rows):
+        """A config that simulates the trace `rows` under one fast seed."""
         trace = write(
-            tmp_path,
-            "one.csv",
-            f"# object_length=60.0 window=100.0\n{HEADER}\nc0,5.0,0.0,60.0,play\n",
+            tmp_path, "one.csv", f"# object_length=60.0 window=100.0\n{HEADER}\n{rows}"
         )
-        cfg = write(
+        return write(
             tmp_path,
             "one.ini",
             "[content]\nplayback_rate = 65536\npiece_size = 65536\nblock_size = 16384\n"
@@ -248,6 +247,10 @@ class TestSimulate:
             "[policy]\nkind = titfortat\n"
             "[run]\nseed = 3\nhorizon = 200\ncapacity_classes = 8388608:1.0\n",
         )
+
+    def test_minimal_single_leecher_perfect_continuity(self, tmp_path, capsys):
+        # One seed far faster than the playback rate serves one client.
+        cfg = self.trace_config(tmp_path, "c0,5.0,0.0,60.0,play\n")
         out = tmp_path / "qos.json"
         rc = main(["simulate", "--config", cfg, "--check-invariants", "--out", str(out)])
         assert rc == 0
@@ -278,6 +281,13 @@ class TestSimulate:
         cfg = write(tmp_path, "sim.ini", bad)
         assert main(["simulate", "--config", cfg]) == 2
         assert_one_line_error(capsys)
+
+    def test_client_named_like_a_seed_is_input_error(self, tmp_path, capsys):
+        # Two rows of one client, whose id is the initial seed's.
+        cfg = self.trace_config(tmp_path, "seed00,5.0,0.0,30.0,play\nseed00,9.0,30.0,60.0,play\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        err = assert_one_line_error(capsys)
+        assert "seed00" in err and "initial seed" in err
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 1

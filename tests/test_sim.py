@@ -133,6 +133,25 @@ def single_leecher_config(**kwargs):
     return SimConfig(**defaults)
 
 
+class TestEngineSetup:
+    def test_seeds_hold_every_piece_leechers_none(self):
+        cfg = sim_config("random", seed=1, sessions=12, initial_seeds=3)
+        engine = sim._Engine(cfg)
+        engine.setup()
+        seeds = {"seed00", "seed01", "seed02"}
+        sessions = {s.client_id: s for s in engine.workload.sessions}
+        assert engine.peers.keys() == seeds | sessions.keys()
+        for pid, peer in engine.peers.items():
+            if pid in seeds:
+                assert peer.session is None and peer.join_time == 0.0
+                assert peer.have.all()
+            else:
+                assert peer.session is sessions[pid]
+                assert peer.join_time == peer.session.requests[0].arrival_time
+                assert not peer.have.any()
+            assert peer.have.shape == (cfg.content.num_pieces,)
+
+
 class TestRun:
     def test_unconstrained_seed_perfect_continuity(self):
         # The seed can ship the whole object faster than one piece plays,
@@ -286,17 +305,17 @@ def _reentry_engine():
     for pid in ("seed00", "seed01", "c0"):
         engine._on_arrival(pid)
     s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
-    assert c0.state.neighbourhood == {"seed00", "seed01"}
+    assert c0.neighbourhood == {"seed00", "seed01"}
     c0.wanted[7] = True
     engine._check_invariants()
 
-    s0.state.regular_slots.add("c0")
+    s0.regular_slots.add("c0")
     engine._apply_slot_diff(s0, set(), {"c0"})
     assert c0.links["seed00"].serving == (7, 0)
-    s0.state.regular_slots.discard("c0")
+    s0.regular_slots.discard("c0")
     engine._apply_slot_diff(s0, {"c0"}, set())
     assert c0.links["seed00"].serving == (7, 0) and 7 not in c0.piece_owner
-    s1.state.regular_slots.add("c0")
+    s1.regular_slots.add("c0")
     engine._apply_slot_diff(s1, set(), {"c0"})
     assert c0.links["seed01"].serving == (7, 1)
     engine._check_invariants()
@@ -328,7 +347,7 @@ class TestRequestOrder:
         engine._cancel_uploads(s0)
         engine._check_invariants()
         assert _served_in_turn(engine, s1, c0) == [(7, 0), (7, 2), (7, 3)]
-        assert c0.state.has_piece(7)
+        assert c0.have[7]
 
 
 class TestInvariantMutations:
@@ -363,8 +382,8 @@ class TestInvariantMutations:
             for rid in sorted(peer.channels):
                 self._choke(peer, self.peers[rid], cancel=True)
             peer.pending = None
-            peer.state.regular_slots.clear()
-            peer.state.optimistic_slot = None
+            peer.regular_slots.clear()
+            peer.optimistic_slot = None
 
         monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_busy_links)
         self.run_checked("as unchoking it, but it does not")

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from swarmsim.errors import InvariantError
+from swarmsim.sim import _RunPeer
 from swarmsim.swarm import (
     ContentSpec,
-    PeerRole,
     SwarmConfig,
     TrackerState,
-    new_peer,
     rarest_first,
     record_block,
     tracker_join,
     tracker_leave,
     tracker_refill,
 )
+from swarmsim.workload import Interaction, Request, Session
 
 CONTENT = ContentSpec(total_size=10 * 65536, piece_size=65536, block_size=16384, playback_rate=65536.0)
+
+
+def leecher(content=CONTENT):
+    """The engine's record of a leecher that holds no piece yet."""
+    session = Session("x", (Request(0.0, 0.0, content.duration, Interaction.PLAY),))
+    return _RunPeer("x", session, 1.0, content)
 
 
 class TestContentSpec:
@@ -108,7 +114,7 @@ class TestTracker:
 
 class TestRarestFirst:
     def _leecher(self, have_pieces=()):
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        p = leecher()
         for k in have_pieces:
             p.have[k] = True
         return p
@@ -182,27 +188,27 @@ class TestRarestFirst:
 
 class TestRecordBlock:
     def test_piece_completion(self):
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        p = leecher()
         n = CONTENT.blocks_in_piece(0)
         for b in range(n - 1):
             assert record_block(p, CONTENT, 0, b) is False
         assert record_block(p, CONTENT, 0, n - 1) is True
-        assert p.has_piece(0)
+        assert p.have[0]
         assert 0 not in p.partial
 
     def test_first_block_does_not_complete(self):
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        p = leecher()
         assert record_block(p, CONTENT, 3, 0) is False
-        assert not p.has_piece(3)
+        assert not p.have[3]
 
     def test_duplicate_block_rejected(self):
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        p = leecher()
         record_block(p, CONTENT, 0, 0)
         with pytest.raises(InvariantError):
             record_block(p, CONTENT, 0, 0)
 
     def test_block_for_complete_piece_rejected(self):
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        p = leecher()
         for b in range(CONTENT.blocks_in_piece(0)):
             record_block(p, CONTENT, 0, b)
         with pytest.raises(InvariantError):
@@ -210,7 +216,7 @@ class TestRecordBlock:
 
     @pytest.mark.parametrize("piece", [-1, CONTENT.num_pieces])
     def test_piece_out_of_range(self, piece):
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, CONTENT)
+        p = leecher()
         with pytest.raises(ValueError, match="piece"):
             record_block(p, CONTENT, piece, 0)
         assert not p.partial
@@ -218,7 +224,7 @@ class TestRecordBlock:
     def test_block_past_short_last_piece(self):
         # 2.5 pieces: the last piece holds 2 of the 4 blocks a full piece has.
         content = ContentSpec(total_size=2 * 65536 + 32768, piece_size=65536, block_size=16384)
-        p = new_peer("x", PeerRole.LEECHER, 1.0, 0.0, content)
+        p = leecher(content)
         last = content.num_pieces - 1
         assert content.blocks_in_piece(last) == 2
         for block in (2, -1):
@@ -229,10 +235,6 @@ class TestRecordBlock:
         with pytest.raises(ValueError, match="block"):
             record_block(p, content, last, 2)
         assert record_block(p, content, last, 1) is True
-
-    def test_seed_starts_complete(self):
-        s = new_peer("s", PeerRole.SEED, 1.0, 0.0, CONTENT)
-        assert s.have.all()
 
 
 class TestSwarmConfig:
