@@ -80,12 +80,12 @@ class CandidateInfo:
 class HolderView(NamedTuple):
     """What a request-target baseline reads of a neighbour at one pick.
 
-    `buffer_summary` may be the neighbour's live have-map, since the view
-    is read once, at the pick that builds it.
+    `buffer_summary` is the neighbour's have-map, an `int` bitset with bit
+    k set when it holds piece k.
     """
 
     peer_id: str
-    buffer_summary: np.ndarray
+    buffer_summary: int
     join_time: float
     queue_length: int
     requests_sent_to: int
@@ -250,7 +250,7 @@ def baseline_request_target(
     trackerclosest: nearest join time to our own. ynp: uniform among the
     n youngest holders. cnp: uniform among the n holders closest in age.
     """
-    holders = [c for c in neighbours if c.buffer_summary[piece]]
+    holders = [c for c in neighbours if c.buffer_summary >> piece & 1]
     if not holders:
         raise ValueError(f"no neighbour holds piece {piece}")
     kind = spec.kind

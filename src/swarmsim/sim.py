@@ -33,15 +33,12 @@ import bisect
 import dataclasses
 import enum
 import heapq
-import itertools
 import json
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import ConfigError, InvariantError, TraceError
@@ -61,8 +58,10 @@ from .swarm import (
     ContentSpec,
     SwarmConfig,
     TrackerState,
+    add_replicas,
     rarest_first,
     record_block,
+    remove_replicas,
     tracker_join,
     tracker_leave,
     tracker_refill,
@@ -384,6 +383,13 @@ class _RunPeer:
     it joins at time 0 holding every piece. A leecher joins at its
     session's first request holding none.
 
+    The have-map `have` and the wanted set `wanted` are `int` bitsets, bit
+    k standing for piece k. `replicas` holds how many alive neighbours
+    hold each piece as bit planes: `replicas[j]` is the bitset of pieces
+    whose count has bit j set (see `swarm.add_replicas`).
+    `queue_length` counts the blocks queued or in service on the links in
+    `channels`, which llp reads.
+
     Slots keep each record small: from 30 attributes on, CPython gives
     an instance its own dict, about five times the memory of the slots.
     """
@@ -392,7 +398,7 @@ class _RunPeer:
         "peer_id", "session", "upload_capacity", "join_time", "have", "partial",
         "neighbourhood", "regular_slots", "optimistic_slot", "popularity_record",
         "joined", "alive", "lingering", "qos_cutoff",
-        "channels", "pending", "forward_accum", "forward_snapshot",
+        "channels", "queue_length", "pending", "forward_accum", "forward_snapshot",
         "unchoked_by", "links", "inflight", "piece_owner", "block_source", "wanted", "replicas",
         "requests_made", "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
@@ -405,8 +411,7 @@ class _RunPeer:
         self.session = session
         self.upload_capacity = upload_capacity
         self.join_time = 0.0 if session is None else session.requests[0].arrival_time
-        num_pieces = content.num_pieces
-        self.have = np.full(num_pieces, session is None)
+        self.have = (1 << content.num_pieces) - 1 if session is None else 0
         # piece -> received flag per block, for pieces begun but not complete
         self.partial: dict[int, list[bool]] = {}
         self.neighbourhood: set[str] = set()
@@ -423,6 +428,7 @@ class _RunPeer:
         # upload side: busy links by receiver, and the payload of the one
         # pending completion event while any transfer is in service
         self.channels: dict[str, _Link] = {}
+        self.queue_length = 0
         self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
         self.forward_snapshot: dict[str, int] = {}
@@ -433,9 +439,8 @@ class _RunPeer:
         self.piece_owner: dict[int, _Link] = {}
         # piece -> sender of each block; feeds give-to-get's and greedy's forward credit
         self.block_source: dict[int, list[str | None]] = {}
-        self.wanted = np.zeros(num_pieces, dtype=bool)
-        # replicas[k]: how many alive neighbours hold piece k
-        self.replicas = np.zeros(num_pieces, dtype=np.int64)
+        self.wanted = 0
+        self.replicas: list[int] = []
         # session progress
         self.requests_made = 0
         self.current_req = -1
@@ -544,6 +549,8 @@ class _Engine:
         # Set by every change to links, have-maps or wanted sets; read by
         # the invariant check to decide whether to recount.
         self._maps_changed = True
+        # 1 << k for each piece k, built by the first check that needs it.
+        self._piece_bits: list[int] | None = None
         # Links whose window holds bytes since the last unchoke tick.
         self._windowed: list[_Link] = []
         self.granularity = self.content.piece_duration
@@ -580,8 +587,7 @@ class _Engine:
         for session in self.workload.sessions:
             pid = session.client_id
             if pid in self.peers:
-                other = "an initial seed" if self.peers[pid].session is None else "another session"
-                raise TraceError(f"client id {pid} clashes with {other}")
+                raise TraceError(f"client id {pid} clashes with an initial seed")
             peer = _RunPeer(pid, session, self._draw_capacity(cap_rng), self.content)
             self.peers[pid] = peer
             self._schedule(peer.join_time, EventKind.PEER_ARRIVAL, (pid,))
@@ -676,30 +682,20 @@ class _Engine:
             peer_id=peer.peer_id,
             popularity_record=peer.popularity_record,
             request_rate=self._request_rate(peer),
-            has_started=bool(peer.have.any()),
+            has_started=peer.have != 0,
             recent_forward_rate=(
                 sum(peer.forward_snapshot.values()) / self.swarm.optimistic_interval
             ),
         )
 
     def _holder_view(self, holder: _RunPeer, requester: _RunPeer) -> HolderView:
-        """A request-target baseline's view of a holder, copying no arrays.
-
-        The queue length is counted only under llp, the one scheme that
-        reads it.
-        """
-        queue_len = 0
-        if self.cfg.policy.kind is PolicyKind.LLP:
-            queue_len = sum(
-                len(link.queue) + (1 if link.serving else 0)
-                for link in holder.channels.values()
-            )
+        """A request-target baseline's view of a holder."""
         link = requester.links.get(holder.peer_id)
         return HolderView(
             peer_id=holder.peer_id,
             buffer_summary=holder.have,
             join_time=holder.join_time,
-            queue_length=queue_len,
+            queue_length=holder.queue_length,
             requests_sent_to=link.requests_sent if link is not None else 0,
         )
 
@@ -754,8 +750,8 @@ class _Engine:
             return
         a.neighbourhood.add(b.peer_id)
         b.neighbourhood.add(a.peer_id)
-        a.replicas += b.have
-        b.replicas += a.have
+        add_replicas(a.replicas, b.have)
+        add_replicas(b.replicas, a.have)
         self._maps_changed = True
 
     def _refill_neighbourhood(self, peer: _RunPeer) -> None:
@@ -781,7 +777,7 @@ class _Engine:
         ):
             # Stays as an uploader of what it holds; stops requesting.
             peer.lingering = True
-            peer.wanted[:] = False
+            peer.wanted = 0
             self._cancel_downloads(peer)
             self._log(EventKind.PEER_DEPARTURE, pid, lingering=True)
             return True
@@ -795,7 +791,7 @@ class _Engine:
             if other is None or not other.alive:
                 continue
             other.neighbourhood.discard(pid)
-            other.replicas -= peer.have
+            remove_replicas(other.replicas, peer.have)
             other.regular_slots.discard(pid)
             if other.optimistic_slot == pid:
                 other.optimistic_slot = None
@@ -841,6 +837,7 @@ class _Engine:
         if link is None:
             return False
         dl.inflight.difference_update(link.queue)
+        up.queue_length -= len(link.queue)
         link.queue.clear()
         link.cursor.clear()
         link.pre_choke = True
@@ -855,6 +852,7 @@ class _Engine:
                 bisect.insort(owner.cursor, blk)
             link.serving = None
             link.version += 1
+            up.queue_length -= 1
         if link.serving is None:
             up.channels.pop(dl.peer_id, None)
         return cancelled
@@ -877,11 +875,10 @@ class _Engine:
             peer.requests_made += 1
         peer.current_req = idx
         region = self.content.pieces_for_interval(req.start_pos, req.end_pos)
-        peer.wanted[:] = False
+        peer.wanted = 0
         self._maps_changed = True
         if len(region) > 0:
-            peer.wanted[region.start : region.stop] = True
-            peer.wanted &= ~peer.have
+            peer.wanted = ((1 << region.stop) - (1 << region.start)) & ~peer.have
         if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC:
             self._per_piece_optimistic(peer)
         for uid in sorted(peer.unchoked_by):
@@ -931,7 +928,7 @@ class _Engine:
         peer = self.peers[pid]
         if not peer.alive or peer.lingering or version != peer.playback_version:
             return False
-        if peer.have[piece]:
+        if peer.have >> piece & 1:
             # Piece consumed on time: the play-triggered variant re-rolls
             # this peer's optimistic slot at every played piece.
             self._reoptimistic(peer)
@@ -944,7 +941,7 @@ class _Engine:
     def _wanting(self, ids: Iterable[str]) -> set[str]:
         """The alive peers among `ids` that still want some piece."""
         peers = self.peers
-        return {pid for pid in ids if peers[pid].alive and peers[pid].wanted.any()}
+        return {pid for pid in ids if peers[pid].alive and peers[pid].wanted}
 
     def _interested(self, peer: _RunPeer, wanting: set[str]) -> list[str]:
         """Neighbours that want a piece `peer` holds, in id order."""
@@ -952,7 +949,7 @@ class _Engine:
         return [
             n
             for n in sorted(peer.neighbourhood)
-            if n in wanting and (self.peers[n].wanted & have).any()
+            if n in wanting and self.peers[n].wanted & have
         ]
 
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
@@ -1057,9 +1054,11 @@ class _Engine:
 
     def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer) -> int | None:
         avail = dl.wanted & up.have
-        if dl.piece_owner:
-            avail[list(dl.piece_owner)] = False
-        if not np.count_nonzero(avail):
+        if not avail:
+            return None
+        for owned in dl.piece_owner:
+            avail &= ~(1 << owned)
+        if not avail:
             return None
         piece = rarest_first(dl, dl.replicas, self.rng, among=avail)
         if piece is None:
@@ -1068,7 +1067,7 @@ class _Engine:
             holders = [
                 self._holder_view(self.peers[u], dl)
                 for u in sorted(dl.unchoked_by)
-                if self.peers[u].alive and self.peers[u].have[piece]
+                if self.peers[u].alive and self.peers[u].have >> piece & 1
             ]
             if holders:
                 target = baseline_request_target(
@@ -1114,6 +1113,7 @@ class _Engine:
         new = cursor[:room]
         del cursor[:room]
         up.channels[dl.peer_id] = link
+        up.queue_length += len(new)
         dl.inflight.update(new)
         link.queue.extend(new)
         link.requests_sent += len(new)
@@ -1126,7 +1126,7 @@ class _Engine:
             return
         link.serving = link.queue.popleft()
         piece, block = link.serving
-        if not up.have[piece]:
+        if not up.have >> piece & 1:
             raise InvariantError(
                 f"{up.peer_id} asked to serve incomplete piece {piece}"
             )
@@ -1176,6 +1176,7 @@ class _Engine:
         dl = self.peers[link.receiver]
         piece, block = blk = link.serving
         link.serving = None
+        up.queue_length -= 1
         if dl.alive:
             nbytes = self._block_lengths[piece][block]
             up.uploaded += nbytes
@@ -1207,8 +1208,9 @@ class _Engine:
                 )
             if completed:
                 peers = self.peers
+                bit = 1 << piece
                 for nid in dl.neighbourhood:
-                    peers[nid].replicas[piece] += 1
+                    add_replicas(peers[nid].replicas, bit)
                 self._maps_changed = True
                 self._on_piece_complete(dl, piece)
             self._fill_pipeline(dl, up)
@@ -1223,7 +1225,7 @@ class _Engine:
 
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
         dl.piece_arrival[piece] = self.now
-        dl.wanted[piece] = False
+        dl.wanted &= ~(1 << piece)
         dl.piece_owner.pop(piece, None)
         if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC and not dl.lingering:
             self._per_piece_optimistic(dl, piece)
@@ -1237,6 +1239,7 @@ class _Engine:
             )
         regular_cap = self.swarm.regular_slot_count
         total_cap = self.swarm.total_slots
+        all_pieces = (1 << self.content.num_pieces) - 1
         alive = {pid: peer for pid, peer in self.peers.items() if peer.alive}
         for pid, peer in alive.items():
             if len(peer.regular_slots) > regular_cap:
@@ -1255,17 +1258,27 @@ class _Engine:
                 dl = alive.get(rid)
                 if dl is not None and not dl.lingering and pid not in dl.unchoked_by:
                     raise InvariantError(f"{pid} unchokes {rid}, which does not list it")
+            queued = served = 0
+            for link in peer.channels.values():
+                if link.serving is not None:
+                    queued += 1
+                    served |= 1 << link.serving[0]
+                queued += len(link.queue)
+                for piece, _ in link.queue:
+                    served |= 1 << piece
+            if queued != peer.queue_length:
+                raise InvariantError(
+                    f"{pid} counts {peer.queue_length} blocks queued or in service, "
+                    f"but its links hold {queued}"
+                )
             links = list(peer.links.values())
             if peer.session is None:
                 if peer.inflight or links:
                     raise InvariantError(f"seed {pid} has outstanding requests")
-                if not peer.have.all():
+                if peer.have != all_pieces:
                     raise InvariantError(f"seed {pid} lost pieces")
-            elif peer.channels:
-                served = [link.serving[0] for link in peer.channels.values() if link.serving]
-                served += [piece for link in peer.channels.values() for piece, _ in link.queue]
-                if not peer.have[served].all():
-                    raise InvariantError(f"{pid} queues or serves a piece it lacks")
+            elif served & ~peer.have:
+                raise InvariantError(f"{pid} queues or serves a piece it lacks")
             if links or peer.inflight or peer.piece_owner:
                 self._check_inbound(pid, peer, links, self._block_lengths)
             if peer.channels or peer.pending is not None:
@@ -1324,7 +1337,7 @@ class _Engine:
         have = peer.have
         unrequested = 0
         for piece, link in owners.items():
-            if have[piece]:
+            if have >> piece & 1:
                 raise InvariantError(f"{pid} owns piece {piece}, which it holds")
             if link.sender not in peer.unchoked_by or peer.links.get(link.sender) is not link:
                 raise InvariantError(f"{pid} owns piece {piece} on a link that is not unchoked")
@@ -1369,25 +1382,19 @@ class _Engine:
             )
 
     @staticmethod
-    def _check_held_pieces(ids: list[str], peers: list[_RunPeer], have: np.ndarray) -> None:
-        """Each alive leecher holds exactly the pieces it completed, and keeps
-        block maps only for pieces it is still receiving.
+    def _check_held_pieces(pid: str, peer: _RunPeer, piece_bits: list[int]) -> None:
+        """A leecher holds exactly the pieces it completed, and keeps block
+        maps only for pieces it is still receiving.
 
-        `have` stacks the have-maps of `peers`, whose ids are `ids`.
+        `piece_bits[k]` is `1 << k`.
         """
-        rows = [i for i, peer in enumerate(peers) if peer.session is not None]
-        sizes = [len(peers[i].piece_arrival) for i in rows]
-        miscounted = have[rows].sum(axis=1) != sizes
-        arrival_rows = np.repeat(np.array(rows, dtype=np.intp), sizes)
-        arrived = itertools.chain.from_iterable(peers[i].piece_arrival for i in rows)
-        unheld = ~have[arrival_rows, np.fromiter(arrived, np.intp, len(arrival_rows))]
-        if miscounted.any() or unheld.any():
-            bad = rows[miscounted.argmax()] if miscounted.any() else arrival_rows[unheld.argmax()]
-            raise InvariantError(f"{ids[bad]} holds pieces other than those it completed")
-        for i in rows:
-            for piece, blocks in peers[i].partial.items():
-                if have[i, piece] or False not in blocks:
-                    raise InvariantError(f"{ids[i]} keeps a block map for complete piece {piece}")
+        have = peer.have
+        # piece_arrival's keys are distinct, so the sum of their bits is their OR
+        if have != sum(map(piece_bits.__getitem__, peer.piece_arrival)):
+            raise InvariantError(f"{pid} holds pieces other than those it completed")
+        for piece, blocks in peer.partial.items():
+            if have >> piece & 1 or False not in blocks:
+                raise InvariantError(f"{pid} keeps a block map for complete piece {piece}")
 
     def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:
         """Links join alive peers both ways, no leecher lost a piece, no
@@ -1397,30 +1404,33 @@ class _Engine:
         Runs after each event that links, unlinks, completes or requests a
         piece; no other event changes what it checks.
         """
-        ids = list(alive)
-        peers = list(alive.values())
-        index = {pid: i for i, pid in enumerate(ids)}
-        try:
-            cols = [index[nid] for peer in peers for nid in peer.neighbourhood]
-        except KeyError as exc:
-            raise InvariantError(f"a neighbourhood keeps departed peer {exc.args[0]}")
-        rows = np.repeat(np.arange(len(ids)), [len(p.neighbourhood) for p in peers])
-        links = np.zeros((len(ids), len(ids)))
-        links[rows, cols] = 1.0
-        one_way = np.argwhere(links != links.T)
-        if one_way.size:
-            i, j = one_way[0]
+        one_way = []
+        for pid, peer in alive.items():
+            for nid in peer.neighbourhood:
+                other = alive.get(nid)
+                if other is None:
+                    raise InvariantError(f"a neighbourhood keeps departed peer {nid}")
+                if pid not in other.neighbourhood:
+                    one_way.append((pid, nid))
+        if one_way:
+            ids = list(alive)
+            index = {pid: i for i, pid in enumerate(ids)}
+            i, j = min(sorted((index[a], index[b])) for a, b in one_way)
             raise InvariantError(f"link between {ids[i]} and {ids[j]} is one-way")
-        have = np.stack([peer.have for peer in peers])
-        self._check_held_pieces(ids, peers, have)
-        bad = np.flatnonzero((np.stack([peer.wanted for peer in peers]) & have).any(axis=1))
-        if bad.size:
-            raise InvariantError(f"{ids[bad[0]]} wants a piece it holds")
-        # Float products are exact here: counts stay far below 2**53.
-        recount = links @ have
-        bad = np.flatnonzero((recount != np.stack([peer.replicas for peer in peers])).any(axis=1))
-        if bad.size:
-            raise InvariantError(f"{ids[bad[0]]} replica counts disagree with a recount")
+        if self._piece_bits is None:
+            self._piece_bits = [1 << k for k in range(self.content.num_pieces)]
+        for pid, peer in alive.items():
+            if peer.session is not None:
+                self._check_held_pieces(pid, peer, self._piece_bits)
+        for pid, peer in alive.items():
+            if peer.wanted & peer.have:
+                raise InvariantError(f"{pid} wants a piece it holds")
+        for pid, peer in alive.items():
+            recount: list[int] = []
+            for nid in peer.neighbourhood:
+                add_replicas(recount, alive[nid].have)
+            if recount != peer.replicas:
+                raise InvariantError(f"{pid} replica counts disagree with a recount")
 
     # -- reporting -------------------------------------------------------------
 

@@ -2,11 +2,18 @@
 
 Content is split into pieces (the accounting unit; only complete pieces
 can be served) and pieces into blocks (the transmission unit). A peer,
-the engine's one record of it, holds a piece bitmap (a numpy bool array)
-and a plain list of booleans per partially received piece; the functions
-here read and update those. Block bookkeeping stays in plain Python
-because it runs once per delivered block, where a numpy call costs more
-than the work it does.
+the engine's one record of it, holds its have-map as a Python `int`
+bitset (bit k set when piece k is complete) and a plain list of booleans
+per partially received piece; the functions here read and update those.
+
+Replica counts, how many neighbours hold each piece, are kept bit-sliced:
+`planes[j]` is the bitset of pieces whose count has bit j set, lowest
+bit first and with no zero plane on top. Adding or removing a
+neighbour's have-map is a ripple carry or borrow over the few planes,
+and rarest-first reads the minimum off them with a fixed number of
+integer operations, whatever the number of candidates. Block receipt,
+the count updates and picking run once per delivered block, completed
+piece or pick, where a numpy call costs more than the work it does.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import InvariantError
 
@@ -99,13 +104,12 @@ def record_block(peer: _RunPeer, content: ContentSpec, piece: int, block: int) -
     Reads `peer.peer_id` and updates `peer.have` and `peer.partial`.
     Duplicate blocks signal a scheduler bug and raise InvariantError.
     """
-    have = peer.have
-    if not 0 <= piece < len(have):
-        raise ValueError(f"piece {piece} out of range")
-    if have[piece]:
-        raise InvariantError(f"{peer.peer_id} received block for already complete piece {piece}")
     blocks = peer.partial.get(piece)
     if blocks is None:
+        if not 0 <= piece < content.num_pieces:
+            raise ValueError(f"piece {piece} out of range")
+        if peer.have >> piece & 1:
+            raise InvariantError(f"{peer.peer_id} received block for already complete piece {piece}")
         n = content.blocks_in_piece(piece)
         if not 0 <= block < n:
             raise ValueError(f"block {block} out of range for piece {piece}")
@@ -117,35 +121,66 @@ def record_block(peer: _RunPeer, content: ContentSpec, piece: int, block: int) -
     blocks[block] = True
     if False in blocks:
         return False
-    have[piece] = True
+    peer.have |= 1 << piece
     del peer.partial[piece]
     return True
 
 
+def add_replicas(planes: list[int], pieces: int) -> None:
+    """Add one to the replica count of every piece in the bitset `pieces`."""
+    for j, plane in enumerate(planes):
+        if not pieces:
+            return
+        planes[j] = plane ^ pieces
+        pieces &= plane
+    if pieces:
+        planes.append(pieces)
+
+
+def remove_replicas(planes: list[int], pieces: int) -> None:
+    """Subtract one from the replica count of every piece in the bitset
+    `pieces`, each of which must count at least one."""
+    for j, plane in enumerate(planes):
+        if not pieces:
+            break
+        planes[j] = plane ^ pieces
+        pieces &= ~plane
+    while planes and not planes[-1]:
+        planes.pop()
+
+
 def rarest_first(
     peer: _RunPeer,
-    replicas: np.ndarray,
+    replicas: list[int],
     rng: random.Random,
-    among: np.ndarray | None = None,
+    among: int | None = None,
 ) -> int | None:
     """Pick a missing piece with the fewest replicas among neighbours.
 
-    `replicas[k]` is the number of neighbours holding piece k. `among`,
-    when given, is the candidate set (e.g. the wanted region) and must
-    exclude pieces the peer holds; by default every piece missing from
-    `peer.have` is a candidate, and `peer` is read for nothing else.
-    Pieces that no neighbour holds are not candidates. Ties break
-    uniformly at random with the run's generator, over the tied pieces in
-    ascending order. Returns None, drawing nothing, when no neighbour
-    holds a candidate.
+    `replicas` holds the replica counts as bit planes (see the module
+    docstring). `among`, when given, is the candidate bitset (e.g. the
+    wanted region) and must exclude pieces the peer holds; by default
+    every piece missing from `peer.have` is a candidate, and `peer` is
+    read for nothing else. Pieces that no neighbour holds are not
+    candidates. Ties break uniformly at random with the run's generator,
+    over the tied pieces in ascending order. Returns None, drawing
+    nothing, when no neighbour holds a candidate.
     """
-    need = ~peer.have if among is None else among
-    candidates = (need & (replicas > 0)).nonzero()[0]
-    if not candidates.size:
+    held = 0
+    for plane in replicas:
+        held |= plane
+    tied = (~peer.have if among is None else among) & held
+    if not tied:
         return None
-    counts = replicas[candidates]
-    tied = candidates[counts == counts.min()]
-    return int(tied[rng.randrange(len(tied))])
+    # From the top plane down, keep the candidates whose count has a 0
+    # there whenever there are any: what is left has the least count.
+    for plane in reversed(replicas):
+        low = tied & ~plane
+        if low:
+            tied = low
+    for _ in range(rng.randrange(tied.bit_count())):
+        tied &= tied - 1
+    return (tied & -tied).bit_length() - 1
 
 
 @dataclass(frozen=True)

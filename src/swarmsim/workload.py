@@ -119,7 +119,11 @@ class Workload:
         if self.observation_window <= 0:
             raise ValueError("observation_window must be positive")
         object.__setattr__(self, "sessions", tuple(self.sessions))
+        ids: set[str] = set()
         for s in self.sessions:
+            if s.client_id in ids:
+                raise ValueError(f"client id {s.client_id} names more than one session")
+            ids.add(s.client_id)
             for r in s.requests:
                 if r.end_pos > self.object_length + 1e-9:
                     raise ValueError(

@@ -234,7 +234,7 @@ def test_criterion_10_baseline_conformance():
                     )
                 )
             self_join = float(rng.randint(0, 100))
-            holders = [n for n in neighbours if n.buffer_summary[piece]]
+            holders = [n for n in neighbours if n.buffer_summary >> piece & 1]
 
             got = baseline_request_target(
                 PolicySpec(PolicyKind.LLP), piece, neighbours, self_join

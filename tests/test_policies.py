@@ -331,8 +331,10 @@ class TestOptimistic:
 
 
 def holder(pid, pieces, *, join=0.0, queue=0, sent=0, total=8):
-    buf = np.zeros(total, dtype=bool)
-    buf[list(pieces)] = True
+    buf = 0
+    for k in pieces:
+        assert 0 <= k < total
+        buf |= 1 << k
     return HolderView(
         peer_id=pid,
         buffer_summary=buf,

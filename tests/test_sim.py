@@ -144,12 +144,11 @@ class TestEngineSetup:
         for pid, peer in engine.peers.items():
             if pid in seeds:
                 assert peer.session is None and peer.join_time == 0.0
-                assert peer.have.all()
+                assert peer.have == (1 << cfg.content.num_pieces) - 1
             else:
                 assert peer.session is sessions[pid]
                 assert peer.join_time == peer.session.requests[0].arrival_time
-                assert not peer.have.any()
-            assert peer.have.shape == (cfg.content.num_pieces,)
+                assert peer.have == 0
 
 
 class TestRun:
@@ -306,7 +305,7 @@ def _reentry_engine():
         engine._on_arrival(pid)
     s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
     assert c0.neighbourhood == {"seed00", "seed01"}
-    c0.wanted[7] = True
+    c0.wanted = 1 << 7
     engine._check_invariants()
 
     s0.regular_slots.add("c0")
@@ -347,7 +346,7 @@ class TestRequestOrder:
         engine._cancel_uploads(s0)
         engine._check_invariants()
         assert _served_in_turn(engine, s1, c0) == [(7, 0), (7, 2), (7, 3)]
-        assert c0.have[7]
+        assert c0.have == 1 << 7
 
 
 class TestInvariantMutations:
@@ -451,6 +450,46 @@ class TestInvariantMutations:
 
         monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_cursor)
         self.run_checked("cursor entry")
+
+    def test_completion_not_counted(self, monkeypatch):
+        on_piece_complete = sim._Engine._on_piece_complete
+
+        def complete_uncounted(self, dl, piece):
+            # Undo the +1 the completion gave each neighbour's count.
+            for nid in dl.neighbourhood:
+                sim.remove_replicas(self.peers[nid].replicas, 1 << piece)
+            on_piece_complete(self, dl, piece)
+
+        monkeypatch.setattr(sim._Engine, "_on_piece_complete", complete_uncounted)
+        self.run_checked("replica counts disagree with a recount")
+
+    def test_departure_not_subtracted(self, monkeypatch):
+        monkeypatch.setattr(sim, "remove_replicas", lambda planes, pieces: None)
+        self.run_checked("replica counts disagree with a recount")
+
+    def test_have_bit_cleared(self, monkeypatch):
+        on_piece_complete = sim._Engine._on_piece_complete
+
+        def complete_losing_first(self, dl, piece):
+            # At its second completion a peer loses the first piece it completed.
+            on_piece_complete(self, dl, piece)
+            if len(dl.piece_arrival) == 2:
+                dl.have &= ~(1 << next(iter(dl.piece_arrival)))
+
+        monkeypatch.setattr(sim._Engine, "_on_piece_complete", complete_losing_first)
+        self.run_checked("holds pieces other than those it completed")
+
+    def test_delivered_block_still_queued(self, monkeypatch):
+        on_block_complete = sim._Engine._on_block_complete
+
+        def complete_keeping_count(self, link, version):
+            handled = on_block_complete(self, link, version)
+            if handled:
+                self.peers[link.sender].queue_length += 1
+            return handled
+
+        monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_count)
+        self.run_checked("blocks queued or in service")
 
     def test_cancelled_block_not_reentered(self, monkeypatch):
         engine = _reentry_engine()

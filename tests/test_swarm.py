@@ -9,8 +9,10 @@ from swarmsim.swarm import (
     ContentSpec,
     SwarmConfig,
     TrackerState,
+    add_replicas,
     rarest_first,
     record_block,
+    remove_replicas,
     tracker_join,
     tracker_leave,
     tracker_refill,
@@ -24,6 +26,38 @@ def leecher(content=CONTENT):
     """The engine's record of a leecher that holds no piece yet."""
     session = Session("x", (Request(0.0, 0.0, content.duration, Interaction.PLAY),))
     return _RunPeer("x", session, 1.0, content)
+
+
+def bits(pieces) -> int:
+    """The bitset of a collection of piece indices."""
+    out = 0
+    for k in pieces:
+        out |= 1 << k
+    return out
+
+
+def bool_map(bitset: int, num_pieces: int) -> np.ndarray:
+    return np.array([bool(bitset >> k & 1) for k in range(num_pieces)])
+
+
+def plane_counts(planes: list[int], num_pieces: int) -> np.ndarray:
+    """Per-piece replica counts read back from bit planes."""
+    return np.array(
+        [sum((plane >> k & 1) << j for j, plane in enumerate(planes)) for k in range(num_pieces)],
+        dtype=np.int64,
+    )
+
+
+def numpy_rarest_first(have, replicas, rng, among=None):
+    """Rarest-first over numpy maps and a count vector, as the engine
+    picked before its maps became bitsets: the oracle of `rarest_first`."""
+    need = ~have if among is None else among
+    candidates = (need & (replicas > 0)).nonzero()[0]
+    if not candidates.size:
+        return None
+    counts = replicas[candidates]
+    tied = candidates[counts == counts.min()]
+    return int(tied[rng.randrange(len(tied))])
 
 
 class TestContentSpec:
@@ -115,17 +149,17 @@ class TestTracker:
 class TestRarestFirst:
     def _leecher(self, have_pieces=()):
         p = leecher()
-        for k in have_pieces:
-            p.have[k] = True
+        p.have = bits(have_pieces)
         return p
 
     def _have_map(self, pieces):
-        m = np.zeros(CONTENT.num_pieces, dtype=bool)
-        m[list(pieces)] = True
-        return m
+        return bits(pieces)
 
     def _replicas(self, maps):
-        return np.sum(maps, axis=0, dtype=np.int64)
+        planes: list[int] = []
+        for m in maps:
+            add_replicas(planes, m)
+        return planes
 
     def test_single_available_piece(self):
         p = self._leecher(have_pieces=range(1, 10))
@@ -160,7 +194,7 @@ class TestRarestFirst:
         oracle: dict[int, int] = {}
         for m in maps:
             for k in range(4):
-                oracle[k] = oracle.get(k, 0) + int(m[k])
+                oracle[k] = oracle.get(k, 0) + (m >> k & 1)
         best = min(oracle.values())
         tied = {k for k, v in oracle.items() if v == best}
         assert tied == {1, 3}
@@ -174,8 +208,7 @@ class TestRarestFirst:
 
     def test_among_mask_restricts(self):
         p = self._leecher()
-        among = np.zeros(CONTENT.num_pieces, dtype=bool)
-        among[5] = True
+        among = bits([5])
         replicas = self._replicas([self._have_map(range(10))])
         assert rarest_first(p, replicas, random.Random(1), among=among) == 5
 
@@ -185,6 +218,79 @@ class TestRarestFirst:
         picks = {rarest_first(p, replicas, random.Random(9)) for _ in range(5)}
         assert len(picks) == 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_numpy_oracle(self, seed):
+        # Same piece and same draws as the numpy pick, over random maps:
+        # up to 300 pieces, 0-12 neighbours, sparse to dense holdings, and
+        # with or without an `among` mask.
+        rng = random.Random(seed)
+        for _ in range(150):
+            n = rng.randint(1, 300)
+            content = ContentSpec(total_size=n * 65536, piece_size=65536, block_size=16384)
+            density = rng.random()
+            maps = [
+                bits(k for k in range(n) if rng.random() < density)
+                for _ in range(rng.randint(0, 12))
+            ]
+            p = leecher(content)
+            p.have = bits(k for k in range(n) if rng.random() < 0.4)
+            among = None
+            if rng.random() < 0.5:
+                among = bits(k for k in range(n) if rng.random() < 0.5) & ~p.have
+            counts = np.sum([bool_map(m, n) for m in maps], axis=0, dtype=np.int64)
+            if not maps:
+                counts = np.zeros(n, dtype=np.int64)
+            draw = rng.getrandbits(32)
+            got_rng, want_rng = random.Random(draw), random.Random(draw)
+            got = rarest_first(p, self._replicas(maps), got_rng, among=among)
+            want = numpy_rarest_first(
+                bool_map(p.have, n),
+                counts,
+                want_rng,
+                among=None if among is None else bool_map(among, n),
+            )
+            assert got == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+
+class TestReplicaPlanes:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_and_remove_match_numpy_counts(self, seed):
+        # Random adds of have-maps and removals of maps added before, the
+        # way links form and break, with single pieces added between them
+        # as completions do.
+        rng = random.Random(seed)
+        n = rng.choice([1, 7, 64, 300])
+        planes: list[int] = []
+        counts = np.zeros(n, dtype=np.int64)
+        added: list[int] = []
+        for _ in range(300):
+            op = rng.random()
+            if op < 0.2 and added:
+                m = added.pop(rng.randrange(len(added)))
+                remove_replicas(planes, m)
+                counts -= bool_map(m, n)
+            else:
+                if op < 0.4:
+                    m = 1 << rng.randrange(n)
+                else:
+                    density = rng.random()
+                    m = bits(k for k in range(n) if rng.random() < density)
+                added.append(m)
+                add_replicas(planes, m)
+                counts += bool_map(m, n)
+            assert (plane_counts(planes, n) == counts).all()
+            # no zero plane on top, so equal counts give equal planes
+            assert not planes or planes[-1]
+
+    def test_empty_planes_count_zero(self):
+        planes: list[int] = []
+        add_replicas(planes, 0)
+        assert planes == []
+        add_replicas(planes, bits([2, 5]))
+        remove_replicas(planes, bits([2, 5]))
+        assert planes == []
+
 
 class TestRecordBlock:
     def test_piece_completion(self):
@@ -193,13 +299,13 @@ class TestRecordBlock:
         for b in range(n - 1):
             assert record_block(p, CONTENT, 0, b) is False
         assert record_block(p, CONTENT, 0, n - 1) is True
-        assert p.have[0]
+        assert p.have == 1
         assert 0 not in p.partial
 
     def test_first_block_does_not_complete(self):
         p = leecher()
         assert record_block(p, CONTENT, 3, 0) is False
-        assert not p.have[3]
+        assert p.have == 0
 
     def test_duplicate_block_rejected(self):
         p = leecher()

@@ -254,3 +254,11 @@ class TestValidation:
     def test_workload_window_positive(self):
         with pytest.raises(ValueError):
             Workload(10.0, 100.0, (), 0.0)
+
+    def test_shared_client_id_rejected(self):
+        # A trace keys sessions by client id, so two sessions named alike
+        # would come back from a serialize/parse round trip as one.
+        sessions = (make_session([(0.0, 0.0, 1.0)]), make_session([(2.0, 3.0, 4.0)]))
+        with pytest.raises(ValueError, match="client id c0"):
+            Workload(10.0, 100.0, sessions, 50.0)
+        Workload(10.0, 100.0, (sessions[0], make_session([(2.0, 3.0, 4.0)], "c1")), 50.0)
