@@ -14,22 +14,21 @@ broken by receiver id) holds a completion event: a busy sender has
 exactly one pending completion. All state of one direction of a peer
 pair (queued blocks, the block in service and its transfer progress,
 requests, bytes in the current unchoke window) lives in one link record
-that both peers share; the receiver's piece owners point at it. Each link
-also keeps a cursor: the not yet requested blocks of the pieces the
-receiver owns on it, in piece then block order. A refill pops from the
-cursor and picks a new piece only when the cursor runs dry. A link's
-requests end only in `_Engine._choke`, which clears the cursor; when it
-cancels a block in service whose piece the receiver now owns on another
-link, the block goes back into that link's cursor. Playback starts by
-one rule, `_play_start`, for the report and the play-triggered variant
-alike. All randomness flows from one seeded generator, and events tie on
+that both peers share, with the bitset of the pieces the receiver owns on
+it. The receiver keeps two block bitsets per begun piece, the blocks still
+missing and the blocks requested, so a link's unrequested blocks are
+derived, never stored: a refill takes the lowest missing and unrequested
+blocks of the link's owned pieces in ascending piece order, and picks a
+new piece only when room is left. A link's requests end only in
+`_Engine._choke`, which clears their requested bits and releases the
+link's pieces. Playback starts by one rule, `_play_start`, for the
+report and the play-triggered variant alike. All randomness flows from one seeded generator, and events tie on
 time through monotonically assigned sequence numbers, so a (config,
 seed) pair reproduces the run byte for byte.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import enum
 import heapq
@@ -325,26 +324,24 @@ class _Link:
     current one is stale.
 
     The pipeline holds the queued blocks plus the block in service.
-    `cursor` holds the blocks of the pieces the receiver owns on this link
-    that are neither received nor in flight, in (piece, block) order. A
-    pick fills it with the picked piece's missing blocks, and a refill
-    pops from its front. `_Engine._choke` is the one place where a link's
-    requests end: it clears the queue and the cursor and releases the
-    pieces the receiver owns on this link. A choke lets the block in
-    service finish; a departure or a linger cancels it. A block left to
-    finish was requested before the choke, so `pre_choke` keeps it out of
-    the pipeline count if the link is unchoked again; the next block to
-    start clears the flag. If the block is cancelled later and its piece
-    is by then owned on another link, it re-enters that link's cursor at
-    its (piece, block) position: no other block becomes unrequested
-    outside a refill.
+    `owned` is the bitset of the pieces the receiver fetches over this
+    link: a pick sets the piece's bit, and the piece's completion or the
+    link's choke clears it. Each owned piece is owned on one link.
+    `_Engine._choke` is the one place where a link's requests end: it
+    clears the queue and releases the link's pieces. A choke lets the
+    block in service finish; a departure or a linger cancels it. A block
+    left to finish was requested before the choke, so `pre_choke` keeps
+    it out of the pipeline count if the link is unchoked again; the next
+    block to start clears the flag. A cancelled block only loses its
+    requested bit, so the next refill of its piece's owner requests it
+    again in block order.
     """
 
     __slots__ = (
         "sender",
         "receiver",
         "queue",
-        "cursor",
+        "owned",
         "serving",
         "remaining",
         "rate",
@@ -359,7 +356,7 @@ class _Link:
         self.sender = sender
         self.receiver = receiver
         self.queue: deque[tuple[int, int]] = deque()
-        self.cursor: list[tuple[int, int]] = []
+        self.owned = 0
         # (piece, block) in service
         self.serving: tuple[int, int] | None = None
         self.remaining = 0.0
@@ -387,6 +384,12 @@ class _RunPeer:
     k standing for piece k. `replicas` holds how many alive neighbours
     hold each piece as bit planes: `replicas[j]` is the bitset of pieces
     whose count has bit j set (see `swarm.add_replicas`).
+
+    Each begun piece has two block bitsets, bit b standing for block b.
+    `partial[p]` holds the blocks still missing: it is set at the piece's
+    first block and dropped at its completion. `requested[p]` holds the
+    blocks queued or in service on a link toward this peer; a zero entry
+    is deleted. `owned` is the OR of the links' `owned` bitsets.
     `queue_length` counts the blocks queued or in service on the links in
     `channels`, which llp reads.
 
@@ -399,7 +402,7 @@ class _RunPeer:
         "neighbourhood", "regular_slots", "optimistic_slot", "popularity_record",
         "joined", "alive", "lingering", "qos_cutoff",
         "channels", "queue_length", "pending", "forward_accum", "forward_snapshot",
-        "unchoked_by", "links", "inflight", "piece_owner", "block_source", "wanted", "replicas",
+        "unchoked_by", "links", "requested", "owned", "block_source", "wanted", "replicas",
         "requests_made", "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
     )
@@ -412,8 +415,8 @@ class _RunPeer:
         self.upload_capacity = upload_capacity
         self.join_time = 0.0 if session is None else session.requests[0].arrival_time
         self.have = (1 << content.num_pieces) - 1 if session is None else 0
-        # piece -> received flag per block, for pieces begun but not complete
-        self.partial: dict[int, list[bool]] = {}
+        # piece -> bitset of missing blocks, for pieces begun but not complete
+        self.partial: dict[int, int] = {}
         self.neighbourhood: set[str] = set()
         self.regular_slots: set[str] = set()
         self.optimistic_slot: str | None = None
@@ -435,8 +438,8 @@ class _RunPeer:
         # download side: links by sender
         self.unchoked_by: set[str] = set()
         self.links: dict[str, _Link] = {}
-        self.inflight: set[tuple[int, int]] = set()
-        self.piece_owner: dict[int, _Link] = {}
+        self.requested: dict[int, int] = {}
+        self.owned = 0
         # piece -> sender of each block; feeds give-to-get's and greedy's forward credit
         self.block_source: dict[int, list[str | None]] = {}
         self.wanted = 0
@@ -556,6 +559,8 @@ class _Engine:
         self.granularity = self.content.piece_duration
         self._yang = cfg.policy.kind in _YANG_KINDS
         self._block_lengths = _block_length_table(self.content)
+        # piece -> bitset of all its blocks
+        self._all_blocks = [(1 << len(lengths)) - 1 for lengths in self._block_lengths]
 
         wl = cfg.workload
         if isinstance(wl, GeneratorConfig):
@@ -812,7 +817,7 @@ class _Engine:
             if self._choke(up, peer, cancel=True):
                 self._reshare_sender(up)
         peer.links.clear()
-        peer.inflight.clear()
+        peer.requested.clear()
 
     def _cancel_uploads(self, peer: _RunPeer) -> None:
         """Cancel every link of a departing peer to a peer it serves or unchokes."""
@@ -823,12 +828,12 @@ class _Engine:
         peer.optimistic_slot = None
 
     def _choke(self, up: _RunPeer, dl: _RunPeer, cancel: bool) -> bool:
-        """End `dl`'s requests to `up`: drop the queued blocks, the cursor
-        and the pieces `dl` owns on the link, and retire the link from
-        `up.channels` once idle. The block in service finishes unless
-        `cancel` is set; returns whether it was cancelled, so that `up`
-        needs a reshare. A cancelled block whose piece `dl` owns on another
-        link re-enters that link's cursor.
+        """End `dl`'s requests to `up`: drop the queued blocks and their
+        requested bits, release the pieces `dl` owns on the link, and
+        retire the link from `up.channels` once idle. The block in service
+        finishes unless `cancel` is set; returns whether it was cancelled,
+        so that `up` needs a reshare. A dropped block is unrequested again,
+        so whichever link owns its piece requests it at its next refill.
         """
         dl.unchoked_by.discard(up.peer_id)
         # A lingering receiver has dropped its links, but a block still in
@@ -836,23 +841,24 @@ class _Engine:
         link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
         if link is None:
             return False
-        dl.inflight.difference_update(link.queue)
-        up.queue_length -= len(link.queue)
+        dropped = list(link.queue)
         link.queue.clear()
-        link.cursor.clear()
         link.pre_choke = True
-        for piece in [p for p, owner in dl.piece_owner.items() if owner is link]:
-            del dl.piece_owner[piece]
+        dl.owned &= ~link.owned
+        link.owned = 0
         cancelled = cancel and link.serving is not None
         if cancelled:
-            blk = link.serving
-            dl.inflight.discard(blk)
-            owner = dl.piece_owner.get(blk[0])
-            if owner is not None:
-                bisect.insort(owner.cursor, blk)
+            dropped.append(link.serving)
             link.serving = None
             link.version += 1
-            up.queue_length -= 1
+        up.queue_length -= len(dropped)
+        requested = dl.requested
+        for piece, block in dropped:
+            left = requested.get(piece, 0) & ~(1 << block)
+            if left:
+                requested[piece] = left
+            else:
+                requested.pop(piece, None)
         if link.serving is None:
             up.channels.pop(dl.peer_id, None)
         return cancelled
@@ -1044,20 +1050,8 @@ class _Engine:
 
     # -- block transfer machinery ---------------------------------------------
 
-    def _missing_blocks(self, peer: _RunPeer, piece: int) -> list[tuple[int, int]]:
-        part = peer.partial.get(piece)
-        inflight = peer.inflight
-        if part is None:
-            blocks = range(len(self._block_lengths[piece]))
-            return [(piece, b) for b in blocks if (piece, b) not in inflight]
-        return [(piece, b) for b, got in enumerate(part) if not got and (piece, b) not in inflight]
-
     def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer) -> int | None:
-        avail = dl.wanted & up.have
-        if not avail:
-            return None
-        for owned in dl.piece_owner:
-            avail &= ~(1 << owned)
+        avail = dl.wanted & up.have & ~dl.owned
         if not avail:
             return None
         piece = rarest_first(dl, dl.replicas, self.rng, among=avail)
@@ -1080,12 +1074,14 @@ class _Engine:
     def _fill_pipeline(self, dl: _RunPeer, up: _RunPeer) -> None:
         """Request blocks from `up` until the link's pipeline is full.
 
-        The link's cursor, the unrequested blocks of the pieces `dl` owns
-        on it, comes first. While it holds less than the room left, new
-        pieces are picked one at a time and their missing blocks appended,
-        until the pick fails or the picked piece has no missing block (it
-        stays owned all the same). Only the last picked piece can have
-        blocks left over, so the cursor stays in (piece, block) order.
+        The unrequested blocks of a piece are its missing blocks
+        (`dl.partial`, or all of them before the first arrives) less its
+        requested ones (`dl.requested`). The pieces `dl` owns on the link
+        come first, in ascending piece order, each giving its lowest
+        unrequested blocks. While room is left, new pieces are then picked
+        one at a time, after the owned ones whatever their number, until
+        the pick fails or the picked piece has no unrequested block (it
+        stays owned all the same).
         """
         if not dl.alive or not up.alive or dl.session is None or dl.lingering:
             return
@@ -1098,23 +1094,39 @@ class _Engine:
         room = self.swarm.pipeline_depth - in_pipeline
         if room <= 0:
             return
-        cursor = link.cursor
-        while len(cursor) < room:
-            piece = self._pick_new_piece(dl, up)
-            if piece is None:
-                break
-            dl.piece_owner[piece] = link
-            blocks = self._missing_blocks(dl, piece)
-            if not blocks:
-                break
-            cursor += blocks
-        if not cursor:
+        partial = dl.partial
+        requested = dl.requested
+        all_blocks = self._all_blocks
+        new = []
+        owned = link.owned
+        while room:
+            picked = not owned
+            if picked:
+                piece = self._pick_new_piece(dl, up)
+                if piece is None:
+                    break
+                link.owned |= 1 << piece
+                dl.owned |= 1 << piece
+            else:
+                piece = (owned & -owned).bit_length() - 1
+                owned &= owned - 1
+            asked = requested.get(piece, 0)
+            free = partial.get(piece, all_blocks[piece]) & ~asked
+            if not free:
+                if picked:
+                    break
+                continue
+            while free and room:
+                low = free & -free
+                free ^= low
+                asked |= low
+                new.append((piece, low.bit_length() - 1))
+                room -= 1
+            requested[piece] = asked
+        if not new:
             return
-        new = cursor[:room]
-        del cursor[:room]
         up.channels[dl.peer_id] = link
         up.queue_length += len(new)
-        dl.inflight.update(new)
         link.queue.extend(new)
         link.requests_sent += len(new)
         if link.serving is None:
@@ -1174,7 +1186,7 @@ class _Engine:
             return False
         up = self.peers[link.sender]
         dl = self.peers[link.receiver]
-        piece, block = blk = link.serving
+        piece, block = link.serving
         link.serving = None
         up.queue_length -= 1
         if dl.alive:
@@ -1195,7 +1207,13 @@ class _Engine:
             if sources is None:
                 sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
             sources[block] = link.sender
-            dl.inflight.discard(blk)
+            # a lingering receiver has dropped its requested bits
+            requested = dl.requested
+            left = requested.get(piece, 0) & ~(1 << block)
+            if left:
+                requested[piece] = left
+            else:
+                requested.pop(piece, None)
             completed = record_block(dl, self.content, piece, block)
             if self.events is not None:
                 self._log(
@@ -1211,6 +1229,13 @@ class _Engine:
                 bit = 1 << piece
                 for nid in dl.neighbourhood:
                     add_replicas(peers[nid].replicas, bit)
+                if dl.owned & bit:
+                    dl.owned ^= bit
+                    # another link owns it if a block served after a choke finished it
+                    owner = link if link.owned & bit else next(
+                        k for k in dl.links.values() if k.owned & bit
+                    )
+                    owner.owned ^= bit
                 self._maps_changed = True
                 self._on_piece_complete(dl, piece)
             self._fill_pipeline(dl, up)
@@ -1226,7 +1251,6 @@ class _Engine:
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
         dl.piece_arrival[piece] = self.now
         dl.wanted &= ~(1 << piece)
-        dl.piece_owner.pop(piece, None)
         if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC and not dl.lingering:
             self._per_piece_optimistic(dl, piece)
 
@@ -1271,16 +1295,15 @@ class _Engine:
                     f"{pid} counts {peer.queue_length} blocks queued or in service, "
                     f"but its links hold {queued}"
                 )
-            links = list(peer.links.values())
             if peer.session is None:
-                if peer.inflight or links:
+                if peer.requested or peer.links:
                     raise InvariantError(f"seed {pid} has outstanding requests")
                 if peer.have != all_pieces:
                     raise InvariantError(f"seed {pid} lost pieces")
             elif served & ~peer.have:
                 raise InvariantError(f"{pid} queues or serves a piece it lacks")
-            if links or peer.inflight or peer.piece_owner:
-                self._check_inbound(pid, peer, links, self._block_lengths)
+            if peer.links or peer.requested or peer.owned:
+                self._check_inbound(pid, peer)
             if peer.channels or peer.pending is not None:
                 self._check_pending(pid, peer)
         if self._maps_changed and alive:
@@ -1288,72 +1311,43 @@ class _Engine:
             self._check_links_and_pieces(alive)
 
     @staticmethod
-    def _check_inbound(
-        pid: str, peer: _RunPeer, links: list[_Link], block_lengths: list[tuple[int, ...]]
-    ) -> None:
-        """In-flight blocks, piece owners and cursors agree with the links
-        toward `peer`.
+    def _check_inbound(pid: str, peer: _RunPeer) -> None:
+        """Requested blocks and owned pieces agree with the links toward
+        `peer`.
 
-        The blocks queued or in service on those links are exactly the
-        in-flight blocks, each on one link: all of them are in flight, and
-        there are as many as there are in-flight blocks. Each owned piece
-        is missing, and its owner is the link from a sender that unchokes
-        `peer`. Each cursor is strictly ascending and holds only blocks of
-        pieces its link owns that are neither received nor in flight, and
-        the cursors hold as many blocks as the owned pieces have such
-        blocks, so every unrequested block is on exactly one cursor.
+        Each block queued or in service on those links has its requested
+        bit set, and there are as many such blocks as requested bits, so
+        each requested block is on exactly one link. Each owned piece is
+        missing and owned on one link, from a sender that unchokes `peer`,
+        and `peer.owned` is the OR of the links' owned pieces. An idle
+        link, owning nothing with nothing queued or in service, costs one
+        test.
         """
-        inflight = peer.inflight
-        owners = peer.piece_owner
-        partial = peer.partial
-        on_links = on_cursors = 0
-        for link in links:
-            if link.cursor:
-                prev = (-1, -1)
-                for blk in link.cursor:
-                    piece, block = blk
-                    part = partial.get(piece)
-                    if (
-                        blk <= prev
-                        or owners.get(piece) is not link
-                        or blk in inflight
-                        or (part is not None and part[block])
-                    ):
-                        raise InvariantError(
-                            f"{pid} has cursor entry {blk} out of order or not an "
-                            "unrequested block of a piece its link owns"
-                        )
-                    prev = blk
-                on_cursors += len(link.cursor)
-            if not (link.queue or link.serving):
+        requested = peer.requested
+        unchoked_by = peer.unchoked_by
+        owned = on_links = 0
+        for link in peer.links.values():
+            if not (link.owned or link.queue or link.serving):
                 continue
-            if not inflight.issuperset(link.queue) or (
-                link.serving is not None and link.serving not in inflight
-            ):
+            if link.owned:
+                if link.owned & owned:
+                    raise InvariantError(f"{pid} owns a piece on two links")
+                owned |= link.owned
+                if link.sender not in unchoked_by:
+                    raise InvariantError(f"{pid} owns pieces on a link that is not unchoked")
+            blk = link.serving
+            if blk is not None and not requested.get(blk[0], 0) >> blk[1] & 1:
                 raise InvariantError(f"{pid} has a block on a link that is not in flight")
-            on_links += len(link.queue) + (link.serving is not None)
-        if on_links != len(inflight):
+            for piece, block in link.queue:
+                if not requested.get(piece, 0) >> block & 1:
+                    raise InvariantError(f"{pid} has a block on a link that is not in flight")
+            on_links += len(link.queue) + (blk is not None)
+        if on_links != sum(map(int.bit_count, requested.values())):
             raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
-        have = peer.have
-        unrequested = 0
-        for piece, link in owners.items():
-            if have >> piece & 1:
-                raise InvariantError(f"{pid} owns piece {piece}, which it holds")
-            if link.sender not in peer.unchoked_by or peer.links.get(link.sender) is not link:
-                raise InvariantError(f"{pid} owns piece {piece} on a link that is not unchoked")
-            part = partial.get(piece)
-            unrequested += len(block_lengths[piece]) if part is None else part.count(False)
-        # less the owned pieces' blocks that are in flight and not received
-        for piece, block in inflight:
-            if piece in owners:
-                part = partial.get(piece)
-                if part is None or not part[block]:
-                    unrequested -= 1
-        if unrequested != on_cursors:
-            raise InvariantError(
-                f"{pid}'s cursors hold {on_cursors} blocks, but its owned pieces "
-                f"have {unrequested} unrequested"
-            )
+        if owned != peer.owned:
+            raise InvariantError(f"{pid} owns pieces that no link owns, or the reverse")
+        if owned & peer.have:
+            raise InvariantError(f"{pid} owns a piece it holds")
 
     @staticmethod
     def _check_pending(pid: str, peer: _RunPeer) -> None:
@@ -1392,8 +1386,8 @@ class _Engine:
         # piece_arrival's keys are distinct, so the sum of their bits is their OR
         if have != sum(map(piece_bits.__getitem__, peer.piece_arrival)):
             raise InvariantError(f"{pid} holds pieces other than those it completed")
-        for piece, blocks in peer.partial.items():
-            if have >> piece & 1 or False not in blocks:
+        for piece, missing in peer.partial.items():
+            if have >> piece & 1 or not missing:
                 raise InvariantError(f"{pid} keeps a block map for complete piece {piece}")
 
     def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:

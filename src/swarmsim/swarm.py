@@ -3,8 +3,9 @@
 Content is split into pieces (the accounting unit; only complete pieces
 can be served) and pieces into blocks (the transmission unit). A peer,
 the engine's one record of it, holds its have-map as a Python `int`
-bitset (bit k set when piece k is complete) and a plain list of booleans
-per partially received piece; the functions here read and update those.
+bitset (bit k set when piece k is complete) and, per partially received
+piece, an `int` bitset of the blocks still missing; the functions here
+read and update those.
 
 Replica counts, how many neighbours hold each piece, are kept bit-sliced:
 `planes[j]` is the bitset of pieces whose count has bit j set, lowest
@@ -101,11 +102,13 @@ class ContentSpec:
 def record_block(peer: _RunPeer, content: ContentSpec, piece: int, block: int) -> bool:
     """Mark a received block; True when it completes the piece.
 
-    Reads `peer.peer_id` and updates `peer.have` and `peer.partial`.
-    Duplicate blocks signal a scheduler bug and raise InvariantError.
+    Reads `peer.peer_id` and updates `peer.have` and `peer.partial`, the
+    bitset of each begun piece's missing blocks: set at the piece's first
+    block, dropped at its last. Duplicate blocks signal a scheduler bug
+    and raise InvariantError.
     """
-    blocks = peer.partial.get(piece)
-    if blocks is None:
+    missing = peer.partial.get(piece)
+    if missing is None:
         if not 0 <= piece < content.num_pieces:
             raise ValueError(f"piece {piece} out of range")
         if peer.have >> piece & 1:
@@ -113,16 +116,17 @@ def record_block(peer: _RunPeer, content: ContentSpec, piece: int, block: int) -
         n = content.blocks_in_piece(piece)
         if not 0 <= block < n:
             raise ValueError(f"block {block} out of range for piece {piece}")
-        blocks = peer.partial[piece] = [False] * n
-    elif not 0 <= block < len(blocks):
-        raise ValueError(f"block {block} out of range for piece {piece}")
-    elif blocks[block]:
+        missing = (1 << n) - 1
+    elif block < 0 or not missing >> block & 1:
+        if not 0 <= block < content.blocks_in_piece(piece):
+            raise ValueError(f"block {block} out of range for piece {piece}")
         raise InvariantError(f"{peer.peer_id} received duplicate block ({piece}, {block})")
-    blocks[block] = True
-    if False in blocks:
+    missing ^= 1 << block
+    if missing:
+        peer.partial[piece] = missing
         return False
     peer.have |= 1 << piece
-    del peer.partial[piece]
+    peer.partial.pop(piece, None)
     return True
 
 

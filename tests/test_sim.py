@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import types
 
 import pytest
 
@@ -291,9 +290,9 @@ def _reentry_engine():
 
     Two seeds and one leecher `c0` that wants only piece 7, with one
     block per pipeline so that blocks stay unrequested. `seed00` serves
-    (7, 0) and chokes `c0`, which releases piece 7 while the block is
-    still in service; `seed01` then picks piece 7 and serves (7, 1),
-    leaving (7, 2) and (7, 3) unrequested. Returns the engine just before
+    (7, 0) and chokes `c0`, so that piece 7 is no longer owned while the
+    block is still in service; `seed01` then picks piece 7 and serves
+    (7, 1), leaving (7, 2) and (7, 3) unrequested. Returns the engine just before
     `seed00` departs and cancels (7, 0).
     """
     cfg = single_leecher_config(
@@ -313,7 +312,7 @@ def _reentry_engine():
     assert c0.links["seed00"].serving == (7, 0)
     s0.regular_slots.discard("c0")
     engine._apply_slot_diff(s0, {"c0"}, set())
-    assert c0.links["seed00"].serving == (7, 0) and 7 not in c0.piece_owner
+    assert c0.links["seed00"].serving == (7, 0) and not c0.owned >> 7 & 1
     s1.regular_slots.add("c0")
     engine._apply_slot_diff(s1, set(), {"c0"})
     assert c0.links["seed01"].serving == (7, 1)
@@ -350,8 +349,9 @@ class TestRequestOrder:
 
 
 class TestInvariantMutations:
-    """Each test breaks one piece of link bookkeeping in the engine and
-    expects the invariant check of a checked run to catch it."""
+    """Each test breaks one piece of link, neighbourhood or piece
+    bookkeeping in the engine and expects the invariant check of a
+    checked run to catch it."""
 
     @staticmethod
     def run_checked(match):
@@ -365,9 +365,12 @@ class TestInvariantMutations:
         choke = sim._Engine._choke
 
         def choke_keeping_owners(self, up, dl, cancel):
-            owners = dict(dl.piece_owner)
+            link = dl.links.get(up.peer_id)
+            owned = link.owned if link is not None else 0
             cancelled = choke(self, up, dl, cancel)
-            dl.piece_owner.update(owners)
+            if link is not None:
+                link.owned = owned
+                dl.owned |= owned
             return cancelled
 
         monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_owners)
@@ -396,7 +399,8 @@ class TestInvariantMutations:
             fill(self, dl, up)
             link = dl.links.get(up.peer_id)
             if link is not None and link.requests_sent > before:
-                dl.inflight.discard(link.queue[-1] if link.queue else link.serving)
+                piece, block = link.queue[-1] if link.queue else link.serving
+                dl.requested[piece] &= ~(1 << block)
 
         monkeypatch.setattr(sim._Engine, "_fill_pipeline", fill_one_short)
         self.run_checked("not in flight")
@@ -431,25 +435,25 @@ class TestInvariantMutations:
                 if link.serving is not None
             ]
             cancel(self, peer)
-            for dl, blk in served:
-                dl.inflight.add(blk)
+            for dl, (piece, block) in served:
+                dl.requested[piece] = dl.requested.get(piece, 0) | 1 << block
 
         monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_keeping_inflight)
         self.run_checked("exactly one link")
 
-    def test_cursor_kept_on_choke(self, monkeypatch):
+    def test_requested_kept_on_choke(self, monkeypatch):
         choke = sim._Engine._choke
 
-        def choke_keeping_cursor(self, up, dl, cancel):
-            link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
-            kept = list(link.cursor) if link is not None else []
+        def choke_keeping_requested(self, up, dl, cancel):
+            # The dropped blocks keep their requested bits, so no link
+            # will ever request them again.
+            requested = dict(dl.requested)
             cancelled = choke(self, up, dl, cancel)
-            if link is not None:
-                link.cursor[:] = kept
+            dl.requested.update(requested)
             return cancelled
 
-        monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_cursor)
-        self.run_checked("cursor entry")
+        monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_requested)
+        self.run_checked("not on exactly one link")
 
     def test_completion_not_counted(self, monkeypatch):
         on_piece_complete = sim._Engine._on_piece_complete
@@ -491,12 +495,61 @@ class TestInvariantMutations:
         monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_count)
         self.run_checked("blocks queued or in service")
 
-    def test_cancelled_block_not_reentered(self, monkeypatch):
+    def test_cancelled_block_left_requested(self):
+        # (7, 0) keeps its requested bit after `seed00` cancels it, so
+        # `seed01`, which owns piece 7, never requests it.
         engine = _reentry_engine()
-        monkeypatch.setattr(sim, "bisect", types.SimpleNamespace(insort=lambda a, x: None))
         engine._cancel_uploads(engine.peers["seed00"])
-        with pytest.raises(InvariantError, match="cursors hold 2 blocks, but .* have 3 unrequested"):
+        engine.peers["c0"].requested[7] |= 1
+        with pytest.raises(InvariantError, match="not on exactly one link"):
             engine._check_invariants()
+
+    def test_one_sided_connect(self, monkeypatch):
+        def connect_one_sided(self, a, b):
+            if a.peer_id == b.peer_id or b.peer_id in a.neighbourhood:
+                return
+            a.neighbourhood.add(b.peer_id)
+            sim.add_replicas(a.replicas, b.have)
+            self._maps_changed = True
+
+        monkeypatch.setattr(sim._Engine, "_connect", connect_one_sided)
+        self.run_checked("is one-way")
+
+    def test_departed_peer_kept_as_neighbour(self, monkeypatch):
+        on_departure = sim._Engine._on_departure
+
+        def departure_kept_by_one(self, pid):
+            peer = self.peers[pid]
+            neighbours = sorted(peer.neighbourhood)
+            handled = on_departure(self, pid)
+            if not peer.alive and neighbours:
+                self.peers[neighbours[0]].neighbourhood.add(pid)
+            return handled
+
+        monkeypatch.setattr(sim._Engine, "_on_departure", departure_kept_by_one)
+        self.run_checked("keeps departed peer")
+
+    def test_completed_piece_left_wanted(self, monkeypatch):
+        on_piece_complete = sim._Engine._on_piece_complete
+
+        def complete_keeping_wanted(self, dl, piece):
+            on_piece_complete(self, dl, piece)
+            dl.wanted |= 1 << piece
+
+        monkeypatch.setattr(sim._Engine, "_on_piece_complete", complete_keeping_wanted)
+        self.run_checked("wants a piece it holds")
+
+    def test_block_map_left_after_completion(self, monkeypatch):
+        record_block = sim.record_block
+
+        def record_keeping_map(peer, content, piece, block):
+            completed = record_block(peer, content, piece, block)
+            if completed:
+                peer.partial[piece] = 0
+            return completed
+
+        monkeypatch.setattr(sim, "record_block", record_keeping_map)
+        self.run_checked("keeps a block map for complete piece")
 
 
 class TestConfigValidation:

@@ -338,8 +338,9 @@ class TestRecordBlock:
                 record_block(p, content, last, block)
         assert not p.partial  # a rejected block leaves no block map behind
         assert record_block(p, content, last, 0) is False
-        with pytest.raises(ValueError, match="block"):
-            record_block(p, content, last, 2)
+        for block in (2, -1):
+            with pytest.raises(ValueError, match="block"):
+                record_block(p, content, last, block)
         assert record_block(p, content, last, 1) is True
 
 
