@@ -22,9 +22,14 @@ blocks of the link's owned pieces in ascending piece order, and picks a
 new piece only when room is left. A link's requests end only in
 `_Engine._choke`, which clears their requested bits and releases the
 link's pieces. Playback starts by one rule, `_play_start`, for the
-report and the play-triggered variant alike. All randomness flows from one seeded generator, and events tie on
-time through monotonically assigned sequence numbers, so a (config,
-seed) pair reproduces the run byte for byte.
+report and the play-triggered variant alike. Forward credit (who sent
+each block, and the bytes forwarded for each origin) is kept only under
+give-to-get and dispersion-greedy, which read it. Each heap entry
+carries its handler, a plain function of the engine's class, and the
+loop calls it with the engine and the entry's payload. All randomness
+flows from one seeded generator, and events tie on time through
+monotonically assigned sequence numbers, so a (config, seed) pair
+reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ _YANG_KINDS = (
     PolicyKind.YNP,
     PolicyKind.CNP,
 )
+# give-to-get ranks by forward credit and greedy formation reads it
+_FORWARD_CREDIT_KINDS = (PolicyKind.GIVE_TO_GET, PolicyKind.DISPERSION_GREEDY)
 
 
 class EventKind(enum.Enum):
@@ -440,7 +447,8 @@ class _RunPeer:
         self.links: dict[str, _Link] = {}
         self.requested: dict[int, int] = {}
         self.owned = 0
-        # piece -> sender of each block; feeds give-to-get's and greedy's forward credit
+        # piece -> sender of each block, credited in the forwarder's
+        # `forward_accum`; kept only under give-to-get and dispersion-greedy
         self.block_source: dict[int, list[str | None]] = {}
         self.wanted = 0
         self.replicas: list[int] = []
@@ -558,6 +566,21 @@ class _Engine:
         self._windowed: list[_Link] = []
         self.granularity = self.content.piece_duration
         self._yang = cfg.policy.kind in _YANG_KINDS
+        self._forward_credit = cfg.policy.kind in _FORWARD_CREDIT_KINDS
+        # kind -> handler: plain functions of this engine's class, so that a
+        # patched method is the one called and no event refers to the engine
+        cls = type(self)
+        self.handlers = {
+            EventKind.PEER_ARRIVAL: cls._on_arrival,
+            EventKind.REQUEST_ISSUED: cls._on_request,
+            EventKind.BLOCK_TRANSFER_COMPLETE: cls._on_block_complete,
+            EventKind.UNCHOKE_TICK: cls._on_unchoke_tick,
+            EventKind.OPTIMISTIC_TICK: cls._on_optimistic_tick,
+            EventKind.PLAYBACK_TICK: cls._on_playback_tick,
+            EventKind.TRACKER_UPDATE: cls._on_tracker_update,
+            EventKind.PEER_DEPARTURE: cls._on_departure,
+        }
+        self._completion_handler = cls._on_block_complete
         self._block_lengths = _block_length_table(self.content)
         # piece -> bitset of all its blocks
         self._all_blocks = [(1 << len(lengths)) - 1 for lengths in self._block_lengths]
@@ -569,8 +592,9 @@ class _Engine:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, t: float, kind: EventKind, payload: tuple) -> None:
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
+    def _schedule(self, t: float, handler, payload: tuple) -> None:
+        """Push an event that `loop` handles as `handler(engine, *payload)`."""
+        heapq.heappush(self.heap, (t, self.seq, handler, payload))
         self.seq += 1
 
     def _log(self, kind: EventKind, actor: str | None, **detail) -> None:
@@ -581,13 +605,14 @@ class _Engine:
 
     def setup(self) -> None:
         cfg = self.cfg
+        on = self.handlers
         cap_rng = random.Random(self.rng.getrandbits(63))
         num_seeds = cfg.initial_seeds
         width = max(2, len(str(num_seeds)))
         for i in range(num_seeds):
             pid = f"seed{i:0{width}d}"
             self.peers[pid] = _RunPeer(pid, None, self._draw_capacity(cap_rng), self.content)
-            self._schedule(0.0, EventKind.PEER_ARRIVAL, (pid,))
+            self._schedule(0.0, on[EventKind.PEER_ARRIVAL], (pid,))
 
         for session in self.workload.sessions:
             pid = session.client_id
@@ -595,17 +620,17 @@ class _Engine:
                 raise TraceError(f"client id {pid} clashes with an initial seed")
             peer = _RunPeer(pid, session, self._draw_capacity(cap_rng), self.content)
             self.peers[pid] = peer
-            self._schedule(peer.join_time, EventKind.PEER_ARRIVAL, (pid,))
+            self._schedule(peer.join_time, on[EventKind.PEER_ARRIVAL], (pid,))
             for idx, req in enumerate(session.requests):
-                self._schedule(req.arrival_time, EventKind.REQUEST_ISSUED, (pid, idx))
+                self._schedule(req.arrival_time, on[EventKind.REQUEST_ISSUED], (pid, idx))
             last = session.requests[-1]
             self._schedule(
-                last.arrival_time + last.duration, EventKind.PEER_DEPARTURE, (pid,)
+                last.arrival_time + last.duration, on[EventKind.PEER_DEPARTURE], (pid,)
             )
 
-        self._schedule(self.swarm.unchoke_interval, EventKind.UNCHOKE_TICK, ())
-        self._schedule(self.swarm.optimistic_interval, EventKind.OPTIMISTIC_TICK, ())
-        self._schedule(self.tracker.update_interval, EventKind.TRACKER_UPDATE, ())
+        self._schedule(self.swarm.unchoke_interval, on[EventKind.UNCHOKE_TICK], ())
+        self._schedule(self.swarm.optimistic_interval, on[EventKind.OPTIMISTIC_TICK], ())
+        self._schedule(self.tracker.update_interval, on[EventKind.TRACKER_UPDATE], ())
 
     def _draw_capacity(self, rng: random.Random) -> float:
         u = rng.random()
@@ -621,34 +646,14 @@ class _Engine:
         check = self.cfg.check_invariants
         heap = self.heap
         heappop = heapq.heappop
-        dispatch = self._dispatch
         while heap:
-            t, _, kind, payload = heappop(heap)
+            t, _, handler, payload = heappop(heap)
             if t > end:
                 break
             self.now = t
-            if dispatch(kind, payload) and check:
+            if handler(self, *payload) and check:
                 self._check_invariants()
         self.now = min(self.now, self.cfg.horizon)
-
-    def _dispatch(self, kind: EventKind, payload: tuple) -> bool:
-        if kind is EventKind.BLOCK_TRANSFER_COMPLETE:
-            return self._on_block_complete(*payload)
-        if kind is EventKind.PEER_ARRIVAL:
-            return self._on_arrival(*payload)
-        if kind is EventKind.REQUEST_ISSUED:
-            return self._on_request(*payload)
-        if kind is EventKind.UNCHOKE_TICK:
-            return self._on_unchoke_tick()
-        if kind is EventKind.OPTIMISTIC_TICK:
-            return self._on_optimistic_tick()
-        if kind is EventKind.PLAYBACK_TICK:
-            return self._on_playback_tick(*payload)
-        if kind is EventKind.TRACKER_UPDATE:
-            return self._on_tracker_update()
-        if kind is EventKind.PEER_DEPARTURE:
-            return self._on_departure(*payload)
-        raise InvariantError(f"unhandled event kind {kind}")
 
     # -- peer lifecycle -----------------------------------------------------
 
@@ -922,10 +927,9 @@ class _Engine:
             window_end = self.cfg.horizon
             if idx + 1 < len(requests):
                 window_end = min(window_end, requests[idx + 1].arrival_time)
+            on_tick = self.handlers[EventKind.PLAYBACK_TICK]
             for k, due in _deadlines(start, region, window_end, pd):
-                self._schedule(
-                    due, EventKind.PLAYBACK_TICK, (peer.peer_id, peer.playback_version, k, due)
-                )
+                self._schedule(due, on_tick, (peer.peer_id, peer.playback_version, k, due))
         if piece is not None and piece in region:
             if start + (piece - region.start) * pd <= self.now + _EPS:
                 self._reoptimistic(peer)
@@ -999,7 +1003,7 @@ class _Engine:
         self._log(EventKind.UNCHOKE_TICK, None)
         next_t = self.now + self.swarm.unchoke_interval
         if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, EventKind.UNCHOKE_TICK, ())
+            self._schedule(next_t, self.handlers[EventKind.UNCHOKE_TICK], ())
         return True
 
     def _reoptimistic(self, peer: _RunPeer, wanting: set[str] | None = None) -> None:
@@ -1020,13 +1024,14 @@ class _Engine:
         wanting = self._wanting(alive)
         for pid in alive:
             self._reoptimistic(self.peers[pid], wanting)
-        for p in self.peers.values():
-            p.forward_snapshot = dict(p.forward_accum)
-            p.forward_accum.clear()
+        if self._forward_credit:
+            for p in self.peers.values():
+                p.forward_snapshot = dict(p.forward_accum)
+                p.forward_accum.clear()
         self._log(EventKind.OPTIMISTIC_TICK, None)
         next_t = self.now + self.swarm.optimistic_interval
         if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, EventKind.OPTIMISTIC_TICK, ())
+            self._schedule(next_t, self.handlers[EventKind.OPTIMISTIC_TICK], ())
         return True
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
@@ -1045,7 +1050,7 @@ class _Engine:
         self._log(EventKind.TRACKER_UPDATE, None)
         next_t = self.now + self.tracker.update_interval
         if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, EventKind.TRACKER_UPDATE, ())
+            self._schedule(next_t, self.handlers[EventKind.TRACKER_UPDATE], ())
         return True
 
     # -- block transfer machinery ---------------------------------------------
@@ -1059,9 +1064,9 @@ class _Engine:
             return None
         if self._yang:
             holders = [
-                self._holder_view(self.peers[u], dl)
-                for u in sorted(dl.unchoked_by)
-                if self.peers[u].alive and self.peers[u].have >> piece & 1
+                self._holder_view(holder, dl)
+                for holder in map(self.peers.__getitem__, sorted(dl.unchoked_by))
+                if holder.alive and holder.have >> piece & 1
             ]
             if holders:
                 target = baseline_request_target(
@@ -1085,7 +1090,7 @@ class _Engine:
         """
         if not dl.alive or not up.alive or dl.session is None or dl.lingering:
             return
-        if not up.unchokes(dl.peer_id):
+        if up.peer_id not in dl.unchoked_by:
             return
         link = dl.links.get(up.peer_id)
         if link is None:
@@ -1179,7 +1184,7 @@ class _Engine:
             ):
                 first, first_eta = link, eta
         up.pending = payload = (first, first.version)
-        self._schedule(first_eta, EventKind.BLOCK_TRANSFER_COMPLETE, payload)
+        self._schedule(first_eta, self._completion_handler, payload)
 
     def _on_block_complete(self, link: _Link, version: int) -> bool:
         if version != link.version:
@@ -1198,15 +1203,16 @@ class _Engine:
             if not link.window:
                 self._windowed.append(link)
             link.window += nbytes
-            sources = up.block_source.get(piece)
-            if sources is not None:
-                origin = sources[block]
-                if origin is not None and origin != link.receiver:
-                    up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
-            sources = dl.block_source.get(piece)
-            if sources is None:
-                sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
-            sources[block] = link.sender
+            if self._forward_credit:
+                sources = up.block_source.get(piece)
+                if sources is not None:
+                    origin = sources[block]
+                    if origin is not None and origin != link.receiver:
+                        up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
+                sources = dl.block_source.get(piece)
+                if sources is None:
+                    sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
+                sources[block] = link.sender
             # a lingering receiver has dropped its requested bits
             requested = dl.requested
             left = requested.get(piece, 0) & ~(1 << block)

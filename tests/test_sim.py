@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import PLAYBACK, sim_config, small_swarm
 from swarmsim import sim
 from swarmsim.errors import ConfigError, InvariantError
-from swarmsim.policies import PolicySpec
+from swarmsim.policies import PolicyKind, PolicySpec
 from swarmsim.sim import (
     CapacityClass,
     EventKind,
@@ -268,6 +269,22 @@ class TestRun:
         assert rep.aggregate["formation_dispersion"] is not None
         assert 0.0 < rep.aggregate["formation_dispersion"] <= 1.0
 
+    def test_run_leaves_no_cyclic_garbage(self):
+        # Every object of a run is freed by reference counting alone. The
+        # warm-up runs pay the one-time imports first: numpy's first
+        # `unique` call imports `numpy.ma`, which leaves cycles behind.
+        policies = ("random", "givetoget", "dispersiongreedy", "llp")
+        for policy in policies:
+            run(sim_config(policy, seed=1, sessions=5))
+        gc.collect()
+        gc.disable()
+        try:
+            for policy in policies:
+                run(sim_config(policy, seed=1, sessions=30))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_lingering_uploaders_keep_invariants(self):
         cfg = sim_config(
             "titfortat",
@@ -278,6 +295,31 @@ class TestRun:
         )
         rep = run(cfg).report
         assert rep.aggregate["uploaded_bytes"] == rep.aggregate["downloaded_bytes"]
+
+
+class TestEngineState:
+    def test_one_handler_per_event_kind(self):
+        engine = sim._Engine(sim_config("random", seed=1, sessions=5))
+        assert engine.handlers.keys() == set(EventKind)
+        handlers = list(engine.handlers.values())
+        assert len(set(handlers)) == len(handlers)
+        for handler in handlers:
+            assert vars(sim._Engine)[handler.__name__] is handler
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_forward_credit_kept_only_where_read(self, kind):
+        # Give-to-get ranks by forward credit and greedy formation reads
+        # it; under every other policy nothing records it. The run ends
+        # between two optimistic ticks, while peers still forward blocks.
+        n = 3 if kind in (PolicyKind.YNP, PolicyKind.CNP) else None
+        cfg = sim_config(kind.value, seed=2, n=n, sessions=30, horizon=200.0, check_invariants=True)
+        engine = sim._Engine(cfg)
+        engine.setup()
+        engine.loop()
+        alive = [peer for peer in engine.peers.values() if peer.alive]
+        read = kind in (PolicyKind.GIVE_TO_GET, PolicyKind.DISPERSION_GREEDY)
+        for field in ("block_source", "forward_accum", "forward_snapshot"):
+            assert any(getattr(peer, field) for peer in alive) == read, field
 
 
 def _finish_time(link):
@@ -411,7 +453,7 @@ class TestInvariantMutations:
         def reshare_latest(self, up):
             # Run the reshare with pushes swallowed, then push the block
             # that finishes last instead of the one that finishes first.
-            self._schedule = lambda t, kind, payload: None
+            self._schedule = lambda t, handler, payload: None
             try:
                 reshare(self, up)
             finally:
@@ -420,7 +462,8 @@ class TestInvariantMutations:
                 active = [link for link in up.channels.values() if link.serving]
                 last = max(active, key=lambda k: (_finish_time(k), k.receiver))
                 up.pending = payload = (last, last.version)
-                self._schedule(_finish_time(last), EventKind.BLOCK_TRANSFER_COMPLETE, payload)
+                on_complete = self.handlers[EventKind.BLOCK_TRANSFER_COMPLETE]
+                self._schedule(_finish_time(last), on_complete, payload)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_latest)
         self.run_checked("finishes first")
