@@ -198,11 +198,19 @@ def _write_or_print(text: str, out: str | None) -> None:
             raise TraceError(f"cannot write {out}: {exc}")
 
 
+_MAX_BINS = 10**7  # position bins one record may span
+
+
 def _check_granularity(granularity: float, object_length: float) -> None:
     if not 0 < granularity <= object_length:
         raise ConfigError(
             f"--granularity must lie in (0, {object_length}], the object length; "
             f"got {granularity}"
+        )
+    if object_length / granularity > _MAX_BINS:
+        raise ConfigError(
+            f"--granularity {granularity} gives more than {_MAX_BINS} position bins "
+            f"over the object length {object_length}"
         )
 
 

@@ -1,4 +1,7 @@
-"""Array kernels behind the metric and selection hot paths, in numpy.
+"""Kernels behind the metric and selection hot paths.
+
+Coverage counting runs in numpy; greedy selection reads only each
+record's support bitset and mass, in plain integers.
 
 Dispersion comparisons use exact integer arithmetic (cross-multiplied
 ratios), so selection never depends on floating-point rounding.
@@ -43,74 +46,49 @@ def coverage_counts(starts, ends, granularity: float, horizon: int) -> np.ndarra
     return np.cumsum(delta[:horizon])
 
 
-def greedy_select(base, cands, keys, max_size: int):
-    """Greedy argmin-dispersion selection over candidate count vectors.
+def greedy_select(base, candidates, keys, max_size: int):
+    """Greedy argmin-dispersion selection over candidate supports.
 
-    base: int64[T] running record of the selecting node.
-    cands: int64[C, T] candidate records, one row each.
-    keys: int64[C, K] lexicographic tie-break keys, smaller wins.
+    base: (support, mass) of the selecting node's record, where support is
+        an `int` bitset with bit p set when position p has a nonzero count
+        and mass is the total count.
+    candidates: one (support, mass) pair per candidate record.
+    keys: one tie-break key per candidate, compared with `<`; smaller wins.
     max_size: cap on selections; selection stops earlier only when
         candidates run out.
 
-    Returns (order, distinct, mass): candidate row indices in selection
+    Returns (order, distinct, mass) lists: candidate indices in selection
     order and, per step, the distinct-position count and total mass of the
-    merged vector after that selection (dispersion = distinct / mass,
-    taken as 1.0 when mass is 0).
+    merged record after that selection (dispersion = distinct / mass; an
+    empty merge reports 1 / 1).
 
-    Candidates are compared by (dispersion, keys...), where the dispersion
-    of candidate c at a step is (distinct + new_c) / (mass + mass_c) for
-    the running merged vector; comparisons cross-multiply to stay exact.
+    Candidates are compared by (dispersion, key), where the dispersion of
+    candidate c at a step is |merged | support_c| / (mass + mass_c) for the
+    running merged record; comparisons cross-multiply to stay exact.
     """
-    base = np.ascontiguousarray(base, dtype=np.int64)
-    cands = np.ascontiguousarray(cands, dtype=np.int64)
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if cands.ndim != 2 or cands.shape[1] != base.shape[0]:
-        raise ValueError("candidate matrix must be C x T with T matching base")
-    if keys.shape[0] != cands.shape[0]:
-        raise ValueError("one key row per candidate required")
+    if len(keys) != len(candidates):
+        raise ValueError("one key per candidate required")
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    if cands.shape[0] == 0 or max_size == 0:
-        none = np.empty(0, dtype=np.int64)
-        return none, none.copy(), none.copy()
-
-    n_cands = cands.shape[0]
-    steps = min(n_cands, max_size)
-    selected = np.empty(steps, dtype=np.int64)
-    dist_out = np.empty(steps, dtype=np.int64)
-    mass_out = np.empty(steps, dtype=np.int64)
-
-    merged = base.copy()
-    has_pos = cands > 0
-    cand_mass = cands.sum(axis=1)
-    taken = np.zeros(n_cands, dtype=bool)
-    key_rows = [tuple(int(k) for k in keys[c]) for c in range(n_cands)]
-
-    for step in range(steps):
-        empty = merged == 0
-        new_pos = has_pos[:, empty].sum(axis=1)
-        distinct = int(np.count_nonzero(~empty))
-        mass = int(merged.sum())
+    merged, mass = base
+    left = list(range(len(candidates)))
+    order, dist_out, mass_out = [], [], []
+    for _ in range(min(len(candidates), max_size)):
         best = -1
         best_num = best_den = 0
-        for c in range(n_cands):
-            if taken[c]:
-                continue
-            num = distinct + int(new_pos[c])
-            den = mass + int(cand_mass[c])
+        for c in left:
+            support, cand_mass = candidates[c]
+            num = (merged | support).bit_count()
+            den = mass + cand_mass
             if den == 0:
                 num = den = 1
-            if best < 0:
-                better = True
-            elif num * best_den != best_num * den:
-                better = num * best_den < best_num * den
-            else:
-                better = key_rows[c] < key_rows[best]
-            if better:
+            lhs, rhs = num * best_den, best_num * den
+            if best < 0 or lhs < rhs or (lhs == rhs and keys[c] < keys[best]):
                 best, best_num, best_den = c, num, den
-        taken[best] = True
-        selected[step] = best
-        dist_out[step] = best_num
-        mass_out[step] = best_den
-        merged += cands[best]
-    return selected, dist_out, mass_out
+        left.remove(best)
+        order.append(best)
+        dist_out.append(best_num)
+        mass_out.append(best_den)
+        merged |= candidates[best][0]
+        mass += candidates[best][1]
+    return order, dist_out, mass_out

@@ -62,6 +62,12 @@ class PopularityRecord:
     def distinct_positions(self) -> int:
         return int(np.count_nonzero(self.counts))
 
+    def support_mass(self) -> tuple[int, int]:
+        """(support, M): an `int` bitset with bit p set when counts[p] > 0,
+        and the total mass. Greedy selection reads only these two."""
+        bits = np.packbits(self.counts > 0, bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little"), self.mass
+
     def items(self) -> Iterator[tuple[int, int]]:
         """Sparse (position, count) pairs in position order."""
         for p in np.flatnonzero(self.counts):

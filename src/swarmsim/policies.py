@@ -13,11 +13,10 @@ used as baselines.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import ConfigError
@@ -73,8 +72,10 @@ class CandidateInfo:
     recent_forward_rate: float = 0.0
 
     def __post_init__(self):
-        if self.request_rate < 0:
-            raise ValueError("request_rate must be non-negative")
+        for name in ("request_rate", "recent_forward_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative; got {value}")
 
 
 class HolderView(NamedTuple):
@@ -107,22 +108,6 @@ class SelectionOutcome:
             raise ValueError("selection contains duplicate peers")
 
 
-def _dense_rank_desc(values: Sequence[float]) -> np.ndarray:
-    """Rank values so the largest gets 0 and exact ties share a rank."""
-    arr = np.asarray(values, dtype=np.float64)
-    uniq = np.unique(-arr)
-    return np.searchsorted(uniq, -arr).astype(np.int64)
-
-
-def _id_rank(ids: Sequence[str]) -> np.ndarray:
-    if len(set(ids)) != len(ids):
-        raise ValueError("candidate peer ids must be unique")
-    rank = np.empty(len(ids), dtype=np.int64)
-    for pos, idx in enumerate(sorted(range(len(ids)), key=lambda i: ids[i])):
-        rank[idx] = pos
-    return rank
-
-
 def _check_shapes(own: PopularityRecord, candidates: Sequence[CandidateInfo]) -> None:
     for c in candidates:
         r = c.popularity_record
@@ -136,15 +121,18 @@ def _tie_keys(
     candidates: Sequence[CandidateInfo],
     profile_hint: InteractivityProfile | None,
     forward_first: bool,
-) -> np.ndarray:
-    cols = []
-    if forward_first:
-        cols.append(_dense_rank_desc([c.recent_forward_rate for c in candidates]))
-    cols.append(_dense_rank_desc([c.request_rate for c in candidates]))
-    if profile_hint is InteractivityProfile.LI:
-        cols.append(np.array([0 if c.has_started else 1 for c in candidates], dtype=np.int64))
-    cols.append(_id_rank([c.peer_id for c in candidates]))
-    return np.column_stack(cols)
+) -> list[tuple]:
+    ids = [c.peer_id for c in candidates]
+    if len(set(ids)) != len(ids):
+        raise ValueError("candidate peer ids must be unique")
+    li = profile_hint is InteractivityProfile.LI
+    return [
+        ((-c.recent_forward_rate,) if forward_first else ())
+        + (-c.request_rate,)
+        + ((not c.has_started,) if li else ())
+        + (c.peer_id,)
+        for c in candidates
+    ]
 
 
 def _run_greedy(
@@ -159,14 +147,13 @@ def _run_greedy(
     if not candidates or max_size == 0:
         return SelectionOutcome((), ())
     _check_shapes(own, candidates)
-    cand_matrix = np.stack([c.popularity_record.counts for c in candidates])
     keys = _tie_keys(candidates, profile_hint, forward_first)
-    order, distinct, mass = kernels.greedy_select(own.counts, cand_matrix, keys, max_size)
-    selected = tuple(candidates[i].peer_id for i in order)
-    per_step = tuple(
-        (int(n) / int(m)) if m > 0 else 1.0 for n, m in zip(distinct, mass)
+    supports = [c.popularity_record.support_mass() for c in candidates]
+    order, distinct, mass = kernels.greedy_select(own.support_mass(), supports, keys, max_size)
+    return SelectionOutcome(
+        tuple(candidates[i].peer_id for i in order),
+        tuple(n / m for n, m in zip(distinct, mass)),
     )
-    return SelectionOutcome(selected, per_step)
 
 
 def select_neighbors_greedy(

@@ -685,8 +685,8 @@ class _Engine:
     def _candidate_info(self, peer: _RunPeer) -> CandidateInfo:
         """What greedy formation reads of a candidate.
 
-        The record is the peer's own, not a copy: the greedy kernel copies
-        every candidate record when it stacks them.
+        The record is the peer's own, not a copy: selection reads only its
+        support and mass.
         """
         return CandidateInfo(
             peer_id=peer.peer_id,
@@ -718,9 +718,7 @@ class _Engine:
             and peer.session is not None
         ):
             infos = [self._candidate_info(self.peers[c]) for c in candidates]
-            own = PopularityRecord(
-                self.granularity, peer.popularity_record.counts.copy()
-            )
+            own = peer.popularity_record
             hint = classify_session(peer.session, self.workload.object_length)
             outcome = select_neighbors_greedy(own, infos, target, hint)
             expected = {

@@ -368,7 +368,7 @@ class TestCompare:
 
 
 @pytest.mark.parametrize("command", ["generate", "analyze"])
-@pytest.mark.parametrize("granularity", ["50", "0", "-1", "nan"])
+@pytest.mark.parametrize("granularity", ["50", "0", "-1", "nan", "1e-300"])
 def test_bad_granularity_is_config_error(tmp_path, capsys, command, granularity):
     trace = tmp_path / "t.csv"
     args = ["generate", "--profile", "hi", "--sessions", "3", "--object-len", "10"]

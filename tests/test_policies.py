@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -158,21 +159,36 @@ class TestGreedy:
         assert len(select_neighbors_greedy(own, cands, 3).selected) == 3
         assert len(select_neighbors_greedy(own, cands, 9).selected) == 5
 
+    def test_duplicate_candidate_ids_rejected(self):
+        cands = [cand("a", [(0, 1)]), cand("a", [(1, 1)])]
+        with pytest.raises(ValueError, match="unique"):
+            select_neighbors_greedy(rec([(0, 1)]), cands, 1)
+
+    @pytest.mark.parametrize("field", ["request_rate", "recent_forward_rate"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_candidate_rate_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CandidateInfo(peer_id="a", popularity_record=rec([]), **{field: value})
+
     def test_mismatched_record_shape_rejected(self):
         own = rec([(0, 1)], horizon=8)
         with pytest.raises(ValueError):
             select_neighbors_greedy(own, [cand("a", [(0, 1)], horizon=4)], 1)
 
     def test_matches_oracle_on_random_instances(self):
-        rng = random.Random(1234)
-        for trial in range(60):
-            own_pairs, cands, _ = random_instance(rng)
-            hint = InteractivityProfile.LI if trial % 2 else None
-            max_size = rng.randint(0, len(cands))
-            got = select_neighbors_greedy(rec_from(own_pairs, cands), cands, max_size, hint)
-            want_ids, want_ds = oracle_greedy(own_pairs, cands, max_size, hint)
-            assert list(got.selected) == want_ids
-            np.testing.assert_allclose(got.per_step_dispersion, want_ds, rtol=0, atol=1e-12)
+        # Horizons past 64 bins make supports span several machine words.
+        for lo, hi in ((4, 64), (65, 320)):
+            rng = random.Random(1234)
+            for trial in range(60):
+                own_pairs, cands, _ = random_instance(rng, horizon=rng.randint(lo, hi))
+                hint = InteractivityProfile.LI if trial % 2 else None
+                max_size = rng.randint(0, len(cands))
+                got = select_neighbors_greedy(rec_from(own_pairs, cands), cands, max_size, hint)
+                want_ids, want_ds = oracle_greedy(own_pairs, cands, max_size, hint)
+                assert list(got.selected) == want_ids
+                np.testing.assert_allclose(
+                    got.per_step_dispersion, want_ds, rtol=0, atol=1e-12
+                )
 
     def test_greedy_step_never_beaten_by_alternative(self):
         rng = random.Random(99)

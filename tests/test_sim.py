@@ -270,12 +270,8 @@ class TestRun:
         assert 0.0 < rep.aggregate["formation_dispersion"] <= 1.0
 
     def test_run_leaves_no_cyclic_garbage(self):
-        # Every object of a run is freed by reference counting alone. The
-        # warm-up runs pay the one-time imports first: numpy's first
-        # `unique` call imports `numpy.ma`, which leaves cycles behind.
+        # Every object of a run is freed by reference counting alone.
         policies = ("random", "givetoget", "dispersiongreedy", "llp")
-        for policy in policies:
-            run(sim_config(policy, seed=1, sessions=5))
         gc.collect()
         gc.disable()
         try:
