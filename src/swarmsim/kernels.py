@@ -1,7 +1,8 @@
 """Kernels behind the metric and selection hot paths.
 
-Coverage counting runs in numpy; greedy selection reads only each
-record's support bitset and mass, in plain integers.
+Both run in plain Python: coverage counting accumulates a difference
+array over `bin_span`, and greedy selection reads only each record's
+support bitset and mass, in plain integers.
 
 Dispersion comparisons use exact integer arithmetic (cross-multiplied
 ratios), so selection never depends on floating-point rounding.
@@ -14,8 +15,8 @@ Dispersion convention used throughout: for a merged count vector with
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from array import array
+from itertools import accumulate
 
 _CEIL_GUARD = 1e-9  # absorbs float noise in position/granularity divisions
 
@@ -27,23 +28,22 @@ def bin_span(start: float, end: float, granularity: float, horizon: int) -> tupl
     return max(lo, 0), min(max(hi, 0), horizon)
 
 
-def coverage_counts(starts, ends, granularity: float, horizon: int) -> np.ndarray:
+def coverage_counts(starts, ends, granularity: float, horizon: int) -> array:
     """Count, per position bin, how many [start, end) intervals cover the bin start."""
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    ends = np.ascontiguousarray(ends, dtype=np.float64)
-    if starts.shape != ends.shape:
+    if len(starts) != len(ends):
         raise ValueError("starts and ends must have equal length")
-    if granularity <= 0:
+    if not granularity > 0:
         raise ValueError("granularity must be positive")
-    lo = np.ceil(starts / granularity - _CEIL_GUARD).astype(np.int64)
-    hi = np.ceil(ends / granularity - _CEIL_GUARD).astype(np.int64)
-    np.clip(lo, 0, horizon, out=lo)
-    np.clip(hi, 0, horizon, out=hi)
-    delta = np.zeros(horizon + 1, dtype=np.int64)
-    covered = hi > lo
-    np.add.at(delta, lo[covered], 1)
-    np.add.at(delta, hi[covered], -1)
-    return np.cumsum(delta[:horizon])
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    delta = [0] * (horizon + 1)
+    for start, end in zip(starts, ends):
+        lo, hi = bin_span(start, end, granularity, horizon)
+        if hi > lo:
+            delta[lo] += 1
+            delta[hi] -= 1
+    delta.pop()
+    return array("q", accumulate(delta))
 
 
 def greedy_select(base, candidates, keys, max_size: int):

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import operator
+import sys
+from array import array
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import EmptyRecordError
 from .workload import Workload
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class DispersionCategory(enum.Enum):
@@ -28,71 +32,107 @@ class DispersionCategory(enum.Enum):
     HIGH = "high"
 
 
+def _check_granularity(granularity: float) -> None:
+    if not (granularity > 0 and math.isfinite(granularity)):
+        raise ValueError(f"granularity must be positive and finite, got {granularity}")
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(eq=False, frozen=True)
 class PopularityRecord:
     """Per-position request counts over a fixed grid of position bins.
 
     granularity: seconds of content per position bin.
-    counts: int64 vector of length T (the horizon); counts[p] is the
-        number of requests covering bin p.
+    counts: `array('q')` of length T (the horizon); counts[p] is the
+        number of requests covering bin p. Treat it as read-only.
+    support: `int` bitset with bit p set when counts[p] > 0.
+    mass: total count M.
+
+    The constructor derives support and mass from the counts; `empty`,
+    `with_request` and `merge_records` build them by OR and sum instead.
     """
 
     granularity: float
-    counts: np.ndarray
+    counts: array
+    support: int = field(init=False, repr=False)
+    mass: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.granularity <= 0:
-            raise ValueError("granularity must be positive")
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ValueError("counts must be a one-dimensional vector")
-        if counts.size and counts.min() < 0:
+        _check_granularity(self.granularity)
+        try:
+            counts = array("q", self.counts)
+        except TypeError:
+            raise ValueError("counts must be a one-dimensional sequence of integers") from None
+        if counts and min(counts) < 0:
             raise ValueError("counts must be non-negative")
+        # The binary numeral of the support: one digit per bin, last bin first.
+        nonzero = bytes(map(bool, counts))[::-1].translate(_BIT_DIGITS)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "support", int(nonzero, 2) if nonzero else 0)
+        object.__setattr__(self, "mass", sum(counts))
+
+    @classmethod
+    def _of(cls, granularity: float, counts: array, support: int, mass: int):
+        """A record whose support and mass the caller has already derived."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "granularity", granularity)
+        object.__setattr__(record, "counts", counts)
+        object.__setattr__(record, "support", support)
+        object.__setattr__(record, "mass", mass)
+        return record
 
     @property
     def horizon(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def mass(self) -> int:
-        """Total retrieved amount M."""
-        return int(self.counts.sum())
+        return len(self.counts)
 
     def distinct_positions(self) -> int:
-        return int(np.count_nonzero(self.counts))
+        return self.support.bit_count()
 
     def support_mass(self) -> tuple[int, int]:
-        """(support, M): an `int` bitset with bit p set when counts[p] > 0,
-        and the total mass. Greedy selection reads only these two."""
-        bits = np.packbits(self.counts > 0, bitorder="little")
-        return int.from_bytes(bits.tobytes(), "little"), self.mass
+        """(support, M), the two numbers greedy selection reads."""
+        return self.support, self.mass
+
+    def with_request(self, lo: int, hi: int) -> "PopularityRecord":
+        """This record plus one request covering bins [lo, hi)."""
+        if not 0 <= lo <= hi <= len(self.counts):
+            raise ValueError(f"bins [{lo}, {hi}) outside [0, {len(self.counts)})")
+        if lo == hi:
+            return self
+        counts = self.counts[:]
+        counts[lo:hi] = array("q", [q + 1 for q in counts[lo:hi]])
+        support = self.support | ((1 << hi) - (1 << lo))
+        return self._of(self.granularity, counts, support, self.mass + hi - lo)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Sparse (position, count) pairs in position order."""
-        for p in np.flatnonzero(self.counts):
-            yield int(p), int(self.counts[p])
+        return compress(enumerate(self.counts), self.counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PopularityRecord):
             return NotImplemented
-        return self.granularity == other.granularity and np.array_equal(
-            self.counts, other.counts
-        )
+        return self.granularity == other.granularity and self.counts == other.counts
 
     @classmethod
     def empty(cls, granularity: float, horizon: int) -> "PopularityRecord":
-        return cls(granularity, np.zeros(horizon, dtype=np.int64))
+        _check_granularity(granularity)
+        return cls._of(granularity, array("q", bytes(8 * horizon)), 0, 0)
 
     @classmethod
     def from_pairs(
         cls, granularity: float, horizon: int, pairs: Iterable[tuple[int, int]]
     ) -> "PopularityRecord":
-        counts = np.zeros(horizon, dtype=np.int64)
+        counts = array("q", bytes(8 * horizon))
         for p, q in pairs:
+            p = _integer(p, "position")
             if not 0 <= p < horizon:
                 raise ValueError(f"position {p} outside [0, {horizon})")
-            counts[p] += q
+            counts[p] += _integer(q, f"count at position {p}")
         return cls(granularity, counts)
 
     def to_dict(self) -> dict:
@@ -139,15 +179,14 @@ def popularity(workload: Workload, granularity: float) -> PopularityRecord:
 
     A request [start, end) covers bin p when start <= p * granularity < end.
     """
-    if granularity <= 0:
-        raise ValueError("granularity must be positive")
+    _check_granularity(granularity)
     if granularity > workload.object_length:
         raise ValueError("granularity exceeds object length")
     horizon = int(math.ceil(workload.object_length / granularity - kernels._CEIL_GUARD))
     reqs = list(workload.iter_requests())
-    starts = np.array([r.start_pos for r in reqs], dtype=np.float64)
-    ends = np.array([r.end_pos for r in reqs], dtype=np.float64)
-    counts = kernels.coverage_counts(starts, ends, granularity, horizon)
+    counts = kernels.coverage_counts(
+        [r.start_pos for r in reqs], [r.end_pos for r in reqs], granularity, horizon
+    )
     return PopularityRecord(granularity, counts)
 
 
@@ -200,10 +239,18 @@ def merge_records(
     for r in records[1:]:
         if r.granularity != first.granularity or r.horizon != first.horizon:
             raise ValueError("records disagree on granularity or horizon")
-    counts = np.zeros(first.horizon, dtype=np.int64)
+    mass = sum(r.mass for r in records)
+    if mass >> 63:
+        raise OverflowError("merged counts do not fit in int64")
+    # Each counts array reads as one integer of 64-bit fields. No bin sum
+    # exceeds the total mass, below 2**63, so no field carries into the
+    # next and one integer addition per record adds every bin.
+    packed = support = 0
     for r in records:
-        counts += r.counts
-    return PopularityRecord(first.granularity, counts)
+        packed += int.from_bytes(r.counts, sys.byteorder)
+        support |= r.support
+    counts = array("q", packed.to_bytes(8 * first.horizon, sys.byteorder))
+    return PopularityRecord._of(first.granularity, counts, support, mass)
 
 
 def make_report(record: PopularityRecord, n: float) -> DispersionReport:

@@ -109,9 +109,10 @@ class SelectionOutcome:
 
 
 def _check_shapes(own: PopularityRecord, candidates: Sequence[CandidateInfo]) -> None:
+    horizon = len(own.counts)
     for c in candidates:
         r = c.popularity_record
-        if r.granularity != own.granularity or r.horizon != own.horizon:
+        if r.granularity != own.granularity or len(r.counts) != horizon:
             raise ValueError(
                 f"record of {c.peer_id} disagrees on granularity or horizon with own record"
             )

@@ -872,7 +872,7 @@ class _Engine:
         record = peer.popularity_record
         lo, hi = kernels.bin_span(req.start_pos, req.end_pos, self.granularity, record.horizon)
         if hi > lo:
-            record.counts[lo:hi] += 1
+            peer.popularity_record = record.with_request(lo, hi)
 
     def _on_request(self, pid: str, idx: int) -> bool:
         peer = self.peers[pid]

@@ -113,7 +113,7 @@ class TestPopularity:
     def test_full_sequential_retrieval(self):
         w = simple_workload([(0.0, 120.0)])
         rec = popularity(w, 1.0)
-        assert (rec.counts == 1).all()
+        assert all(q == 1 for q in rec.counts)
 
     def test_empty_workload(self):
         w = Workload(120.0, 1000.0, (), 10.0)
@@ -203,6 +203,33 @@ class TestMerge:
         assert dict(merged.items()) == {0: 3, 1: 1}
         assert merged.mass == 4
 
+    def test_carried_support_and_mass_match_recount(self):
+        # merge_records and with_request build support and mass by OR and
+        # sum; the constructor derives them from the counts.
+        rng = random.Random(12)
+        for _ in range(50):
+            recs = [
+                record(
+                    [(rng.randrange(80), rng.randint(1, 5)) for _ in range(rng.randint(0, 6))],
+                    horizon=80,
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            lo = rng.randrange(81)
+            for rec in (merge_records(recs), recs[0].with_request(lo, rng.randint(lo, 80))):
+                recount = PopularityRecord(rec.granularity, rec.counts)
+                assert (rec.support, rec.mass) == (recount.support, recount.mass)
+                assert rec.support == sum(1 << p for p, q in enumerate(rec.counts) if q)
+
+    def test_merge_past_int64_rejected(self):
+        # Bins are summed as 64-bit fields of one integer, which holds only
+        # while the total mass stays below 2**63.
+        half = PopularityRecord(1.0, [0, 2**62])
+        below = PopularityRecord(1.0, [0, 2**62 - 1])
+        assert merge_records([half, below]).counts.tolist() == [0, 2**63 - 1]
+        with pytest.raises(OverflowError):
+            merge_records([half, half])
+
     def test_mismatched_shapes_rejected(self):
         a = record([(0, 1)], horizon=8)
         b = record([(0, 1)], horizon=16)
@@ -245,3 +272,31 @@ class TestReports:
             PopularityRecord(1.0, np.array([1, -1]))
         with pytest.raises(ValueError):
             PopularityRecord(0.0, np.array([1]))
+
+    def test_with_request_adds_one_over_its_bins(self):
+        rec = record([(0, 2), (3, 1)], horizon=5)
+        assert rec.with_request(1, 4).counts.tolist() == [2, 1, 1, 2, 0]
+        assert rec.with_request(2, 2) is rec
+        assert rec.counts.tolist() == [2, 0, 0, 1, 0]
+        for lo, hi in ((-1, 2), (3, 2), (0, 6)):
+            with pytest.raises(ValueError, match="outside"):
+                rec.with_request(lo, hi)
+
+    @pytest.mark.parametrize("granularity", [math.nan, math.inf])
+    def test_granularity_must_be_finite(self, granularity):
+        with pytest.raises(ValueError, match="^granularity must be positive and finite"):
+            PopularityRecord(granularity, [1])
+        with pytest.raises(ValueError, match="^granularity must be positive and finite"):
+            PopularityRecord.empty(granularity, 4)
+
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ValueError, match="^counts must be a one-dimensional sequence of int"):
+            PopularityRecord(1.0, [1.7, 2.2])
+
+    def test_from_pairs_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match="^count at position 1 must be an integer, got 2.5$"):
+            PopularityRecord.from_pairs(1.0, 4, [(1, 2.5)])
+
+    def test_from_pairs_fractional_position_rejected(self):
+        with pytest.raises(ValueError, match="^position must be an integer, got 1.5$"):
+            PopularityRecord.from_pairs(1.0, 4, [(1.5, 2)])

@@ -1,11 +1,15 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import PLAYBACK, sim_config, small_swarm
-from swarmsim import sim
+from swarmsim import kernels, sim
 from swarmsim.errors import ConfigError, InvariantError
 from swarmsim.policies import PolicyKind, PolicySpec
 from swarmsim.sim import (
@@ -281,6 +285,25 @@ class TestRun:
         finally:
             gc.enable()
 
+    def test_runs_without_numpy(self):
+        # Importing the package and the CLI, a dispersion-greedy run and a
+        # popularity count load no numpy, in a fresh interpreter.
+        code = (
+            "import sys\n"
+            "import swarmsim, swarmsim.cli\n"
+            "from conftest import hi_workload, sim_config\n"
+            "from swarmsim import metrics, sim, workload\n"
+            "sim.run(sim_config('dispersiongreedy', seed=1, sessions=10))\n"
+            "metrics.popularity(workload.generate_workload(hi_workload(10)), 1.0)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+        )
+        paths = [str(Path(sim.__file__).parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_lingering_uploaders_keep_invariants(self):
         cfg = sim_config(
             "titfortat",
@@ -316,6 +339,29 @@ class TestEngineState:
         read = kind in (PolicyKind.GIVE_TO_GET, PolicyKind.DISPERSION_GREEDY)
         for field in ("block_source", "forward_accum", "forward_snapshot"):
             assert any(getattr(peer, field) for peer in alive) == read, field
+
+    def test_record_support_and_mass_match_requests(self):
+        # Each peer's record carries its support and mass; both must agree
+        # with a recount of its counts and with the bin spans of the
+        # requests it issued, in order, from its first.
+        engine = sim._Engine(sim_config("dispersiongreedy", seed=3, sessions=30))
+        engine.setup()
+        engine.loop()
+        leechers = [peer for peer in engine.peers.values() if peer.session is not None]
+        assert leechers and all(peer.requests_made > 0 for peer in leechers)
+        for peer in leechers:
+            record = peer.popularity_record
+            counts = record.counts.tolist()
+            expect = [0] * record.horizon
+            for req in peer.session.requests[: peer.requests_made]:
+                lo, hi = kernels.bin_span(
+                    req.start_pos, req.end_pos, record.granularity, record.horizon
+                )
+                for p in range(lo, hi):
+                    expect[p] += 1
+            assert counts == expect, peer.peer_id
+            support = sum(1 << p for p, q in enumerate(counts) if q)
+            assert (record.support, record.mass) == (support, sum(counts)), peer.peer_id
 
 
 def _finish_time(link):
