@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import heapq
 import json
 import math
 import multiprocessing
@@ -51,6 +52,8 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}")
+    if parser.defaults():
+        raise ConfigError(f"config {path}: [DEFAULT] would add its keys to every section")
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
@@ -82,8 +85,33 @@ def _parse_capacity_classes(raw: str) -> tuple[CapacityClass, ...]:
     return tuple(classes)
 
 
+# The keys build_sim_config reads, by section. Any other is rejected: a
+# typo would leave a default in place without a word.
+_SIM_KEYS = {
+    "content": ("playback_rate", "piece_size", "block_size"),
+    "workload": ("trace", "profile", "sessions", "object_length", "mean_session_gap",
+                 "mean_intra_gap", "start_skew"),
+    "swarm": ("unchoke_interval", "optimistic_interval", "neighbourhood_min",
+              "neighbourhood_max", "neighbourhood_target", "neighbourhood_floor",
+              "pipeline_depth", "regular_slots", "optimistic_slots", "tracker_list_size",
+              "tracker_update_interval"),
+    "policy": ("kind", "n"),
+    "run": ("seed", "horizon", "capacity_classes", "check_invariants", "initial_seeds",
+            "startup_pieces", "linger_fraction"),
+}
+
+
+def _check_known(kind: str, name: str, known) -> None:
+    if name not in known:
+        raise ConfigError(f"unknown {kind} {name!r}; expected one of {', '.join(known)}")
+
+
 def build_sim_config(sections: dict[str, dict[str, str]], **overrides) -> SimConfig:
     """Assemble a SimConfig from INI sections plus flag overrides."""
+    for section, entries in sections.items():
+        _check_known("config section", section, _SIM_KEYS)
+        for key in entries:
+            _check_known(f"[{section}] key", key, _SIM_KEYS[section])
     playback_rate = _get(sections, "content", "playback_rate", float, DEFAULT_PLAYBACK_RATE)
     piece_size = _get(sections, "content", "piece_size", int, 262144)
     block_size = _get(sections, "content", "block_size", int, 16384)
@@ -243,7 +271,7 @@ def cmd_generate(args) -> int:
 def _analyze_report(workload: Workload, granularity: float, top: int) -> dict:
     record = metrics.popularity(workload, granularity)
     report = metrics.make_report(record, metrics.temporal_dispersion(workload).n)
-    pairs = sorted(record.items(), key=lambda pq: (-pq[1], pq[0]))[:top]
+    pairs = heapq.nsmallest(top, record.items(), key=lambda pq: (-pq[1], pq[0]))
     out = {
         "sessions": len(workload.sessions),
         "requests": workload.total_requests(),
@@ -348,6 +376,11 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     sections = _read_ini(path)
     if "experiment" not in sections:
         raise ConfigError("experiment spec needs an [experiment] section")
+    for name in sections:
+        if not name.startswith("label:"):
+            _check_known("experiment spec section", name, ("experiment", "defaults", "label:..."))
+    for key in sections["experiment"]:
+        _check_known("[experiment] key", key, ("base_seed", "repetitions"))
     base_seed = _get(sections, "experiment", "base_seed", int, 0)
     repetitions = _get(sections, "experiment", "repetitions", int, 1)
     defaults = sections.get("defaults", {})

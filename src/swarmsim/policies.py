@@ -176,12 +176,7 @@ def select_neighbors_greedy(
 
 def evaluate_set_dispersion(own: PopularityRecord, chosen: Sequence[CandidateInfo]) -> float:
     """Spatial dispersion of the node's record merged with a candidate set."""
-    merged = merge_records(
-        [own, *(c.popularity_record for c in chosen)],
-        granularity=own.granularity,
-        horizon=own.horizon,
-    )
-    return spatial_dispersion(merged)
+    return spatial_dispersion(merge_records([own, *(c.popularity_record for c in chosen)]))
 
 
 def capacity_check_and_reselect(

@@ -554,8 +554,6 @@ class _Engine:
             update_interval=cfg.swarm.tracker_update_interval,
             list_size=cfg.swarm.tracker_list_size,
         )
-        self.total_uploaded = 0
-        self.total_downloaded = 0
         self.events: list[dict] | None = [] if cfg.record_events else None
         # Set by every change to links, have-maps or wanted sets; read by
         # the invariant check to decide whether to recount.
@@ -564,7 +562,6 @@ class _Engine:
         self._piece_bits: list[int] | None = None
         # Links whose window holds bytes since the last unchoke tick.
         self._windowed: list[_Link] = []
-        self.granularity = self.content.piece_duration
         self._yang = cfg.policy.kind in _YANG_KINDS
         self._forward_credit = cfg.policy.kind in _FORWARD_CREDIT_KINDS
         # kind -> handler: plain functions of this engine's class, so that a
@@ -654,6 +651,15 @@ class _Engine:
             if handler(self, *payload) and check:
                 self._check_invariants()
         self.now = min(self.now, self.cfg.horizon)
+        if check:
+            uploaded, downloaded = self._byte_totals()
+            if uploaded != downloaded:
+                raise InvariantError(f"byte conservation broken: up={uploaded} down={downloaded}")
+
+    def _byte_totals(self) -> tuple[int, int]:
+        """Bytes uploaded and bytes downloaded, each summed over every peer."""
+        peers = self.peers.values()
+        return sum(p.uploaded for p in peers), sum(p.downloaded for p in peers)
 
     # -- peer lifecycle -----------------------------------------------------
 
@@ -664,8 +670,7 @@ class _Engine:
         peer = self.peers[pid]
         peer.joined = True
         peer.alive = True
-        candidates = tracker_join(self.tracker, pid, self.now, self.rng)
-        candidates = [c for c in candidates if self.peers[c].alive]
+        candidates = tracker_join(self.tracker, pid, self.rng)
         if peer.session is not None:
             first = peer.session.requests[0]
             self._record_request_coverage(peer, first)
@@ -700,18 +705,17 @@ class _Engine:
 
     def _holder_view(self, holder: _RunPeer, requester: _RunPeer) -> HolderView:
         """A request-target baseline's view of a holder."""
-        link = requester.links.get(holder.peer_id)
         return HolderView(
             peer_id=holder.peer_id,
             buffer_summary=holder.have,
             join_time=holder.join_time,
             queue_length=holder.queue_length,
-            requests_sent_to=link.requests_sent if link is not None else 0,
+            requests_sent_to=requester.links[holder.peer_id].requests_sent,
         )
 
     def _form_neighbourhood(self, peer: _RunPeer, candidates: list[str]) -> list[str]:
         target = self.swarm.target
-        if not candidates or target == 0:
+        if not candidates:
             return []
         if (
             self.cfg.policy.kind is PolicyKind.DISPERSION_GREEDY
@@ -746,16 +750,12 @@ class _Engine:
         records = [peer.popularity_record] + [
             self.peers[s].popularity_record for s in selected
         ]
-        merged = merge_records(
-            records, granularity=self.granularity, horizon=records[0].horizon
-        )
+        merged = merge_records(records)
         if merged.mass == 0:
             return None
         return make_report(merged, self._request_rate(peer))
 
     def _connect(self, a: _RunPeer, b: _RunPeer) -> None:
-        if a.peer_id == b.peer_id or b.peer_id in a.neighbourhood:
-            return
         a.neighbourhood.add(b.peer_id)
         b.neighbourhood.add(a.peer_id)
         add_replicas(a.replicas, b.have)
@@ -764,23 +764,19 @@ class _Engine:
 
     def _refill_neighbourhood(self, peer: _RunPeer) -> None:
         """Top `peer`'s neighbourhood up toward the target with fresh tracker
-        candidates once fewer than `neighbourhood_floor` neighbours are alive."""
-        peers = self.peers
-        if sum(1 for n in peer.neighbourhood if peers[n].alive) >= self.swarm.neighbourhood_floor:
+        candidates once it holds fewer than `neighbourhood_floor` peers."""
+        if len(peer.neighbourhood) >= self.swarm.neighbourhood_floor:
             return
         fresh = tracker_refill(self.tracker, peer.peer_id, peer.neighbourhood, self.rng)
         needed = self.swarm.target - len(peer.neighbourhood)
         for other in fresh[: max(needed, 0)]:
-            self._connect(peer, peers[other])
+            self._connect(peer, self.peers[other])
 
     def _on_departure(self, pid: str) -> bool:
         peer = self.peers[pid]
-        if not peer.alive or peer.lingering:
-            return False
         peer.qos_cutoff = self.now
         if (
-            peer.session is not None
-            and self.cfg.linger_as_seed_fraction > 0
+            self.cfg.linger_as_seed_fraction > 0
             and self.rng.random() < self.cfg.linger_as_seed_fraction
         ):
             # Stays as an uploader of what it holds; stops requesting.
@@ -795,9 +791,7 @@ class _Engine:
         self._cancel_downloads(peer)
         self._cancel_uploads(peer)
         for nid in sorted(peer.neighbourhood):
-            other = self.peers.get(nid)
-            if other is None or not other.alive:
-                continue
+            other = self.peers[nid]
             other.neighbourhood.discard(pid)
             remove_replicas(other.replicas, peer.have)
             other.regular_slots.discard(pid)
@@ -870,14 +864,12 @@ class _Engine:
 
     def _record_request_coverage(self, peer: _RunPeer, req: Request) -> None:
         record = peer.popularity_record
-        lo, hi = kernels.bin_span(req.start_pos, req.end_pos, self.granularity, record.horizon)
+        lo, hi = kernels.bin_span(req.start_pos, req.end_pos, record.granularity, record.horizon)
         if hi > lo:
             peer.popularity_record = record.with_request(lo, hi)
 
     def _on_request(self, pid: str, idx: int) -> bool:
         peer = self.peers[pid]
-        if not peer.alive or peer.lingering or peer.session is None:
-            return False
         req = peer.session.requests[idx]
         if idx > 0:
             self._record_request_coverage(peer, req)
@@ -947,9 +939,9 @@ class _Engine:
     # -- neighbour interest and unchoking ------------------------------------
 
     def _wanting(self, ids: Iterable[str]) -> set[str]:
-        """The alive peers among `ids` that still want some piece."""
+        """The peers among `ids`, all alive, that still want some piece."""
         peers = self.peers
-        return {pid for pid in ids if peers[pid].alive and peers[pid].wanted}
+        return {pid for pid in ids if peers[pid].wanted}
 
     def _interested(self, peer: _RunPeer, wanting: set[str]) -> list[str]:
         """Neighbours that want a piece `peer` holds, in id order."""
@@ -990,10 +982,6 @@ class _Engine:
             peer.regular_slots = set(regular)
             if peer.optimistic_slot in peer.regular_slots:
                 peer.optimistic_slot = None
-            if peer.optimistic_slot is not None:
-                opt = peer.optimistic_slot
-                if not self.peers[opt].alive or opt not in peer.neighbourhood:
-                    peer.optimistic_slot = None
             self._apply_slot_diff(peer, old, peer.unchoked_set())
         for link in self._windowed:
             link.window = 0
@@ -1037,8 +1025,6 @@ class _Engine:
             self._choke(peer, self.peers[rid], cancel=False)
         for rid in sorted(new - old):
             dl = self.peers[rid]
-            if not dl.alive:
-                continue
             dl.unchoked_by.add(peer.peer_id)
             self._fill_pipeline(dl, peer)
 
@@ -1057,14 +1043,13 @@ class _Engine:
         avail = dl.wanted & up.have & ~dl.owned
         if not avail:
             return None
-        piece = rarest_first(dl, dl.replicas, self.rng, among=avail)
-        if piece is None:
-            return None
+        # `up` is a neighbour holding all of `avail`, so the pick succeeds
+        piece = rarest_first(dl.replicas, avail, self.rng)
         if self._yang:
             holders = [
                 self._holder_view(holder, dl)
                 for holder in map(self.peers.__getitem__, sorted(dl.unchoked_by))
-                if holder.alive and holder.have >> piece & 1
+                if holder.have >> piece & 1
             ]
             if holders:
                 target = baseline_request_target(
@@ -1084,10 +1069,9 @@ class _Engine:
         unrequested blocks. While room is left, new pieces are then picked
         one at a time, after the owned ones whatever their number, until
         the pick fails or the picked piece has no unrequested block (it
-        stays owned all the same).
+        stays owned all the same). A departed, lingering or seed receiver
+        lists no unchoker, so the one guard turns it away.
         """
-        if not dl.alive or not up.alive or dl.session is None or dl.lingering:
-            return
         if up.peer_id not in dl.unchoked_by:
             return
         link = dl.links.get(up.peer_id)
@@ -1137,7 +1121,7 @@ class _Engine:
 
     def _service_channel(self, up: _RunPeer, link: _Link) -> None:
         """Start the next queued block on an idle link."""
-        if link.serving is not None or not link.queue:
+        if not link.queue:
             return
         link.serving = link.queue.popleft()
         piece, block = link.serving
@@ -1196,8 +1180,6 @@ class _Engine:
             nbytes = self._block_lengths[piece][block]
             up.uploaded += nbytes
             dl.downloaded += nbytes
-            self.total_uploaded += nbytes
-            self.total_downloaded += nbytes
             if not link.window:
                 self._windowed.append(link)
             link.window += nbytes
@@ -1261,10 +1243,6 @@ class _Engine:
     # -- invariants -----------------------------------------------------------
 
     def _check_invariants(self) -> None:
-        if self.total_uploaded != self.total_downloaded:
-            raise InvariantError(
-                f"byte conservation broken: up={self.total_uploaded} down={self.total_downloaded}"
-            )
         regular_cap = self.swarm.regular_slot_count
         total_cap = self.swarm.total_slots
         all_pieces = (1 << self.content.num_pieces) - 1
@@ -1278,7 +1256,9 @@ class _Engine:
             if len(peer.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
             # unchoked_by mirrors the senders' slots; a lingering receiver
-            # requests nothing and has dropped its list
+            # requests nothing and has dropped its list for good
+            if peer.lingering and peer.unchoked_by:
+                raise InvariantError(f"lingering {pid} lists an unchoker")
             for uid in peer.unchoked_by:
                 if uid not in alive or not alive[uid].unchokes(pid):
                     raise InvariantError(f"{pid} lists {uid} as unchoking it, but it does not")
@@ -1499,6 +1479,7 @@ class _Engine:
         qs = list(per_peer.values())
         rates = [q.download_rate for q in qs]
         formation_ds = [q.formation["d"] for q in qs if q.formation is not None]
+        uploaded, downloaded = self._byte_totals()
         seed_peers = [p for p in self.peers.values() if p.session is None and p.joined]
         seed_util = []
         for p in seed_peers:
@@ -1517,8 +1498,8 @@ class _Engine:
                 fairness(rates) if rates and any(r > 0 for r in rates) else None
             ),
             "formation_dispersion": _mean(formation_ds),
-            "uploaded_bytes": self.total_uploaded,
-            "downloaded_bytes": self.total_downloaded,
+            "uploaded_bytes": uploaded,
+            "downloaded_bytes": downloaded,
         }
         return QoSReport(
             seed=self.cfg.seed,

@@ -153,27 +153,20 @@ def remove_replicas(planes: list[int], pieces: int) -> None:
         planes.pop()
 
 
-def rarest_first(
-    peer: _RunPeer,
-    replicas: list[int],
-    rng: random.Random,
-    among: int | None = None,
-) -> int | None:
-    """Pick a missing piece with the fewest replicas among neighbours.
+def rarest_first(replicas: list[int], among: int, rng: random.Random) -> int | None:
+    """Pick the piece of `among` with the fewest replicas among neighbours.
 
     `replicas` holds the replica counts as bit planes (see the module
-    docstring). `among`, when given, is the candidate bitset (e.g. the
-    wanted region) and must exclude pieces the peer holds; by default
-    every piece missing from `peer.have` is a candidate, and `peer` is
-    read for nothing else. Pieces that no neighbour holds are not
-    candidates. Ties break uniformly at random with the run's generator,
-    over the tied pieces in ascending order. Returns None, drawing
-    nothing, when no neighbour holds a candidate.
+    docstring). `among` is the candidate bitset, e.g. the wanted pieces
+    the peer neither holds nor fetches. Pieces that no neighbour holds
+    are not candidates. Ties break uniformly at random with the run's
+    generator, over the tied pieces in ascending order. Returns None,
+    drawing nothing, when no neighbour holds a candidate.
     """
     held = 0
     for plane in replicas:
         held |= plane
-    tied = (~peer.have if among is None else among) & held
+    tied = among & held
     if not tied:
         return None
     # From the top plane down, keep the candidates whose count has a 0
@@ -249,21 +242,15 @@ class TrackerState:
     update_interval: float = 1800.0
     list_size: int = 40
     registry: dict[str, None] = field(default_factory=dict)
-    _last_join: float = field(default=-math.inf, repr=False)
 
 
-def tracker_join(
-    tracker: TrackerState, peer_id: str, now: float, rng: random.Random
-) -> list[str]:
+def tracker_join(tracker: TrackerState, peer_id: str, rng: random.Random) -> list[str]:
     """Register a peer and hand back a random list of other members."""
     if peer_id in tracker.registry:
         raise ValueError(f"{peer_id} already registered")
-    if now < tracker._last_join:
-        raise ValueError("join times must be non-decreasing")
     others = list(tracker.registry)
     sample = rng.sample(others, min(len(others), tracker.list_size))
     tracker.registry[peer_id] = None
-    tracker._last_join = now
     return sample
 
 

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmsim.cli import main
+from swarmsim import metrics
+from swarmsim.cli import _read_ini, build_sim_config, load_experiment_spec, main
 from swarmsim.workload import (
     GeneratorConfig,
     InteractivityProfile,
     generate_workload,
+    parse_trace,
     serialize_trace,
 )
 
@@ -189,6 +191,23 @@ class TestAnalyze:
         assert main(args + ["--top", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["top_positions"] == []
 
+    @pytest.mark.parametrize("top", [0, 1, 7, 10, 100])
+    def test_tied_top_positions_match_full_sort(self, tmp_path, capsys, top):
+        # Position p is requested 1 + p * 7 % 3 times, so every count is
+        # shared by many positions and ties fall to the lower position.
+        rows = [
+            f"c{p}x{j},{float(j)!r},{float(p)!r},{float(p + 1)!r},play"
+            for p in range(40)
+            for j in range(1 + p * 7 % 3)
+        ]
+        text = "# object_length=120 window=120\n" + HEADER + "\n" + "\n".join(rows) + "\n"
+        trace = write(tmp_path, "tied.csv", text)
+        assert main(["analyze", "--trace", trace, "--top", str(top)]) == 0
+        got = json.loads(capsys.readouterr().out)["top_positions"]
+        record = metrics.popularity(parse_trace(text), 1.0)
+        full = sorted(record.items(), key=lambda pq: (-pq[1], pq[0]))
+        assert got == [[p, q] for p, q in full[:top]]
+
 
 class TestSimulate:
     def test_minimal_run(self, tmp_path, capsys):
@@ -293,6 +312,23 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("[swarm]\n", "[swarm]\npipline_depth = 1\n", ("[swarm]", "pipline_depth")),
+            ("[policy]\n", "[polcy]\nkind = random\n[policy]\n", ("polcy",)),
+            ("[run]\n", "[run]\nlinger = 0.3\n", ("[run]", "linger")),
+            ("[content]\n", "[DEFAULT]\nhorizon = 600\n[content]\n", ("[DEFAULT]",)),
+        ],
+    )
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, capsys, old, new, named):
+        cfg = write(tmp_path, "sim.ini", SIM_INI.replace(old, new))
+        out = tmp_path / "qos.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = assert_one_line_error(capsys)
+        assert all(name in err for name in named)
+        assert not out.exists()
+
 
 class TestCompare:
     def test_two_labels_three_reps(self, tmp_path, capsys):
@@ -360,11 +396,44 @@ class TestCompare:
         spec = write(tmp_path, "exp.ini", "[experiment]\nbase_seed = 1\nrepetitions = 1\n")
         assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("repetitions = 3\n", "repetition = 3\n", ("[experiment]", "repetition")),
+            ("[label:random]\n", "[lable:random]\n", ("lable:random",)),
+            ("policy.kind = random\n", "policy.kind = random\npolcy.n = 3\n", ("polcy",)),
+            (
+                "run.horizon = 600\n",
+                "run.horizon = 600\nswarm.pipline_depth = 1\n",
+                ("[swarm]", "pipline_depth"),
+            ),
+        ],
+    )
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, capsys, old, new, named):
+        spec = write(tmp_path, "exp.ini", EXPERIMENT_INI.replace(old, new))
+        assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+        err = assert_one_line_error(capsys)
+        assert all(name in err for name in named)
+        assert not (tmp_path / "x").exists()
+
     def test_missing_spec_is_config_error(self, tmp_path, capsys):
         spec = str(tmp_path / "absent.ini")
         assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
         assert_one_line_error(capsys)
         assert not (tmp_path / "x").exists()
+
+
+def test_readme_ini_examples_parse(tmp_path):
+    # The README's simulate config and experiment spec, in that order.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```ini\n")[1:]]
+    assert len(blocks) == 2
+    sim_cfg = build_sim_config(_read_ini(write(tmp_path, "sim.ini", blocks[0])))
+    assert sim_cfg.policy.kind.value == "dispersiongreedy"
+    spec = load_experiment_spec(write(tmp_path, "exp.ini", blocks[1]))
+    assert spec.labels == ("greedy", "random")
+    for label in spec.labels:
+        build_sim_config(spec.configs[label], seed=spec.base_seed)
 
 
 @pytest.mark.parametrize("command", ["generate", "analyze"])

@@ -368,6 +368,24 @@ def _finish_time(link):
     return link.t_last + link.remaining / link.rate
 
 
+def _two_seed_engine(pipeline_depth):
+    """A hand-built swarm of two seeds and one leecher `c0`, linked to
+    both, that wants only piece 7 (four blocks)."""
+    cfg = single_leecher_config(
+        initial_seeds=2,
+        swarm=dataclasses.replace(small_swarm(), pipeline_depth=pipeline_depth),
+    )
+    engine = sim._Engine(cfg)
+    engine.setup()
+    for pid in ("seed00", "seed01", "c0"):
+        engine._on_arrival(pid)
+    s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
+    assert c0.neighbourhood == {"seed00", "seed01"}
+    c0.wanted = 1 << 7
+    engine._check_invariants()
+    return engine, s0, s1, c0
+
+
 def _reentry_engine():
     """A hand-built swarm where a cancelled block's piece is owned on
     another link, a case no simulated run has reached.
@@ -379,18 +397,7 @@ def _reentry_engine():
     (7, 1), leaving (7, 2) and (7, 3) unrequested. Returns the engine just before
     `seed00` departs and cancels (7, 0).
     """
-    cfg = single_leecher_config(
-        initial_seeds=2, swarm=dataclasses.replace(small_swarm(), pipeline_depth=1)
-    )
-    engine = sim._Engine(cfg)
-    engine.setup()
-    for pid in ("seed00", "seed01", "c0"):
-        engine._on_arrival(pid)
-    s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
-    assert c0.neighbourhood == {"seed00", "seed01"}
-    c0.wanted = 1 << 7
-    engine._check_invariants()
-
+    engine, s0, s1, c0 = _two_seed_engine(pipeline_depth=1)
     s0.regular_slots.add("c0")
     engine._apply_slot_diff(s0, set(), {"c0"})
     assert c0.links["seed00"].serving == (7, 0)
@@ -432,15 +439,48 @@ class TestRequestOrder:
         assert c0.have == 1 << 7
 
 
+class TestDepartingSender:
+    def test_frees_piece_owned_over_idle_link(self):
+        # `seed00` serves (7, 0)-(7, 2) and chokes `c0` while (7, 3) is in
+        # service. `seed01` then picks piece 7, finds no free block, and
+        # keeps it owned on a link it never queued a block on, so the link
+        # is not in its `channels`. Its departure must free the piece.
+        engine, s0, s1, c0 = _two_seed_engine(pipeline_depth=4)
+        s0.regular_slots.add("c0")
+        engine._apply_slot_diff(s0, set(), {"c0"})
+        link = c0.links["seed00"]
+        assert link.serving == (7, 0) and list(link.queue) == [(7, 1), (7, 2), (7, 3)]
+        for _ in range(3):
+            engine.now = _finish_time(link)
+            engine._on_block_complete(*s0.pending)
+            engine._check_invariants()
+        assert link.serving == (7, 3)
+        s0.regular_slots.discard("c0")
+        engine._apply_slot_diff(s0, {"c0"}, set())
+        s1.regular_slots.add("c0")
+        engine._apply_slot_diff(s1, set(), {"c0"})
+        idle = c0.links["seed01"]
+        assert idle.owned == c0.owned == 1 << 7 and "c0" not in s1.channels
+        engine._check_invariants()
+
+        engine._on_departure("seed01")
+        assert c0.owned == 0
+        engine._check_invariants()
+        engine.now = _finish_time(link)
+        engine._on_block_complete(*s0.pending)
+        assert c0.have == 1 << 7
+        engine._check_invariants()
+
+
 class TestInvariantMutations:
-    """Each test breaks one piece of link, neighbourhood or piece
+    """Each test breaks one piece of link, neighbourhood, piece or byte
     bookkeeping in the engine and expects the invariant check of a
     checked run to catch it."""
 
     @staticmethod
-    def run_checked(match):
+    def run_checked(match, seed=0):
         cfg = sim_config(
-            "titfortat", seed=0, sessions=30, linger_as_seed_fraction=0.3, check_invariants=True
+            "titfortat", seed=seed, sessions=30, linger_as_seed_fraction=0.3, check_invariants=True
         )
         with pytest.raises(InvariantError, match=match):
             run(cfg)
@@ -580,6 +620,40 @@ class TestInvariantMutations:
         monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_count)
         self.run_checked("blocks queued or in service")
 
+    def test_lingering_peer_keeps_unchokers(self, monkeypatch):
+        cancel = sim._Engine._cancel_downloads
+
+        def cancel_keeping_unchokers(self, peer):
+            unchoked_by = set(peer.unchoked_by)
+            cancel(self, peer)
+            if peer.lingering:
+                peer.unchoked_by |= unchoked_by
+
+        monkeypatch.setattr(sim._Engine, "_cancel_downloads", cancel_keeping_unchokers)
+        # At seed 0 no peer is unchoked when it starts to linger; at seed 1 one is.
+        self.run_checked("lingering .* lists an unchoker", seed=1)
+
+    def test_uncredited_block(self, monkeypatch):
+        on_block_complete = sim._Engine._on_block_complete
+        uncredited = []
+
+        def complete_uncredited(self, link, version):
+            # The first block delivered in a run is taken off its
+            # receiver's tally, and only there.
+            dl = self.peers[link.receiver]
+            before = dl.downloaded
+            handled = on_block_complete(self, link, version)
+            if dl.downloaded > before and not uncredited:
+                uncredited.append(dl.downloaded - before)
+                dl.downloaded = before
+            return handled
+
+        monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_uncredited)
+        self.run_checked("byte conservation broken")
+        uncredited.clear()
+        agg = run(sim_config("titfortat", seed=0, sessions=30)).report.aggregate
+        assert agg["uploaded_bytes"] - agg["downloaded_bytes"] == uncredited[0] > 0
+
     def test_cancelled_block_left_requested(self):
         # (7, 0) keeps its requested bit after `seed00` cancels it, so
         # `seed01`, which owns piece 7, never requests it.
@@ -591,8 +665,6 @@ class TestInvariantMutations:
 
     def test_one_sided_connect(self, monkeypatch):
         def connect_one_sided(self, a, b):
-            if a.peer_id == b.peer_id or b.peer_id in a.neighbourhood:
-                return
             a.neighbourhood.add(b.peer_id)
             sim.add_replicas(a.replicas, b.have)
             self._maps_changed = True

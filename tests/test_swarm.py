@@ -88,15 +88,15 @@ class TestContentSpec:
 class TestTracker:
     def test_first_join_gets_empty_list(self):
         t = TrackerState()
-        assert tracker_join(t, "a", 0.0, random.Random(1)) == []
+        assert tracker_join(t, "a", random.Random(1)) == []
         assert "a" in t.registry
 
     def test_small_registry_returned_whole(self):
         t = TrackerState(list_size=40)
         rng = random.Random(1)
-        for i, pid in enumerate(["a", "b", "c"]):
-            tracker_join(t, pid, float(i), rng)
-        got = tracker_join(t, "d", 3.0, rng)
+        for pid in ["a", "b", "c"]:
+            tracker_join(t, pid, rng)
+        got = tracker_join(t, "d", rng)
         assert sorted(got) == ["a", "b", "c"]
 
     def test_sample_reproducible_by_seed(self):
@@ -104,8 +104,8 @@ class TestTracker:
             t = TrackerState(list_size=40)
             rng = random.Random(seed)
             for i in range(100):
-                tracker_join(t, f"p{i:03d}", float(i), rng)
-            return tracker_join(t, "newcomer", 100.0, rng)
+                tracker_join(t, f"p{i:03d}", rng)
+            return tracker_join(t, "newcomer", rng)
 
         first = sample(7)
         assert len(first) == 40
@@ -115,15 +115,15 @@ class TestTracker:
     def test_duplicate_join_rejected(self):
         t = TrackerState()
         rng = random.Random(1)
-        tracker_join(t, "a", 0.0, rng)
+        tracker_join(t, "a", rng)
         with pytest.raises(ValueError):
-            tracker_join(t, "a", 1.0, rng)
+            tracker_join(t, "a", rng)
 
     def test_refill_excludes_neighbours(self):
         t = TrackerState(list_size=40)
         rng = random.Random(3)
         for i in range(30):
-            tracker_join(t, f"p{i:02d}", float(i), rng)
+            tracker_join(t, f"p{i:02d}", rng)
         exclude = {f"p{i:02d}" for i in range(20)}
         got = tracker_refill(t, "p00", exclude, rng)
         assert set(got) == {f"p{i:02d}" for i in range(20, 30)}
@@ -135,22 +135,23 @@ class TestTracker:
     def test_refill_no_candidates(self):
         t = TrackerState()
         rng = random.Random(1)
-        tracker_join(t, "a", 0.0, rng)
+        tracker_join(t, "a", rng)
         assert tracker_refill(t, "a", set(), rng) == []
 
     def test_leave_removes_entry(self):
         t = TrackerState()
         rng = random.Random(1)
-        tracker_join(t, "a", 0.0, rng)
+        tracker_join(t, "a", rng)
         tracker_leave(t, "a")
         assert "a" not in t.registry
 
 
 class TestRarestFirst:
-    def _leecher(self, have_pieces=()):
-        p = leecher()
-        p.have = bits(have_pieces)
-        return p
+    ALL = (1 << CONTENT.num_pieces) - 1
+
+    def _missing(self, have_pieces=()):
+        """The candidate bitset of a peer holding `have_pieces`."""
+        return self.ALL & ~bits(have_pieces)
 
     def _have_map(self, pieces):
         return bits(pieces)
@@ -162,30 +163,25 @@ class TestRarestFirst:
         return planes
 
     def test_single_available_piece(self):
-        p = self._leecher(have_pieces=range(1, 10))
         replicas = self._replicas([self._have_map([0])])
-        assert rarest_first(p, replicas, random.Random(1)) == 0
+        assert rarest_first(replicas, self._missing(range(1, 10)), random.Random(1)) == 0
 
     def test_nothing_missing(self):
-        p = self._leecher(have_pieces=range(10))
         replicas = self._replicas([self._have_map(range(10))])
-        assert rarest_first(p, replicas, random.Random(1)) is None
+        assert rarest_first(replicas, self._missing(range(10)), random.Random(1)) is None
 
     def test_no_neighbour_has_anything(self):
-        p = self._leecher()
         replicas = self._replicas([self._have_map([])])
-        assert rarest_first(p, replicas, random.Random(1)) is None
+        assert rarest_first(replicas, self._missing(), random.Random(1)) is None
 
     def test_pieces_no_neighbour_holds_are_skipped(self):
         # Replica counts are 0 for every missing piece but 3 (two holders)
         # and 7 (one holder), so the zero counts must not win the minimum.
-        p = self._leecher()
         replicas = self._replicas([self._have_map([3, 7]), self._have_map([3])])
-        assert rarest_first(p, replicas, random.Random(1)) == 7
+        assert rarest_first(replicas, self._missing(), random.Random(1)) == 7
 
     def test_minimum_replica_count_wins(self):
         # Replica counts for pieces 0..3 are [3, 1, 2, 1].
-        p = self._leecher(have_pieces=range(4, 10))
         maps = [
             self._have_map([0, 2]),
             self._have_map([0, 1, 2]),
@@ -199,52 +195,51 @@ class TestRarestFirst:
         tied = {k for k, v in oracle.items() if v == best}
         assert tied == {1, 3}
         replicas = self._replicas(maps)
+        among = self._missing(range(4, 10))
         seen = set()
         for seed in range(40):
-            choice = rarest_first(p, replicas, random.Random(seed))
+            choice = rarest_first(replicas, among, random.Random(seed))
             assert choice in tied
             seen.add(choice)
         assert seen == tied
 
     def test_among_mask_restricts(self):
-        p = self._leecher()
-        among = bits([5])
         replicas = self._replicas([self._have_map(range(10))])
-        assert rarest_first(p, replicas, random.Random(1), among=among) == 5
+        assert rarest_first(replicas, bits([5]), random.Random(1)) == 5
 
     def test_deterministic_given_seed(self):
-        p = self._leecher()
         replicas = self._replicas([self._have_map(range(10))])
-        picks = {rarest_first(p, replicas, random.Random(9)) for _ in range(5)}
+        picks = {rarest_first(replicas, self._missing(), random.Random(9)) for _ in range(5)}
         assert len(picks) == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_numpy_oracle(self, seed):
         # Same piece and same draws as the numpy pick, over random maps:
         # up to 300 pieces, 0-12 neighbours, sparse to dense holdings, and
-        # with or without an `among` mask.
+        # every missing piece or a random subset of them as candidates.
         rng = random.Random(seed)
         for _ in range(150):
             n = rng.randint(1, 300)
-            content = ContentSpec(total_size=n * 65536, piece_size=65536, block_size=16384)
             density = rng.random()
             maps = [
                 bits(k for k in range(n) if rng.random() < density)
                 for _ in range(rng.randint(0, 12))
             ]
-            p = leecher(content)
-            p.have = bits(k for k in range(n) if rng.random() < 0.4)
+            have = bits(k for k in range(n) if rng.random() < 0.4)
+            missing = ((1 << n) - 1) & ~have
             among = None
             if rng.random() < 0.5:
-                among = bits(k for k in range(n) if rng.random() < 0.5) & ~p.have
+                among = bits(k for k in range(n) if rng.random() < 0.5) & missing
             counts = np.sum([bool_map(m, n) for m in maps], axis=0, dtype=np.int64)
             if not maps:
                 counts = np.zeros(n, dtype=np.int64)
             draw = rng.getrandbits(32)
             got_rng, want_rng = random.Random(draw), random.Random(draw)
-            got = rarest_first(p, self._replicas(maps), got_rng, among=among)
+            got = rarest_first(
+                self._replicas(maps), missing if among is None else among, got_rng
+            )
             want = numpy_rarest_first(
-                bool_map(p.have, n),
+                bool_map(have, n),
                 counts,
                 want_rng,
                 among=None if among is None else bool_map(among, n),
