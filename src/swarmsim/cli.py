@@ -3,8 +3,9 @@
 Configuration files are flat INI (key = value under sections); flags
 override file values. All randomness derives from --seed / base_seed, so
 reruns with the same inputs produce byte-identical outputs. Exit codes:
-0 success, 1 usage or config error, 2 input data error, 3 internal
-invariant violation.
+0 success, also when standard output closes before all is written, 1
+usage or config error, 2 input data error, 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -544,7 +545,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output went away, as `| head -1` does. The
+        # rest of the output is dropped: stdout now points at devnull, so
+        # the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

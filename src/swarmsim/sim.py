@@ -11,11 +11,13 @@ state. Transfers share each sender's upload capacity equally across its
 busy slots. Whenever the share changes, every active transfer of the
 sender moves to the new rate, and only the one that finishes first (ties
 broken by receiver id) holds a completion event: a busy sender has
-exactly one pending completion. All state of one direction of a peer
-pair (queued blocks, the block in service and its transfer progress,
-requests, bytes in the current unchoke window) lives in one link record
-that both peers share, with the bitset of the pieces the receiver owns on
-it. The receiver keeps two block bitsets per begun piece, the blocks still
+exactly one pending completion. Each sender keeps the list of its links
+with a block in service, which a reshare walks; a block starting,
+finishing or being cancelled is the only change to it. All state of one
+direction of a peer pair (queued blocks, the block in service and its
+transfer progress, requests, bytes in the current unchoke window) lives
+in one link record that both peers share, with the bitset of the pieces
+the receiver owns on it. The receiver keeps two block bitsets per begun piece, the blocks still
 missing and the blocks requested, so a link's unrequested blocks are
 derived, never stored: a refill takes the lowest missing and unrequested
 blocks of the link's owned pieces in ascending piece order, and picks a
@@ -325,10 +327,11 @@ class _Link:
     Both ends hold the same record. The receiver keeps it in `links`
     until it stops requesting, since lrp reads `requests_sent`; the
     sender keeps it in `channels` while a block is queued or in service
-    on it. The block in service moves at `rate` and had `remaining`
-    bytes left at `t_last`. Every reshare and every cancel bumps
-    `version`, so a completion event whose version is not the link's
-    current one is stale.
+    on it, and in its `in_service` list while a block is in service. The
+    block in service moves at `rate` and had `remaining` bytes left at
+    `t_last`. Every reshare and every cancel bumps `version`, so a
+    completion event whose version is not the link's current one is
+    stale.
 
     The pipeline holds the queued blocks plus the block in service.
     `owned` is the bitset of the pieces the receiver fetches over this
@@ -398,7 +401,12 @@ class _RunPeer:
     blocks queued or in service on a link toward this peer; a zero entry
     is deleted. `owned` is the OR of the links' `owned` bitsets.
     `queue_length` counts the blocks queued or in service on the links in
-    `channels`, which llp reads.
+    `channels`, which llp reads. `in_service` lists the links of
+    `channels` that have a block in service, in no set order: a block
+    starting in `_Engine._service_channel` appends its link, and a block
+    finishing in `_Engine._on_block_complete` or cancelled in
+    `_Engine._choke` removes it. While the list is not empty, `pending`
+    holds the payload of the sender's one pending completion.
 
     Slots keep each record small: from 30 attributes on, CPython gives
     an instance its own dict, about five times the memory of the slots.
@@ -408,7 +416,7 @@ class _RunPeer:
         "peer_id", "session", "upload_capacity", "join_time", "have", "partial",
         "neighbourhood", "regular_slots", "optimistic_slot", "popularity_record",
         "joined", "alive", "lingering", "qos_cutoff",
-        "channels", "queue_length", "pending", "forward_accum", "forward_snapshot",
+        "channels", "in_service", "queue_length", "pending", "forward_accum", "forward_snapshot",
         "unchoked_by", "links", "requested", "owned", "block_source", "wanted", "replicas",
         "requests_made", "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
@@ -435,9 +443,11 @@ class _RunPeer:
         self.alive = False
         self.lingering = False
         self.qos_cutoff: float | None = None
-        # upload side: busy links by receiver, and the payload of the one
-        # pending completion event while any transfer is in service
+        # upload side: busy links by receiver, those with a block in
+        # service, and the payload of the one pending completion event
+        # while any transfer is in service
         self.channels: dict[str, _Link] = {}
+        self.in_service: list[_Link] = []
         self.queue_length = 0
         self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
@@ -549,6 +559,7 @@ class _Engine:
         self.now = 0.0
         self.seq = 0
         self.heap: list = []
+        self._pipeline_depth = cfg.swarm.pipeline_depth
         self.peers: dict[str, _RunPeer] = {}
         self.tracker = TrackerState(
             update_interval=cfg.swarm.tracker_update_interval,
@@ -848,6 +859,7 @@ class _Engine:
             dropped.append(link.serving)
             link.serving = None
             link.version += 1
+            up.in_service.remove(link)
         up.queue_length -= len(dropped)
         requested = dl.requested
         for piece, block in dropped:
@@ -1078,13 +1090,14 @@ class _Engine:
         if link is None:
             link = dl.links[up.peer_id] = _Link(up.peer_id, dl.peer_id)
         in_pipeline = len(link.queue) + (link.serving is not None and not link.pre_choke)
-        room = self.swarm.pipeline_depth - in_pipeline
+        room = self._pipeline_depth - in_pipeline
         if room <= 0:
             return
         partial = dl.partial
         requested = dl.requested
         all_blocks = self._all_blocks
-        new = []
+        queue = link.queue
+        added = room
         owned = link.owned
         while room:
             picked = not owned
@@ -1107,15 +1120,15 @@ class _Engine:
                 low = free & -free
                 free ^= low
                 asked |= low
-                new.append((piece, low.bit_length() - 1))
+                queue.append((piece, low.bit_length() - 1))
                 room -= 1
             requested[piece] = asked
-        if not new:
+        added -= room
+        if not added:
             return
         up.channels[dl.peer_id] = link
-        up.queue_length += len(new)
-        link.queue.extend(new)
-        link.requests_sent += len(new)
+        up.queue_length += added
+        link.requests_sent += added
         if link.serving is None:
             self._service_channel(up, link)
 
@@ -1132,21 +1145,24 @@ class _Engine:
         link.remaining = float(self._block_lengths[piece][block])
         link.t_last = self.now
         link.pre_choke = False
+        up.in_service.append(link)
         self._reshare_sender(up)
 
     def _reshare_sender(self, up: _RunPeer) -> None:
         """Split `up`'s capacity equally over its active transfers.
 
-        Each link with a block in service is charged the bytes sent at its
-        old rate and moves to the new share. Only the block that finishes
-        first, ties broken by receiver id, gets a completion event: a busy
-        sender has exactly one pending completion, whose payload
-        `up.pending` keeps. The version bump makes every earlier event of
-        the sender stale. Each handled completion reshares its sender, so
-        the next block's event is pushed then.
+        Each link of `up.in_service`, the links with a block in service,
+        is charged the bytes sent at its old rate and moves to the new
+        share. The list's order does not matter: each link's arithmetic
+        reads only its own fields, and the first block is chosen by
+        (finish time, receiver id). Only that block gets a completion
+        event: a busy sender has exactly one pending completion, whose
+        payload `up.pending` keeps. The version bump makes every earlier
+        event of the sender stale. Each handled completion reshares its
+        sender, so the next block's event is pushed then.
         """
         now = self.now
-        active = [link for link in up.channels.values() if link.serving is not None]
+        active = up.in_service
         if not active:
             up.pending = None
             return
@@ -1166,7 +1182,8 @@ class _Engine:
             ):
                 first, first_eta = link, eta
         up.pending = payload = (first, first.version)
-        self._schedule(first_eta, self._completion_handler, payload)
+        heapq.heappush(self.heap, (first_eta, self.seq, self._completion_handler, payload))
+        self.seq += 1
 
     def _on_block_complete(self, link: _Link, version: int) -> bool:
         if version != link.version:
@@ -1175,6 +1192,7 @@ class _Engine:
         dl = self.peers[link.receiver]
         piece, block = link.serving
         link.serving = None
+        up.in_service.remove(link)
         up.queue_length -= 1
         if dl.alive:
             nbytes = self._block_lengths[piece][block]
@@ -1288,7 +1306,7 @@ class _Engine:
                 raise InvariantError(f"{pid} queues or serves a piece it lacks")
             if peer.links or peer.requested or peer.owned:
                 self._check_inbound(pid, peer)
-            if peer.channels or peer.pending is not None:
+            if peer.channels or peer.in_service or peer.pending is not None:
                 self._check_pending(pid, peer)
         if self._maps_changed and alive:
             self._maps_changed = False
@@ -1335,14 +1353,20 @@ class _Engine:
 
     @staticmethod
     def _check_pending(pid: str, peer: _RunPeer) -> None:
-        """A busy sender's one live completion event is for the block in
-        service that finishes first, ties broken by receiver id.
+        """A sender's in-service list holds exactly the links of `channels`
+        with a block in service, and a busy sender's one live completion
+        event is for the block in service that finishes first, ties broken
+        by receiver id.
 
-        Each reshare bumps the version of every link with a block in
-        service and records the payload it pushes, so a payload whose
-        version is current is the only live completion event of the sender.
+        The links in service are found again from `channels`, not read off
+        the list. Each reshare bumps the version of every link with a
+        block in service and records the payload it pushes, so a payload
+        whose version is current is the only live completion event of the
+        sender.
         """
         active = [link for link in peer.channels.values() if link.serving]
+        if len(peer.in_service) != len(active) or set(peer.in_service) != set(active):
+            raise InvariantError(f"{pid} lists links in service other than those it serves on")
         if not active:
             if peer.pending is not None:
                 raise InvariantError(f"{pid} serves nothing but keeps a pending completion")

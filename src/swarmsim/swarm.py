@@ -19,6 +19,7 @@ piece or pick, where a numpy call costs more than the work it does.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,8 +62,9 @@ class ContentSpec:
         total = int(math.ceil(duration * playback_rate))
         return cls(total, piece_size, block_size, playback_rate)
 
-    @property
+    @functools.cached_property
     def num_pieces(self) -> int:
+        # read several times per piece start; the instance dict keeps it
         return (self.total_size + self.piece_size - 1) // self.piece_size
 
     @property

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -679,6 +682,30 @@ class TestErrorContract:
             ini.write_text("\n".join(lines) + "\n")
             argv = ["simulate", "--config", str(ini), "--out", str(Path(tmp) / "qos.json")]
             assert _run_cli(argv) in (0, 1, 2)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_gone_after_first_line(self, unbuffered):
+        # The trace, about 600 kB, fills the pipe long before the last
+        # write, which then meets a closed pipe whatever the buffering.
+        argv = ["generate", "--profile", "hi", "--sessions", "2000", "--object-len", "300"]
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(metrics.__file__).parents[1]),
+            "PYTHONUNBUFFERED": unbuffered,
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swarmsim.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"# object_length=300.0")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
 
 
 class TestUsage:

@@ -137,6 +137,20 @@ def single_leecher_config(**kwargs):
     return SimConfig(**defaults)
 
 
+def slow_linger_config():
+    """A checked run whose peers all linger and upload at the playback
+    rate, so that many still want pieces, and are unchoked, when they
+    begin to linger."""
+    return sim_config(
+        "titfortat",
+        seed=3,
+        sessions=15,
+        linger_as_seed_fraction=1.0,
+        capacity_classes=(CapacityClass(PLAYBACK, 1.0),),
+        check_invariants=True,
+    )
+
+
 class TestEngineSetup:
     def test_seeds_hold_every_piece_leechers_none(self):
         cfg = sim_config("random", seed=1, sessions=12, initial_seeds=3)
@@ -314,6 +328,25 @@ class TestRun:
         )
         rep = run(cfg).report
         assert rep.aggregate["uploaded_bytes"] == rep.aggregate["downloaded_bytes"]
+
+    def test_lingering_with_unchokers_keeps_invariants(self, monkeypatch):
+        # Many peers are still unchoked when they linger, and
+        # `_choke(cancel=True)` cancels their blocks in service; the
+        # checked run must hold through each.
+        cancel = sim._Engine._cancel_downloads
+        seen = []
+
+        def cancel_counting(self, peer):
+            if peer.lingering:
+                links = [peer.links.get(uid) for uid in peer.unchoked_by]
+                busy = sum(1 for link in links if link is not None and link.serving)
+                seen.append((len(peer.unchoked_by), busy))
+            cancel(self, peer)
+
+        monkeypatch.setattr(sim._Engine, "_cancel_downloads", cancel_counting)
+        run(slow_linger_config())
+        unchoked = [busy for unchokers, busy in seen if unchokers]
+        assert (len(seen), len(unchoked), sum(unchoked)) == (15, 8, 8)
 
 
 class TestEngineState:
@@ -533,22 +566,81 @@ class TestInvariantMutations:
         reshare = sim._Engine._reshare_sender
 
         def reshare_latest(self, up):
-            # Run the reshare with pushes swallowed, then push the block
-            # that finishes last instead of the one that finishes first.
-            self._schedule = lambda t, handler, payload: None
-            try:
-                reshare(self, up)
-            finally:
-                del self._schedule
+            # Record the block that finishes last as the pending completion
+            # instead of the one that finishes first.
+            reshare(self, up)
             if up.pending is not None:
-                active = [link for link in up.channels.values() if link.serving]
-                last = max(active, key=lambda k: (_finish_time(k), k.receiver))
-                up.pending = payload = (last, last.version)
-                on_complete = self.handlers[EventKind.BLOCK_TRANSFER_COMPLETE]
-                self._schedule(_finish_time(last), on_complete, payload)
+                last = max(up.in_service, key=lambda k: (_finish_time(k), k.receiver))
+                up.pending = (last, last.version)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_latest)
         self.run_checked("finishes first")
+
+    def test_idle_sender_keeps_pending(self, monkeypatch):
+        reshare = sim._Engine._reshare_sender
+
+        def reshare_busy_only(self, up):
+            # A sender left with nothing in service keeps the payload of
+            # its last completion.
+            if up.in_service:
+                reshare(self, up)
+
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_busy_only)
+        self.run_checked("serves nothing but keeps a pending completion")
+
+    def test_pending_not_recorded(self, monkeypatch):
+        reshare = sim._Engine._reshare_sender
+
+        def reshare_unrecorded(self, up):
+            # The completion event is pushed, but its payload is not kept.
+            reshare(self, up)
+            up.pending = None
+
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_unrecorded)
+        self.run_checked("serves blocks with no pending completion")
+
+    def test_pending_from_before_reshare(self, monkeypatch):
+        reshare = sim._Engine._reshare_sender
+
+        def reshare_keeping_old(self, up):
+            # A busy sender keeps the payload it had before the reshare,
+            # whose version the reshare made stale.
+            old = up.pending
+            reshare(self, up)
+            if old is not None and up.pending is not None:
+                up.pending = old
+
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_keeping_old)
+        self.run_checked("has no live completion event")
+
+    def test_cancelled_link_left_in_service(self, monkeypatch):
+        choke = sim._Engine._choke
+
+        def choke_keeping_in_service(self, up, dl, cancel):
+            link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
+            cancelled = choke(self, up, dl, cancel)
+            if cancelled:
+                up.in_service.append(link)
+            return cancelled
+
+        monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_in_service)
+        # The run_checked config cancels a block in service on an alive
+        # sender at most twice per run; this one does so eight times.
+        with pytest.raises(InvariantError, match="lists links in service other than"):
+            run(slow_linger_config())
+
+    def test_served_piece_lost(self):
+        # `seed00` queues all of piece 7 to `c0` and then loses the piece:
+        # the next block to start is one it cannot serve.
+        engine, s0, _, c0 = _two_seed_engine(pipeline_depth=4)
+        s0.regular_slots.add("c0")
+        engine._apply_slot_diff(s0, set(), {"c0"})
+        link = c0.links["seed00"]
+        assert link.serving == (7, 0) and list(link.queue) == [(7, 1), (7, 2), (7, 3)]
+        s0.have &= ~(1 << 7)
+        engine.now = _finish_time(link)
+        with pytest.raises(InvariantError, match="seed00 asked to serve incomplete piece 7"):
+            engine._on_block_complete(*s0.pending)
 
     def test_cancelled_upload_left_in_flight(self, monkeypatch):
         cancel = sim._Engine._cancel_uploads

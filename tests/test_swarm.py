@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -83,6 +85,20 @@ class TestContentSpec:
         assert list(CONTENT.pieces_for_interval(2.5, 3.5)) == [2, 3]
         assert list(CONTENT.pieces_for_interval(5.0, 5.0)) == []
         assert list(CONTENT.pieces_for_interval(9.5, 10.0)) == [9]
+
+    def test_read_piece_count_keeps_equality_hash_and_pickle(self):
+        # The piece count is cached on the instance after its first read;
+        # compare's pool pickles configs that hold a spec.
+        read = ContentSpec(total_size=65536 + 20000, piece_size=65536, block_size=16384)
+        fresh = ContentSpec(total_size=65536 + 20000, piece_size=65536, block_size=16384)
+        assert read.num_pieces == 2
+        assert read == fresh and hash(read) == hash(fresh)
+        for spec in (read, fresh):
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == read and hash(copy) == hash(fresh)
+            assert copy.num_pieces == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.total_size = 1
 
 
 class TestTracker:
