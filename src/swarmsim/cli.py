@@ -271,7 +271,9 @@ def cmd_generate(args) -> int:
 
 def _analyze_report(workload: Workload, granularity: float, top: int) -> dict:
     record = metrics.popularity(workload, granularity)
-    report = metrics.make_report(record, metrics.temporal_dispersion(workload).n)
+    report = metrics.make_report(
+        record.distinct_positions(), record.mass, metrics.temporal_dispersion(workload).n
+    )
     pairs = heapq.nsmallest(top, record.items(), key=lambda pq: (-pq[1], pq[0]))
     out = {
         "sessions": len(workload.sessions),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
@@ -54,8 +53,7 @@ class PopularityRecord:
     support: `int` bitset with bit p set when counts[p] > 0.
     mass: total count M.
 
-    The constructor derives support and mass from the counts; `empty`,
-    `with_request` and `merge_records` build them by OR and sum instead.
+    The constructor derives support and mass from the counts.
     """
 
     granularity: float
@@ -77,37 +75,12 @@ class PopularityRecord:
         object.__setattr__(self, "support", int(nonzero, 2) if nonzero else 0)
         object.__setattr__(self, "mass", sum(counts))
 
-    @classmethod
-    def _of(cls, granularity: float, counts: array, support: int, mass: int):
-        """A record whose support and mass the caller has already derived."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "granularity", granularity)
-        object.__setattr__(record, "counts", counts)
-        object.__setattr__(record, "support", support)
-        object.__setattr__(record, "mass", mass)
-        return record
-
     @property
     def horizon(self) -> int:
         return len(self.counts)
 
     def distinct_positions(self) -> int:
         return self.support.bit_count()
-
-    def support_mass(self) -> tuple[int, int]:
-        """(support, M), the two numbers greedy selection reads."""
-        return self.support, self.mass
-
-    def with_request(self, lo: int, hi: int) -> "PopularityRecord":
-        """This record plus one request covering bins [lo, hi)."""
-        if not 0 <= lo <= hi <= len(self.counts):
-            raise ValueError(f"bins [{lo}, {hi}) outside [0, {len(self.counts)})")
-        if lo == hi:
-            return self
-        counts = self.counts[:]
-        counts[lo:hi] = array("q", [q + 1 for q in counts[lo:hi]])
-        support = self.support | ((1 << hi) - (1 << lo))
-        return self._of(self.granularity, counts, support, self.mass + hi - lo)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Sparse (position, count) pairs in position order."""
@@ -120,8 +93,7 @@ class PopularityRecord:
 
     @classmethod
     def empty(cls, granularity: float, horizon: int) -> "PopularityRecord":
-        _check_granularity(granularity)
-        return cls._of(granularity, array("q", bytes(8 * horizon)), 0, 0)
+        return cls(granularity, array("q", bytes(8 * horizon)))
 
     @classmethod
     def from_pairs(
@@ -197,10 +169,14 @@ def sharing_potential(record: PopularityRecord) -> int:
 
 def spatial_dispersion(record: PopularityRecord) -> float:
     """1 - P/M, equivalently distinct positions over total mass; in (0, 1]."""
-    m = record.mass
-    if m == 0:
+    return dispersion(record.distinct_positions(), record.mass)
+
+
+def dispersion(distinct: int, mass: int) -> float:
+    """Spatial dispersion of a record with `distinct` nonzero bins and mass M."""
+    if mass == 0:
         raise EmptyRecordError("spatial dispersion undefined for an empty record")
-    return record.distinct_positions() / m
+    return distinct / mass
 
 
 def temporal_dispersion(workload: Workload) -> RateSummary:
@@ -239,28 +215,17 @@ def merge_records(
     for r in records[1:]:
         if r.granularity != first.granularity or r.horizon != first.horizon:
             raise ValueError("records disagree on granularity or horizon")
-    mass = sum(r.mass for r in records)
-    if mass >> 63:
-        raise OverflowError("merged counts do not fit in int64")
-    # Each counts array reads as one integer of 64-bit fields. No bin sum
-    # exceeds the total mass, below 2**63, so no field carries into the
-    # next and one integer addition per record adds every bin.
-    packed = support = 0
-    for r in records:
-        packed += int.from_bytes(r.counts, sys.byteorder)
-        support |= r.support
-    counts = array("q", packed.to_bytes(8 * first.horizon, sys.byteorder))
-    return PopularityRecord._of(first.granularity, counts, support, mass)
+    return PopularityRecord(first.granularity, map(sum, zip(*(r.counts for r in records))))
 
 
-def make_report(record: PopularityRecord, n: float) -> DispersionReport:
-    """Assemble a DispersionReport from a popularity record and a request rate."""
-    d = spatial_dispersion(record)
+def make_report(distinct: int, mass: int, n: float) -> DispersionReport:
+    """A DispersionReport from a record's distinct positions and mass M and a rate."""
+    d = dispersion(distinct, mass)
     return DispersionReport(
         n=n,
         temporal_dispersion=1.0 / n if n > 0 else math.inf,
-        p=sharing_potential(record),
-        m=record.mass,
+        p=mass - distinct,
+        m=mass,
         d=d,
         category=categorize_dispersion(d),
     )
@@ -269,4 +234,5 @@ def make_report(record: PopularityRecord, n: float) -> DispersionReport:
 def workload_report(workload: Workload, granularity: float = 1.0) -> DispersionReport:
     """Full dispersion report for one workload at the given bin size."""
     rate = temporal_dispersion(workload)
-    return make_report(popularity(workload, granularity), rate.n)
+    record = popularity(workload, granularity)
+    return make_report(record.distinct_positions(), record.mass, rate.n)

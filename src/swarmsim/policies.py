@@ -3,9 +3,10 @@
 The central strategy builds a neighbour set greedily: at every step it
 admits the candidate whose popularity record, merged with the records of
 the node itself and the already-selected set, yields the lowest spatial
-dispersion. Dispersion ties fall to the highest request rate, then (for
-low-interactivity workloads) to candidates that already hold data, then
-to the lowest peer id. The remaining strategies implement classic
+dispersion; a record enters as its support bitset and mass. Dispersion
+ties fall to the highest request rate, then (for low-interactivity
+workloads) to candidates that already hold data, then to the lowest peer
+id. The remaining strategies implement classic
 unchoking (rate-ranked and randomized slots) and request-target schemes
 used as baselines.
 """
@@ -20,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import kernels
 from .errors import ConfigError
-from .metrics import PopularityRecord, merge_records, spatial_dispersion
+from .metrics import dispersion
 from .workload import InteractivityProfile
 
 
@@ -61,21 +62,16 @@ class PolicySpec:
         return cls(kind, n)
 
 
-@dataclass(frozen=True)
-class CandidateInfo:
-    """What a node learns about a possible neighbour before selecting it."""
+class CandidateInfo(NamedTuple):
+    """What a node learns about a possible neighbour before selecting it;
+    `support` and `mass` are its popularity record's."""
 
     peer_id: str
-    popularity_record: PopularityRecord
+    support: int
+    mass: int
     request_rate: float = 0.0
     has_started: bool = False
     recent_forward_rate: float = 0.0
-
-    def __post_init__(self):
-        for name in ("request_rate", "recent_forward_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative; got {value}")
 
 
 class HolderView(NamedTuple):
@@ -108,14 +104,16 @@ class SelectionOutcome:
             raise ValueError("selection contains duplicate peers")
 
 
-def _check_shapes(own: PopularityRecord, candidates: Sequence[CandidateInfo]) -> None:
-    horizon = len(own.counts)
-    for c in candidates:
-        r = c.popularity_record
-        if r.granularity != own.granularity or len(r.counts) != horizon:
-            raise ValueError(
-                f"record of {c.peer_id} disagrees on granularity or horizon with own record"
-            )
+def _check_records(own: tuple[int, int], candidates: Sequence[CandidateInfo]) -> None:
+    """Reject ids that repeat and (support, mass) pairs no record has."""
+    if len({c.peer_id for c in candidates}) != len(candidates):
+        raise ValueError("candidate peer ids must be unique")
+    pairs = [("own record", *own)] + [(c.peer_id, c.support, c.mass) for c in candidates]
+    for who, support, mass in pairs:
+        if support < 0:
+            raise ValueError(f"support of {who} must be non-negative; got {support}")
+        if mass < support.bit_count():
+            raise ValueError(f"mass of {who} is below its {support.bit_count()} positions")
 
 
 def _tie_keys(
@@ -123,9 +121,11 @@ def _tie_keys(
     profile_hint: InteractivityProfile | None,
     forward_first: bool,
 ) -> list[tuple]:
-    ids = [c.peer_id for c in candidates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("candidate peer ids must be unique")
+    for c in candidates:
+        for name in ("request_rate", "recent_forward_rate"):
+            value = getattr(c, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative; got {value}")
     li = profile_hint is InteractivityProfile.LI
     return [
         ((-c.recent_forward_rate,) if forward_first else ())
@@ -137,7 +137,7 @@ def _tie_keys(
 
 
 def _run_greedy(
-    own: PopularityRecord,
+    own: tuple[int, int],
     candidates: Sequence[CandidateInfo],
     max_size: int,
     profile_hint: InteractivityProfile | None,
@@ -147,10 +147,9 @@ def _run_greedy(
         raise ValueError("max_size must be >= 0")
     if not candidates or max_size == 0:
         return SelectionOutcome((), ())
-    _check_shapes(own, candidates)
     keys = _tie_keys(candidates, profile_hint, forward_first)
-    supports = [c.popularity_record.support_mass() for c in candidates]
-    order, distinct, mass = kernels.greedy_select(own.support_mass(), supports, keys, max_size)
+    supports = [(c.support, c.mass) for c in candidates]
+    order, distinct, mass = kernels.greedy_select(own, supports, keys, max_size)
     return SelectionOutcome(
         tuple(candidates[i].peer_id for i in order),
         tuple(n / m for n, m in zip(distinct, mass)),
@@ -158,30 +157,36 @@ def _run_greedy(
 
 
 def select_neighbors_greedy(
-    own: PopularityRecord,
+    own: tuple[int, int],
     candidates: Sequence[CandidateInfo],
     max_size: int,
     profile_hint: InteractivityProfile | None = None,
 ) -> SelectionOutcome:
     """Build a neighbour set of up to max_size peers minimizing dispersion.
 
-    Starting from the node's own popularity record, each step merges every
-    remaining candidate's record into the running set and admits the one
-    producing the lowest spatial dispersion. Ties prefer the highest
-    request rate, then (when profile_hint is LI) peers that have already
-    started receiving data, then the lowest peer id.
+    Starting from the node's own record, `own` = (support, mass), each
+    step merges every remaining candidate's record into the running set
+    and admits the one producing the lowest spatial dispersion. Ties
+    prefer the highest request rate, then (when profile_hint is LI) peers
+    that have already started receiving data, then the lowest peer id.
     """
+    _check_records(own, candidates)
     return _run_greedy(own, candidates, max_size, profile_hint, forward_first=False)
 
 
-def evaluate_set_dispersion(own: PopularityRecord, chosen: Sequence[CandidateInfo]) -> float:
+def evaluate_set_dispersion(own: tuple[int, int], chosen: Sequence[CandidateInfo]) -> float:
     """Spatial dispersion of the node's record merged with a candidate set."""
-    return spatial_dispersion(merge_records([own, *(c.popularity_record for c in chosen)]))
+    _check_records(own, chosen)
+    support, mass = own
+    for c in chosen:
+        support |= c.support
+        mass += c.mass
+    return dispersion(support.bit_count(), mass)
 
 
 def capacity_check_and_reselect(
     outcome: SelectionOutcome,
-    own: PopularityRecord,
+    own: tuple[int, int],
     candidates: Sequence[CandidateInfo],
     expected_rates: Mapping[str, float],
     demand: float,
@@ -196,6 +201,7 @@ def capacity_check_and_reselect(
     step score extended to prefer, among dispersion-minimizing candidates,
     those that recently forwarded data to third parties the fastest.
     """
+    _check_records(own, candidates)
     aggregate = sum(expected_rates.get(pid, 0.0) for pid in outcome.selected)
     if aggregate >= demand or not candidates:
         return outcome

@@ -6,14 +6,15 @@ downloads the pieces its requests cover, and departs when its session
 ends; an initial seed is a peer with no session that holds every piece.
 Each peer has one record, `_RunPeer`, which holds both what the protocol
 and the policies read of it (have-map, block maps, neighbourhood, slots,
-popularity record, upload capacity, join time) and the engine's runtime
-state. Transfers share each sender's upload capacity equally across its
-busy slots. Whenever the share changes, every active transfer of the
-sender moves to the new rate, and only the one that finishes first (ties
-broken by receiver id) holds a completion event: a busy sender has
-exactly one pending completion. Each sender keeps the list of its links
-with a block in service, which a reshare walks; a block starting,
-finishing or being cancelled is the only change to it. All state of one
+popularity record's support and mass, upload capacity, join time) and
+the engine's runtime state. Transfers share each sender's upload
+capacity equally across its busy slots. Whenever the share changes,
+every active transfer of the sender moves to the new rate, and only the
+one that finishes first (ties broken by receiver id) holds a completion
+event: a busy sender has exactly one pending completion. Each sender
+keeps the list of its links with a block in service, which a reshare
+walks; a block starting, finishing or being cancelled is the only change
+to it. All state of one
 direction of a peer pair (queued blocks, the block in service and its
 transfer progress, requests, bytes in the current unchoke window) lives
 in one link record that both peers share, with the bitset of the pieces
@@ -48,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import kernels
 from .errors import ConfigError, InvariantError, TraceError
-from .metrics import DispersionReport, PopularityRecord, make_report, merge_records
+from .metrics import DispersionReport, make_report
 from .policies import (
     CandidateInfo,
     HolderView,
@@ -385,10 +386,11 @@ class _RunPeer:
     The protocol side is what piece picking, block receipt and the
     policies read: the have-map, the block maps of partly received
     pieces, the neighbourhood, the upload slots, the popularity record on
-    the content's piece grid, the upload capacity and the join time. The
-    rest is the engine's runtime state. A seed is a peer with no session:
-    it joins at time 0 holding every piece. A leecher joins at its
-    session's first request holding none.
+    the content's piece grid (`support`, the `int` bitset of the bins its
+    requests cover, and `mass`, the sum of their widths), the upload
+    capacity and the join time. The rest is the engine's runtime state.
+    A seed is a peer with no session: it joins at time 0 holding every
+    piece. A leecher joins at its session's first request holding none.
 
     The have-map `have` and the wanted set `wanted` are `int` bitsets, bit
     k standing for piece k. `replicas` holds how many alive neighbours
@@ -414,7 +416,7 @@ class _RunPeer:
 
     __slots__ = (
         "peer_id", "session", "upload_capacity", "join_time", "have", "partial",
-        "neighbourhood", "regular_slots", "optimistic_slot", "popularity_record",
+        "neighbourhood", "regular_slots", "optimistic_slot", "support", "mass",
         "joined", "alive", "lingering", "qos_cutoff",
         "channels", "in_service", "queue_length", "pending", "forward_accum", "forward_snapshot",
         "unchoked_by", "links", "requested", "owned", "block_source", "wanted", "replicas",
@@ -435,10 +437,8 @@ class _RunPeer:
         self.neighbourhood: set[str] = set()
         self.regular_slots: set[str] = set()
         self.optimistic_slot: str | None = None
-        granularity = content.piece_duration
-        self.popularity_record = PopularityRecord.empty(
-            granularity, int(math.ceil(content.duration / granularity - _EPS))
-        )
+        self.support = 0
+        self.mass = 0
         self.joined = False
         self.alive = False
         self.lingering = False
@@ -592,6 +592,8 @@ class _Engine:
         self._block_lengths = _block_length_table(self.content)
         # piece -> bitset of all its blocks
         self._all_blocks = [(1 << len(lengths)) - 1 for lengths in self._block_lengths]
+        # popularity record bins: one per piece duration of the object
+        self._bins = int(math.ceil(self.content.duration / self.content.piece_duration - _EPS))
 
         wl = cfg.workload
         if isinstance(wl, GeneratorConfig):
@@ -699,14 +701,11 @@ class _Engine:
         return peer.requests_made / spans
 
     def _candidate_info(self, peer: _RunPeer) -> CandidateInfo:
-        """What greedy formation reads of a candidate.
-
-        The record is the peer's own, not a copy: selection reads only its
-        support and mass.
-        """
+        """What greedy formation reads of a candidate."""
         return CandidateInfo(
             peer_id=peer.peer_id,
-            popularity_record=peer.popularity_record,
+            support=peer.support,
+            mass=peer.mass,
             request_rate=self._request_rate(peer),
             has_started=peer.have != 0,
             recent_forward_rate=(
@@ -733,7 +732,7 @@ class _Engine:
             and peer.session is not None
         ):
             infos = [self._candidate_info(self.peers[c]) for c in candidates]
-            own = peer.popularity_record
+            own = (peer.support, peer.mass)
             hint = classify_session(peer.session, self.workload.object_length)
             outcome = select_neighbors_greedy(own, infos, target, hint)
             expected = {
@@ -758,13 +757,13 @@ class _Engine:
         return selected
 
     def _formation_report(self, peer: _RunPeer, selected: list[str]) -> DispersionReport | None:
-        records = [peer.popularity_record] + [
-            self.peers[s].popularity_record for s in selected
-        ]
-        merged = merge_records(records)
-        if merged.mass == 0:
+        support, mass = peer.support, peer.mass
+        for other in map(self.peers.__getitem__, selected):
+            support |= other.support
+            mass += other.mass
+        if mass == 0:
             return None
-        return make_report(merged, self._request_rate(peer))
+        return make_report(support.bit_count(), mass, self._request_rate(peer))
 
     def _connect(self, a: _RunPeer, b: _RunPeer) -> None:
         a.neighbourhood.add(b.peer_id)
@@ -875,10 +874,11 @@ class _Engine:
     # -- requests and playback ----------------------------------------------
 
     def _record_request_coverage(self, peer: _RunPeer, req: Request) -> None:
-        record = peer.popularity_record
-        lo, hi = kernels.bin_span(req.start_pos, req.end_pos, record.granularity, record.horizon)
+        pd = self.content.piece_duration
+        lo, hi = kernels.bin_span(req.start_pos, req.end_pos, pd, self._bins)
         if hi > lo:
-            peer.popularity_record = record.with_request(lo, hi)
+            peer.support |= (1 << hi) - (1 << lo)
+            peer.mass += hi - lo
 
     def _on_request(self, pid: str, idx: int) -> bool:
         peer = self.peers[pid]

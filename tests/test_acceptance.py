@@ -27,7 +27,7 @@ from swarmsim.workload import (
     generate_workload,
     parse_trace,
 )
-from test_policies import holder, oracle_greedy, random_instance, rec_from
+from test_policies import holder, oracle_greedy, random_instance, rec
 from swarmsim.policies import select_neighbors_greedy
 
 HEADER = "client_id,arrival_time,start_pos,end_pos,interaction"
@@ -73,10 +73,10 @@ def test_criterion_3_greedy_matches_exhaustive_oracle():
     with criterion(3, "greedy selection matches per-step exhaustive argmin on 100 instances"):
         rng = random.Random(7321)
         for trial in range(100):
-            own_pairs, cands, _ = random_instance(rng)
+            own_pairs, cands, horizon = random_instance(rng)
             hint = (None, InteractivityProfile.LI, InteractivityProfile.HI)[trial % 3]
             max_size = rng.randint(0, len(cands))
-            got = select_neighbors_greedy(rec_from(own_pairs, cands), cands, max_size, hint)
+            got = select_neighbors_greedy(rec(own_pairs, horizon), cands, max_size, hint)
             want_ids, want_ds = oracle_greedy(own_pairs, cands, max_size, hint)
             assert list(got.selected) == want_ids
             assert np.allclose(got.per_step_dispersion, want_ds, rtol=0, atol=1e-12)

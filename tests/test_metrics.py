@@ -204,8 +204,8 @@ class TestMerge:
         assert merged.mass == 4
 
     def test_carried_support_and_mass_match_recount(self):
-        # merge_records and with_request build support and mass by OR and
-        # sum; the constructor derives them from the counts.
+        # A merged record's support and mass agree with a recount of its
+        # summed counts.
         rng = random.Random(12)
         for _ in range(50):
             recs = [
@@ -215,15 +215,14 @@ class TestMerge:
                 )
                 for _ in range(rng.randint(1, 4))
             ]
-            lo = rng.randrange(81)
-            for rec in (merge_records(recs), recs[0].with_request(lo, rng.randint(lo, 80))):
-                recount = PopularityRecord(rec.granularity, rec.counts)
-                assert (rec.support, rec.mass) == (recount.support, recount.mass)
-                assert rec.support == sum(1 << p for p, q in enumerate(rec.counts) if q)
+            rec = merge_records(recs)
+            recount = PopularityRecord(rec.granularity, rec.counts)
+            assert (rec.support, rec.mass) == (recount.support, recount.mass)
+            assert rec.support == sum(1 << p for p, q in enumerate(rec.counts) if q)
 
     def test_merge_past_int64_rejected(self):
-        # Bins are summed as 64-bit fields of one integer, which holds only
-        # while the total mass stays below 2**63.
+        # Counts are kept as signed 64-bit integers: a bin whose sum
+        # reaches 2**63 cannot be stored.
         half = PopularityRecord(1.0, [0, 2**62])
         below = PopularityRecord(1.0, [0, 2**62 - 1])
         assert merge_records([half, below]).counts.tolist() == [0, 2**63 - 1]
@@ -259,7 +258,8 @@ class TestReports:
         assert PopularityRecord.from_dict(rec.to_dict()) == rec
 
     def test_report_fields(self):
-        rep = make_report(record([(0, 100)]), n=4.55)
+        rec = record([(0, 100)])
+        rep = make_report(rec.distinct_positions(), rec.mass, n=4.55)
         d = rep.to_dict()
         assert set(d) == {"n", "temporal_dispersion", "p", "m", "d", "category"}
         assert d["p"] == 99
@@ -272,15 +272,6 @@ class TestReports:
             PopularityRecord(1.0, np.array([1, -1]))
         with pytest.raises(ValueError):
             PopularityRecord(0.0, np.array([1]))
-
-    def test_with_request_adds_one_over_its_bins(self):
-        rec = record([(0, 2), (3, 1)], horizon=5)
-        assert rec.with_request(1, 4).counts.tolist() == [2, 1, 1, 2, 0]
-        assert rec.with_request(2, 2) is rec
-        assert rec.counts.tolist() == [2, 0, 0, 1, 0]
-        for lo, hi in ((-1, 2), (3, 2), (0, 6)):
-            with pytest.raises(ValueError, match="outside"):
-                rec.with_request(lo, hi)
 
     @pytest.mark.parametrize("granularity", [math.nan, math.inf])
     def test_granularity_must_be_finite(self, granularity):

@@ -12,6 +12,7 @@ from swarmsim.policies import (
     HolderView,
     PolicyKind,
     PolicySpec,
+    SelectionOutcome,
     baseline_request_target,
     capacity_check_and_reselect,
     evaluate_set_dispersion,
@@ -24,18 +25,30 @@ from swarmsim.workload import InteractivityProfile
 HORIZON = 16
 
 
+# The dense counts of each candidate `cand` built, for the oracles. Only
+# a candidate equal in every field can replace an entry, and ids are
+# unique within an instance.
+CANDIDATE_COUNTS = {}
+
+
 def rec(pairs, horizon=HORIZON):
-    return PopularityRecord.from_pairs(1.0, horizon, pairs)
+    """(support, mass) of the record built from (position, count) pairs."""
+    record = PopularityRecord.from_pairs(1.0, horizon, pairs)
+    return record.support, record.mass
 
 
 def cand(pid, pairs, *, rate=0.0, started=False, fwd=0.0, horizon=HORIZON):
-    return CandidateInfo(
+    support, mass = rec(pairs, horizon)
+    info = CandidateInfo(
         peer_id=pid,
-        popularity_record=rec(pairs, horizon),
+        support=support,
+        mass=mass,
         request_rate=rate,
         has_started=started,
         recent_forward_rate=fwd,
     )
+    CANDIDATE_COUNTS[info] = pairs_to_counts(pairs)
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +83,7 @@ def oracle_greedy(own_pairs, candidates, max_size, profile_hint=None, forward_fi
     while remaining and len(chosen) < max_size:
         scored = []
         for c in remaining:
-            counts = dict(c.popularity_record.items())
+            counts = CANDIDATE_COUNTS[c]
             d = oracle_dispersion(merged_inputs + [counts])
             key = [d]
             if forward_first:
@@ -84,7 +97,7 @@ def oracle_greedy(own_pairs, candidates, max_size, profile_hint=None, forward_fi
         best = scored[0][1]
         chosen.append(best.peer_id)
         dispersions.append(float(scored[0][0][0]))
-        merged_inputs.append(dict(best.popularity_record.items()))
+        merged_inputs.append(CANDIDATE_COUNTS[best])
         remaining = [c for c in remaining if c.peer_id != best.peer_id]
     return chosen, dispersions
 
@@ -167,23 +180,52 @@ class TestGreedy:
     @pytest.mark.parametrize("field", ["request_rate", "recent_forward_rate"])
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     def test_candidate_rate_must_be_finite_and_non_negative(self, field, value):
+        own = rec([(0, 1)])
+        cands = [cand("a", [(1, 1)]), cand("b", [(0, 1)])._replace(**{field: value})]
         with pytest.raises(ValueError, match=field):
-            CandidateInfo(peer_id="a", popularity_record=rec([]), **{field: value})
+            select_neighbors_greedy(own, cands, 1)
+        # The capacity check reaches the rates only when it reselects.
+        outcome = SelectionOutcome(("a",), (1.0,))
+        with pytest.raises(ValueError, match=field):
+            capacity_check_and_reselect(outcome, own, cands, {}, demand=1.0, max_size=1)
 
-    def test_mismatched_record_shape_rejected(self):
-        own = rec([(0, 1)], horizon=8)
-        with pytest.raises(ValueError):
-            select_neighbors_greedy(own, [cand("a", [(0, 1)], horizon=4)], 1)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda own, cands: select_neighbors_greedy(own, cands, 2),
+            lambda own, cands: capacity_check_and_reselect(
+                SelectionOutcome((), ()), own, cands, {}, demand=0.0, max_size=2
+            ),
+            evaluate_set_dispersion,
+        ],
+        ids=["select", "reselect", "evaluate"],
+    )
+    @pytest.mark.parametrize(
+        "own, bad, match",
+        [
+            ((-1, 1), ("b", 1, 1), "^support of own record must be non-negative"),
+            ((1, 1), ("b", -2, 1), "^support of b must be non-negative"),
+            ((1, 1), ("b", 0b110, 1), "^mass of b is below its 2 positions$"),
+            ((0b11, 1), ("b", 1, 1), "^mass of own record is below its 2 positions$"),
+            ((1, 1), ("a", 1, 1), "^candidate peer ids must be unique$"),
+        ],
+        ids=["own-support", "support", "mass", "own-mass", "duplicate"],
+    )
+    def test_inputs_no_record_has_rejected(self, entry, own, bad, match):
+        cands = [cand("a", [(0, 1)]), CandidateInfo(*bad)]
+        with pytest.raises(ValueError, match=match) as info:
+            entry(own, cands)
+        assert "\n" not in str(info.value)
 
     def test_matches_oracle_on_random_instances(self):
         # Horizons past 64 bins make supports span several machine words.
         for lo, hi in ((4, 64), (65, 320)):
             rng = random.Random(1234)
             for trial in range(60):
-                own_pairs, cands, _ = random_instance(rng, horizon=rng.randint(lo, hi))
+                own_pairs, cands, horizon = random_instance(rng, horizon=rng.randint(lo, hi))
                 hint = InteractivityProfile.LI if trial % 2 else None
                 max_size = rng.randint(0, len(cands))
-                got = select_neighbors_greedy(rec_from(own_pairs, cands), cands, max_size, hint)
+                got = select_neighbors_greedy(rec(own_pairs, horizon), cands, max_size, hint)
                 want_ids, want_ds = oracle_greedy(own_pairs, cands, max_size, hint)
                 assert list(got.selected) == want_ids
                 np.testing.assert_allclose(
@@ -194,29 +236,29 @@ class TestGreedy:
         rng = random.Random(99)
         for _ in range(30):
             own_pairs, cands, horizon = random_instance(rng, allow_empty=False)
-            own = rec_from(own_pairs, cands)
+            own = rec(own_pairs, horizon)
             out = select_neighbors_greedy(own, cands, len(cands))
-            by_id = {c.peer_id: c for c in cands}
+            counts = {c.peer_id: CANDIDATE_COUNTS[c] for c in cands}
             taken = []
             for step, pid in enumerate(out.selected):
                 d_star = oracle_dispersion(
                     [pairs_to_counts(own_pairs)]
-                    + [dict(by_id[t].popularity_record.items()) for t in taken]
-                    + [dict(by_id[pid].popularity_record.items())]
+                    + [counts[t] for t in taken]
+                    + [counts[pid]]
                 )
                 for other in out.selected[step:]:
                     alt = oracle_dispersion(
                         [pairs_to_counts(own_pairs)]
-                        + [dict(by_id[t].popularity_record.items()) for t in taken]
-                        + [dict(by_id[other].popularity_record.items())]
+                        + [counts[t] for t in taken]
+                        + [counts[other]]
                     )
                     assert d_star <= alt
                 taken.append(pid)
 
     def test_deterministic(self):
         rng = random.Random(5)
-        own_pairs, cands, _ = random_instance(rng)
-        own = rec_from(own_pairs, cands)
+        own_pairs, cands, horizon = random_instance(rng)
+        own = rec(own_pairs, horizon)
         a = select_neighbors_greedy(own, cands, 4)
         b = select_neighbors_greedy(own, cands, 4)
         assert a == b
@@ -230,11 +272,6 @@ class TestGreedy:
         ds = out.per_step_dispersion
         assert all(b < a for a, b in zip(ds, ds[1:]))
         assert ds[0] < 1.0
-
-
-def rec_from(own_pairs, cands):
-    horizon = cands[0].popularity_record.horizon if cands else HORIZON
-    return PopularityRecord.from_pairs(1.0, horizon, own_pairs)
 
 
 class TestEvaluateSetDispersion:
@@ -293,8 +330,8 @@ class TestCapacityReselect:
     def test_reselect_matches_oracle(self):
         rng = random.Random(77)
         for _ in range(30):
-            own_pairs, cands, _ = random_instance(rng)
-            own = rec_from(own_pairs, cands)
+            own_pairs, cands, horizon = random_instance(rng)
+            own = rec(own_pairs, horizon)
             outcome = select_neighbors_greedy(own, cands, len(cands))
             redone = capacity_check_and_reselect(
                 outcome, own, cands, {c.peer_id: 0.0 for c in cands},

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from conftest import PLAYBACK, sim_config, small_swarm
 from swarmsim import kernels, sim
 from swarmsim.errors import ConfigError, InvariantError
+from swarmsim.metrics import PopularityRecord, categorize_dispersion, merge_records
 from swarmsim.policies import PolicyKind, PolicySpec
 from swarmsim.sim import (
     CapacityClass,
@@ -374,27 +376,66 @@ class TestEngineState:
             assert any(getattr(peer, field) for peer in alive) == read, field
 
     def test_record_support_and_mass_match_requests(self):
-        # Each peer's record carries its support and mass; both must agree
-        # with a recount of its counts and with the bin spans of the
-        # requests it issued, in order, from its first.
+        # Each peer's support and mass must agree with a recount over the
+        # bin spans of the requests it issued, in order, from its first.
         engine = sim._Engine(sim_config("dispersiongreedy", seed=3, sessions=30))
         engine.setup()
         engine.loop()
         leechers = [peer for peer in engine.peers.values() if peer.session is not None]
         assert leechers and all(peer.requests_made > 0 for peer in leechers)
+        granularity, horizon = _record_grid(engine.content)
         for peer in leechers:
-            record = peer.popularity_record
-            counts = record.counts.tolist()
-            expect = [0] * record.horizon
+            counts = [0] * horizon
             for req in peer.session.requests[: peer.requests_made]:
-                lo, hi = kernels.bin_span(
-                    req.start_pos, req.end_pos, record.granularity, record.horizon
-                )
+                lo, hi = kernels.bin_span(req.start_pos, req.end_pos, granularity, horizon)
                 for p in range(lo, hi):
-                    expect[p] += 1
-            assert counts == expect, peer.peer_id
+                    counts[p] += 1
             support = sum(1 << p for p, q in enumerate(counts) if q)
-            assert (record.support, record.mass) == (support, sum(counts)), peer.peer_id
+            assert (peer.support, peer.mass) == (support, sum(counts)), peer.peer_id
+
+    @pytest.mark.parametrize("policy", ["dispersiongreedy", "random"])
+    def test_formation_report_matches_dense_records(self, monkeypatch, policy):
+        # At each formation, the report built from supports and masses
+        # equals one built from the dense records of the peer and its
+        # selected neighbours, rebuilt from the requests each has issued.
+        formation_report = sim._Engine._formation_report
+        merged_masses = []
+
+        def dense_record(engine, peer):
+            granularity, horizon = _record_grid(engine.content)
+            requests = peer.session.requests[: peer.requests_made] if peer.session else ()
+            pairs = []
+            for req in requests:
+                lo, hi = kernels.bin_span(req.start_pos, req.end_pos, granularity, horizon)
+                pairs += [(p, 1) for p in range(lo, hi)]
+            return PopularityRecord.from_pairs(granularity, horizon, pairs)
+
+        def checked_formation_report(self, peer, selected):
+            report = formation_report(self, peer, selected)
+            merged = merge_records(
+                [dense_record(self, peer)] + [dense_record(self, self.peers[s]) for s in selected]
+            )
+            distinct = sum(1 for q in merged.counts if q)
+            mass = sum(merged.counts)
+            merged_masses.append(mass)
+            if mass == 0:
+                assert report is None
+            else:
+                d = distinct / mass
+                assert (report.p, report.m, report.d, report.category) == (
+                    mass - distinct, mass, d, categorize_dispersion(d)
+                ), peer.peer_id
+            return report
+
+        monkeypatch.setattr(sim._Engine, "_formation_report", checked_formation_report)
+        run(sim_config(policy, seed=4, sessions=30))
+        assert len(merged_masses) == 30
+        assert sum(m > 0 for m in merged_masses) > 20
+
+
+def _record_grid(content):
+    """The popularity record grid of a run: piece-duration bins over the object."""
+    return content.piece_duration, math.ceil(content.duration / content.piece_duration - 1e-9)
 
 
 def _finish_time(link):
@@ -799,6 +840,82 @@ class TestInvariantMutations:
 
         monkeypatch.setattr(sim, "record_block", record_keeping_map)
         self.run_checked("keeps a block map for complete piece")
+
+    def test_regular_slot_past_cap(self, monkeypatch):
+        tit_for_tat_unchoke = sim.tit_for_tat_unchoke
+        monkeypatch.setattr(
+            sim, "tit_for_tat_unchoke", lambda rates, slots: tit_for_tat_unchoke(rates, slots + 1)
+        )
+        self.run_checked("exceeds regular slot cap")
+
+    def test_optimistic_slot_in_regular_slots(self, monkeypatch):
+        reoptimistic = sim._Engine._reoptimistic
+
+        def reoptimistic_regular(self, peer, wanting=None):
+            # The optimistic pick falls on a peer already in a regular slot.
+            reoptimistic(self, peer, wanting)
+            if peer.regular_slots:
+                old = peer.unchoked_set()
+                peer.optimistic_slot = min(peer.regular_slots)
+                self._apply_slot_diff(peer, old, peer.unchoked_set())
+
+        monkeypatch.setattr(sim._Engine, "_reoptimistic", reoptimistic_regular)
+        self.run_checked("optimistic slot duplicates a regular slot")
+
+    def test_optimistic_slot_past_total_cap(self, monkeypatch):
+        def reoptimistic_uncapped(self, peer, wanting=None):
+            # A swarm with no optimistic slot fills one all the same.
+            if wanting is None:
+                wanting = self._wanting(peer.neighbourhood)
+            choked = [n for n in self._interested(peer, wanting) if n not in peer.regular_slots]
+            old = peer.unchoked_set()
+            peer.optimistic_slot = sim.optimistic_unchoke(choked, self.rng)
+            self._apply_slot_diff(peer, old, peer.unchoked_set())
+
+        monkeypatch.setattr(sim._Engine, "_reoptimistic", reoptimistic_uncapped)
+        cfg = sim_config(
+            "titfortat",
+            seed=0,
+            sessions=30,
+            swarm=dataclasses.replace(small_swarm(), optimistic_slot_count=0),
+            check_invariants=True,
+        )
+        with pytest.raises(InvariantError, match="exceeds total slot cap"):
+            run(cfg)
+
+    def test_unchoke_not_listed(self, monkeypatch):
+        def slot_diff_chokes_only(self, peer, old, new):
+            # A peer that enters a slot is never told it is unchoked.
+            for rid in sorted(old - new):
+                self._choke(peer, self.peers[rid], cancel=False)
+
+        monkeypatch.setattr(sim._Engine, "_apply_slot_diff", slot_diff_chokes_only)
+        self.run_checked("unchokes .*, which does not list it")
+
+    def test_seed_unchoked(self, monkeypatch):
+        # Interest that ignores what a neighbour wants lets a peer unchoke
+        # a seed, which then opens a link to it.
+        monkeypatch.setattr(
+            sim._Engine, "_interested", lambda self, peer, wanting: sorted(peer.neighbourhood)
+        )
+        self.run_checked("seed seed.* has outstanding requests")
+
+    def test_seed_lost_piece(self, monkeypatch):
+        on_departure = sim._Engine._on_departure
+
+        def departure_taking_pieces(self, pid):
+            # The pieces of a departing peer leave the have-maps of its
+            # seed neighbours too, not only their replica counts.
+            peer = self.peers[pid]
+            seeds = [self.peers[n] for n in peer.neighbourhood if self.peers[n].session is None]
+            handled = on_departure(self, pid)
+            if not peer.alive:
+                for seed in seeds:
+                    seed.have &= ~peer.have
+            return handled
+
+        monkeypatch.setattr(sim._Engine, "_on_departure", departure_taking_pieces)
+        self.run_checked("seed seed.* lost pieces")
 
 
 class TestConfigValidation:
