@@ -1,38 +1,38 @@
 """Deterministic discrete-event engine binding workloads, swarm state, and policies.
 
-One run simulates a swarm serving a single object to interactive clients.
-Each workload session becomes a leecher that joins at its first request,
-downloads the pieces its requests cover, and departs when its session
-ends; an initial seed is a peer with no session that holds every piece.
-Each peer has one record, `_RunPeer`, which holds both what the protocol
-and the policies read of it (have-map, block maps, neighbourhood, slots,
-popularity record's support and mass, upload capacity, join time) and
-the engine's runtime state. Transfers share each sender's upload
-capacity equally across its busy slots. Whenever the share changes,
-every active transfer of the sender moves to the new rate, and only the
-one that finishes first (ties broken by receiver id) holds a completion
-event: a busy sender has exactly one pending completion. Each sender
-keeps the list of its links with a block in service, which a reshare
-walks; a block starting, finishing or being cancelled is the only change
-to it. All state of one
+One run simulates a swarm serving a single object to interactive
+clients. Each workload session becomes a leecher that joins at its first
+request, downloads the pieces its requests cover, and departs when its
+session ends; an initial seed is a peer with no session that holds every
+piece. Each peer has one record, `_RunPeer`, which holds both what the
+protocol and the policies read of it (have-map, block maps,
+neighbourhood, slots, popularity record's support and mass, upload
+capacity, join time) and the engine's runtime state. Transfers share
+each sender's upload capacity equally across its busy slots. Each sender
+keeps one list of its links with a block in service, the only record of
+what it serves, and one clock: the share they all move at and when they
+were last charged. Whenever the share changes, every listed transfer is
+charged at the old share and moves to the new one, and only the one that
+finishes first (ties broken by receiver id) holds a completion event: a
+busy sender has exactly one pending completion. All state of one
 direction of a peer pair (queued blocks, the block in service and its
-transfer progress, requests, bytes in the current unchoke window) lives
-in one link record that both peers share, with the bitset of the pieces
-the receiver owns on it. The receiver keeps two block bitsets per begun piece, the blocks still
-missing and the blocks requested, so a link's unrequested blocks are
-derived, never stored: a refill takes the lowest missing and unrequested
-blocks of the link's owned pieces in ascending piece order, and picks a
-new piece only when room is left. A link's requests end only in
-`_Engine._choke`, which clears their requested bits and releases the
-link's pieces. Playback starts by one rule, `_play_start`, for the
-report and the play-triggered variant alike. Forward credit (who sent
-each block, and the bytes forwarded for each origin) is kept only under
-give-to-get and dispersion-greedy, which read it. Each heap entry
-carries its handler, a plain function of the engine's class, and the
-loop calls it with the engine and the entry's payload. All randomness
-flows from one seeded generator, and events tie on time through
-monotonically assigned sequence numbers, so a (config, seed) pair
-reproduces the run byte for byte.
+bytes left, requests, bytes in the current unchoke window) lives in one
+link record that both peers share, with the bitset of the pieces the
+receiver owns on it. The receiver keeps two block bitsets per begun
+piece, the blocks still missing and the blocks requested, so a link's
+unrequested blocks are derived, never stored: a refill takes the lowest
+missing and unrequested blocks of the link's owned pieces in ascending
+piece order, and picks a new piece only when room is left. A link's
+requests end only in `_Engine._choke`, which clears their requested bits
+and releases the link's pieces. Playback starts by one rule,
+`_play_start`, for the report and the play-triggered variant alike.
+Forward credit (who sent each block, and the bytes forwarded for each
+origin) is kept only under give-to-get and dispersion-greedy, which read
+it. Each heap entry carries its handler, a plain function of the
+engine's class, and the loop calls it with the engine and the entry's
+payload. All randomness flows from one seeded generator, and events tie
+on time through monotonically assigned sequence numbers, so a (config,
+seed) pair reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -327,14 +327,15 @@ class _Link:
 
     Both ends hold the same record. The receiver keeps it in `links`
     until it stops requesting, since lrp reads `requests_sent`; the
-    sender keeps it in `channels` while a block is queued or in service
-    on it, and in its `in_service` list while a block is in service. The
-    block in service moves at `rate` and had `remaining` bytes left at
-    `t_last`. Every reshare and every cancel bumps `version`, so a
-    completion event whose version is not the link's current one is
+    sender keeps it in its `in_service` list while a block is in service.
+    The block in service had `remaining` bytes left at the sender's
+    `t_last` and moves at the sender's `share`. A reshare that replaces
+    the sender's pending completion, and every cancel, bump `version`,
+    so a completion event whose version is not the link's current one is
     stale.
 
-    The pipeline holds the queued blocks plus the block in service.
+    The pipeline holds the queued blocks plus the block in service, and
+    a link with a queued block always has a block in service.
     `owned` is the bitset of the pieces the receiver fetches over this
     link: a pick sets the piece's bit, and the piece's completion or the
     link's choke clears it. Each owned piece is owned on one link.
@@ -355,8 +356,6 @@ class _Link:
         "owned",
         "serving",
         "remaining",
-        "rate",
-        "t_last",
         "version",
         "pre_choke",
         "window",
@@ -371,8 +370,6 @@ class _Link:
         # (piece, block) in service
         self.serving: tuple[int, int] | None = None
         self.remaining = 0.0
-        self.rate = 0.0
-        self.t_last = 0.0
         self.version = 0
         self.pre_choke = False
         # bytes delivered since the last unchoke tick
@@ -402,13 +399,14 @@ class _RunPeer:
     first block and dropped at its completion. `requested[p]` holds the
     blocks queued or in service on a link toward this peer; a zero entry
     is deleted. `owned` is the OR of the links' `owned` bitsets.
-    `queue_length` counts the blocks queued or in service on the links in
-    `channels`, which llp reads. `in_service` lists the links of
-    `channels` that have a block in service, in no set order: a block
-    starting in `_Engine._service_channel` appends its link, and a block
-    finishing in `_Engine._on_block_complete` or cancelled in
-    `_Engine._choke` removes it. While the list is not empty, `pending`
-    holds the payload of the sender's one pending completion.
+    `in_service` lists the links on which this peer has a block in
+    service, in no set order, and is the only record of what it serves:
+    a block starting in `_Engine._reshare_sender` appends its link, and a
+    block finishing in `_Engine._on_block_complete` or cancelled in
+    `_Engine._choke` removes it. Every listed link moves at `share` since
+    `t_last`, the sender's last reshare. `queue_length` counts the blocks
+    queued or in service on those links, which llp reads. While the list
+    is not empty, `pending` holds the payload of its one pending completion.
 
     Slots keep each record small: from 30 attributes on, CPython gives
     an instance its own dict, about five times the memory of the slots.
@@ -417,8 +415,8 @@ class _RunPeer:
     __slots__ = (
         "peer_id", "session", "upload_capacity", "join_time", "have", "partial",
         "neighbourhood", "regular_slots", "optimistic_slot", "support", "mass",
-        "joined", "alive", "lingering", "qos_cutoff",
-        "channels", "in_service", "queue_length", "pending", "forward_accum", "forward_snapshot",
+        "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
+        "queue_length", "pending", "forward_accum", "forward_snapshot",
         "unchoked_by", "links", "requested", "owned", "block_source", "wanted", "replicas",
         "requests_made", "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
@@ -443,11 +441,12 @@ class _RunPeer:
         self.alive = False
         self.lingering = False
         self.qos_cutoff: float | None = None
-        # upload side: busy links by receiver, those with a block in
-        # service, and the payload of the one pending completion event
-        # while any transfer is in service
-        self.channels: dict[str, _Link] = {}
+        # upload side: the links with a block in service, their share and
+        # last charge time, and the payload of the one pending completion
+        # event while any transfer is in service
         self.in_service: list[_Link] = []
+        self.share = 0.0
+        self.t_last = 0.0
         self.queue_length = 0
         self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
@@ -828,7 +827,7 @@ class _Engine:
 
     def _cancel_uploads(self, peer: _RunPeer) -> None:
         """Cancel every link of a departing peer to a peer it serves or unchokes."""
-        for rid in sorted(peer.channels.keys() | peer.unchoked_set()):
+        for rid in sorted({k.receiver for k in peer.in_service} | peer.unchoked_set()):
             self._choke(peer, self.peers[rid], cancel=True)
         peer.pending = None
         peer.regular_slots.clear()
@@ -836,16 +835,17 @@ class _Engine:
 
     def _choke(self, up: _RunPeer, dl: _RunPeer, cancel: bool) -> bool:
         """End `dl`'s requests to `up`: drop the queued blocks and their
-        requested bits, release the pieces `dl` owns on the link, and
-        retire the link from `up.channels` once idle. The block in service
-        finishes unless `cancel` is set; returns whether it was cancelled,
-        so that `up` needs a reshare. A dropped block is unrequested again,
-        so whichever link owns its piece requests it at its next refill.
+        requested bits, and release the pieces `dl` owns on the link. The
+        block in service finishes unless `cancel` is set; returns whether
+        it was cancelled, so that `up` needs a reshare. A dropped block's
+        piece owner requests it again at its next refill.
         """
         dl.unchoked_by.discard(up.peer_id)
         # A lingering receiver has dropped its links, but a block still in
-        # service on a link choked before it lingered stays in `channels`.
-        link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
+        # service on a link choked before it lingered stays in `in_service`.
+        link = dl.links.get(up.peer_id) or next(
+            (k for k in up.in_service if k.receiver == dl.peer_id), None
+        )
         if link is None:
             return False
         dropped = list(link.queue)
@@ -867,8 +867,6 @@ class _Engine:
                 requested[piece] = left
             else:
                 requested.pop(piece, None)
-        if link.serving is None:
-            up.channels.pop(dl.peer_id, None)
         return cancelled
 
     # -- requests and playback ----------------------------------------------
@@ -1126,56 +1124,58 @@ class _Engine:
         added -= room
         if not added:
             return
-        up.channels[dl.peer_id] = link
         up.queue_length += added
         link.requests_sent += added
         if link.serving is None:
             self._service_channel(up, link)
 
     def _service_channel(self, up: _RunPeer, link: _Link) -> None:
-        """Start the next queued block on an idle link."""
-        if not link.queue:
-            return
-        link.serving = link.queue.popleft()
-        piece, block = link.serving
-        if not up.have >> piece & 1:
-            raise InvariantError(
-                f"{up.peer_id} asked to serve incomplete piece {piece}"
-            )
-        link.remaining = float(self._block_lengths[piece][block])
-        link.t_last = self.now
-        link.pre_choke = False
-        up.in_service.append(link)
-        self._reshare_sender(up)
+        """Start the next queued block on an idle link, if any; reshare `up`."""
+        start = None
+        if link.queue:
+            link.serving = link.queue.popleft()
+            piece, block = link.serving
+            if not up.have >> piece & 1:
+                raise InvariantError(
+                    f"{up.peer_id} asked to serve incomplete piece {piece}"
+                )
+            link.remaining = float(self._block_lengths[piece][block])
+            link.pre_choke = False
+            start = link
+        self._reshare_sender(up, start)
 
-    def _reshare_sender(self, up: _RunPeer) -> None:
+    def _reshare_sender(self, up: _RunPeer, start: _Link | None = None) -> None:
         """Split `up`'s capacity equally over its active transfers.
 
-        Each link of `up.in_service`, the links with a block in service,
-        is charged the bytes sent at its old rate and moves to the new
-        share. The list's order does not matter: each link's arithmetic
-        reads only its own fields, and the first block is chosen by
-        (finish time, receiver id). Only that block gets a completion
-        event: a busy sender has exactly one pending completion, whose
-        payload `up.pending` keeps. The version bump makes every earlier
-        event of the sender stale. Each handled completion reshares its
+        The links of `up.in_service` are charged what each sent at
+        `up.share` since `up.t_last`; then `start`, a link whose block
+        starts now, joins them and `up.share` becomes the new split. The
+        first block is chosen by (finish time, receiver id), whatever the
+        list's order. Only it gets a completion event, whose payload
+        `up.pending` keeps: a busy sender has exactly one pending
+        completion, and bumping the version of the payload it replaces
+        makes that event stale. Each handled completion reshares its
         sender, so the next block's event is pushed then.
         """
         now = self.now
         active = up.in_service
+        elapsed = now - up.t_last
+        if elapsed > 0:
+            sent = up.share * elapsed
+            for link in active:
+                link.remaining = max(link.remaining - sent, 0.0)
+        up.t_last = now
+        if start is not None:
+            active.append(start)
+        if up.pending is not None:
+            up.pending[0].version += 1
         if not active:
             up.pending = None
             return
-        share = up.upload_capacity / len(active)
+        up.share = share = up.upload_capacity / len(active)
         first = None
         first_eta = 0.0
         for link in active:
-            elapsed = now - link.t_last
-            if elapsed > 0 and link.rate > 0:
-                link.remaining = max(link.remaining - link.rate * elapsed, 0.0)
-            link.t_last = now
-            link.rate = share
-            link.version += 1
             eta = now + link.remaining / share
             if first is None or eta < first_eta or (
                 eta == first_eta and link.receiver < first.receiver
@@ -1244,12 +1244,9 @@ class _Engine:
                 self._on_piece_complete(dl, piece)
             self._fill_pipeline(dl, up)
         if link.serving is None:
-            # The refill above did not start a block here; start the next
-            # queued one, or retire the idle link. Either reshares.
+            # The refill above did not start a block here (which would have
+            # reshared `up`); start the next queued one, if any, and reshare.
             self._service_channel(up, link)
-            if link.serving is None:
-                up.channels.pop(link.receiver, None)
-                self._reshare_sender(up)
         return True
 
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
@@ -1284,8 +1281,9 @@ class _Engine:
                 dl = alive.get(rid)
                 if dl is not None and not dl.lingering and pid not in dl.unchoked_by:
                     raise InvariantError(f"{pid} unchokes {rid}, which does not list it")
+            # a link with a queued block has one in service, so is listed
             queued = served = 0
-            for link in peer.channels.values():
+            for link in peer.in_service:
                 if link.serving is not None:
                     queued += 1
                     served |= 1 << link.serving[0]
@@ -1306,7 +1304,7 @@ class _Engine:
                 raise InvariantError(f"{pid} queues or serves a piece it lacks")
             if peer.links or peer.requested or peer.owned:
                 self._check_inbound(pid, peer)
-            if peer.channels or peer.in_service or peer.pending is not None:
+            if peer.in_service or peer.pending is not None:
                 self._check_pending(pid, peer)
         if self._maps_changed and alive:
             self._maps_changed = False
@@ -1353,19 +1351,19 @@ class _Engine:
 
     @staticmethod
     def _check_pending(pid: str, peer: _RunPeer) -> None:
-        """A sender's in-service list holds exactly the links of `channels`
-        with a block in service, and a busy sender's one live completion
-        event is for the block in service that finishes first, ties broken
-        by receiver id.
+        """Each link of a sender's in-service list has a block in service
+        and is listed once, and a busy sender's one live completion event
+        is for the block in service that finishes first, ties broken by
+        receiver id.
 
-        The links in service are found again from `channels`, not read off
-        the list. Each reshare bumps the version of every link with a
-        block in service and records the payload it pushes, so a payload
-        whose version is current is the only live completion event of the
-        sender.
+        That the list misses no link with a block in service is the queue
+        count's check in `_check_invariants`. Each reshare bumps the
+        version of the link whose payload it replaces and records the
+        payload it pushes, so a payload whose version is current is the
+        only live completion event of the sender.
         """
-        active = [link for link in peer.channels.values() if link.serving]
-        if len(peer.in_service) != len(active) or set(peer.in_service) != set(active):
+        active = peer.in_service
+        if any(link.serving is None for link in active) or len(set(active)) != len(active):
             raise InvariantError(f"{pid} lists links in service other than those it serves on")
         if not active:
             if peer.pending is not None:
@@ -1376,7 +1374,7 @@ class _Engine:
         link, version = peer.pending
         if link.version != version or link not in active:
             raise InvariantError(f"{pid} has no live completion event")
-        first = min(active, key=lambda k: (k.t_last + k.remaining / k.rate, k.receiver))
+        first = min(active, key=lambda k: (peer.t_last + k.remaining / peer.share, k.receiver))
         if first is not link:
             raise InvariantError(
                 f"{pid} has a pending completion for {link.receiver}, "

@@ -438,8 +438,9 @@ def _record_grid(content):
     return content.piece_duration, math.ceil(content.duration / content.piece_duration - 1e-9)
 
 
-def _finish_time(link):
-    return link.t_last + link.remaining / link.rate
+def _finish_time(up, link):
+    """When the block `up` serves on `link` finishes at `up`'s current share."""
+    return up.t_last + link.remaining / up.share
 
 
 def _two_seed_engine(pipeline_depth):
@@ -491,7 +492,7 @@ def _served_in_turn(engine, up, dl):
     link = dl.links[up.peer_id]
     served = []
     while up.pending is not None:
-        engine.now = _finish_time(link)
+        engine.now = _finish_time(up, link)
         engine._on_block_complete(*up.pending)
         engine._check_invariants()
         if link.serving is not None:
@@ -518,14 +519,14 @@ class TestDepartingSender:
         # `seed00` serves (7, 0)-(7, 2) and chokes `c0` while (7, 3) is in
         # service. `seed01` then picks piece 7, finds no free block, and
         # keeps it owned on a link it never queued a block on, so the link
-        # is not in its `channels`. Its departure must free the piece.
+        # is not in its `in_service`. Its departure must free the piece.
         engine, s0, s1, c0 = _two_seed_engine(pipeline_depth=4)
         s0.regular_slots.add("c0")
         engine._apply_slot_diff(s0, set(), {"c0"})
         link = c0.links["seed00"]
         assert link.serving == (7, 0) and list(link.queue) == [(7, 1), (7, 2), (7, 3)]
         for _ in range(3):
-            engine.now = _finish_time(link)
+            engine.now = _finish_time(s0, link)
             engine._on_block_complete(*s0.pending)
             engine._check_invariants()
         assert link.serving == (7, 3)
@@ -534,13 +535,13 @@ class TestDepartingSender:
         s1.regular_slots.add("c0")
         engine._apply_slot_diff(s1, set(), {"c0"})
         idle = c0.links["seed01"]
-        assert idle.owned == c0.owned == 1 << 7 and "c0" not in s1.channels
+        assert idle.owned == c0.owned == 1 << 7 and idle not in s1.in_service
         engine._check_invariants()
 
         engine._on_departure("seed01")
         assert c0.owned == 0
         engine._check_invariants()
-        engine.now = _finish_time(link)
+        engine.now = _finish_time(s0, link)
         engine._on_block_complete(*s0.pending)
         assert c0.have == 1 << 7
         engine._check_invariants()
@@ -579,7 +580,7 @@ class TestInvariantMutations:
             # A departing sender that ends only the links with a block
             # queued or in service: a receiver it unchokes over an idle
             # link keeps listing it in `unchoked_by`.
-            for rid in sorted(peer.channels):
+            for rid in sorted(k.receiver for k in peer.in_service):
                 self._choke(peer, self.peers[rid], cancel=True)
             peer.pending = None
             peer.regular_slots.clear()
@@ -606,12 +607,12 @@ class TestInvariantMutations:
     def test_latest_pending_completion(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_latest(self, up):
+        def reshare_latest(self, up, start=None):
             # Record the block that finishes last as the pending completion
             # instead of the one that finishes first.
-            reshare(self, up)
+            reshare(self, up, start)
             if up.pending is not None:
-                last = max(up.in_service, key=lambda k: (_finish_time(k), k.receiver))
+                last = max(up.in_service, key=lambda k: (_finish_time(up, k), k.receiver))
                 up.pending = (last, last.version)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_latest)
@@ -620,11 +621,11 @@ class TestInvariantMutations:
     def test_idle_sender_keeps_pending(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_busy_only(self, up):
+        def reshare_busy_only(self, up, start=None):
             # A sender left with nothing in service keeps the payload of
             # its last completion.
-            if up.in_service:
-                reshare(self, up)
+            if up.in_service or start is not None:
+                reshare(self, up, start)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_busy_only)
         self.run_checked("serves nothing but keeps a pending completion")
@@ -632,9 +633,9 @@ class TestInvariantMutations:
     def test_pending_not_recorded(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_unrecorded(self, up):
+        def reshare_unrecorded(self, up, start=None):
             # The completion event is pushed, but its payload is not kept.
-            reshare(self, up)
+            reshare(self, up, start)
             up.pending = None
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_unrecorded)
@@ -643,11 +644,11 @@ class TestInvariantMutations:
     def test_pending_from_before_reshare(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_keeping_old(self, up):
+        def reshare_keeping_old(self, up, start=None):
             # A busy sender keeps the payload it had before the reshare,
             # whose version the reshare made stale.
             old = up.pending
-            reshare(self, up)
+            reshare(self, up, start)
             if old is not None and up.pending is not None:
                 up.pending = old
 
@@ -658,7 +659,9 @@ class TestInvariantMutations:
         choke = sim._Engine._choke
 
         def choke_keeping_in_service(self, up, dl, cancel):
-            link = dl.links.get(up.peer_id) or up.channels.get(dl.peer_id)
+            link = dl.links.get(up.peer_id) or next(
+                (k for k in up.in_service if k.receiver == dl.peer_id), None
+            )
             cancelled = choke(self, up, dl, cancel)
             if cancelled:
                 up.in_service.append(link)
@@ -670,6 +673,31 @@ class TestInvariantMutations:
         with pytest.raises(InvariantError, match="lists links in service other than"):
             run(slow_linger_config())
 
+    def test_serving_link_dropped_from_list(self, monkeypatch):
+        reshare = sim._Engine._reshare_sender
+
+        def reshare_dropping_one(self, up, start=None):
+            # A sender with two blocks in service drops from its list the
+            # link of one that does not finish first.
+            reshare(self, up, start)
+            if len(up.in_service) > 1:
+                up.in_service.remove(next(k for k in up.in_service if k is not up.pending[0]))
+
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_dropping_one)
+        self.run_checked("blocks queued or in service, but its links hold")
+
+    def test_leecher_serves_piece_it_lacks(self, monkeypatch):
+        service = sim._Engine._service_channel
+
+        def service_losing_piece(self, up, link):
+            # A leecher loses the piece of each block it starts to serve.
+            service(self, up, link)
+            if up.session is not None and link.serving is not None:
+                up.have &= ~(1 << link.serving[0])
+
+        monkeypatch.setattr(sim._Engine, "_service_channel", service_losing_piece)
+        self.run_checked("queues or serves a piece it lacks")
+
     def test_served_piece_lost(self):
         # `seed00` queues all of piece 7 to `c0` and then loses the piece:
         # the next block to start is one it cannot serve.
@@ -679,7 +707,7 @@ class TestInvariantMutations:
         link = c0.links["seed00"]
         assert link.serving == (7, 0) and list(link.queue) == [(7, 1), (7, 2), (7, 3)]
         s0.have &= ~(1 << 7)
-        engine.now = _finish_time(link)
+        engine.now = _finish_time(s0, link)
         with pytest.raises(InvariantError, match="seed00 asked to serve incomplete piece 7"):
             engine._on_block_complete(*s0.pending)
 
@@ -687,17 +715,68 @@ class TestInvariantMutations:
         cancel = sim._Engine._cancel_uploads
 
         def cancel_keeping_inflight(self, peer):
-            served = [
-                (self.peers[rid], link.serving)
-                for rid, link in peer.channels.items()
-                if link.serving is not None
-            ]
+            served = [(self.peers[link.receiver], link.serving) for link in peer.in_service]
             cancel(self, peer)
             for dl, (piece, block) in served:
                 dl.requested[piece] = dl.requested.get(piece, 0) | 1 << block
 
         monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_keeping_inflight)
         self.run_checked("exactly one link")
+
+    def test_block_in_service_not_in_flight(self, monkeypatch):
+        service = sim._Engine._service_channel
+
+        def service_unrequesting(self, up, link):
+            # Each block that starts loses its requested bit.
+            service(self, up, link)
+            if link.serving is not None:
+                piece, block = link.serving
+                self.peers[link.receiver].requested[piece] &= ~(1 << block)
+
+        monkeypatch.setattr(sim._Engine, "_service_channel", service_unrequesting)
+        self.run_checked("not in flight")
+
+    def test_piece_owned_on_two_links(self, monkeypatch):
+        pick = sim._Engine._pick_new_piece
+
+        def pick_ignoring_owned(self, dl, up):
+            # A pick that does not pass over the pieces owned on other links.
+            owned, dl.owned = dl.owned, 0
+            piece = pick(self, dl, up)
+            dl.owned = owned
+            return piece
+
+        monkeypatch.setattr(sim._Engine, "_pick_new_piece", pick_ignoring_owned)
+        self.run_checked("owns a piece on two links")
+
+    def test_receiver_owned_kept_on_choke(self, monkeypatch):
+        choke = sim._Engine._choke
+
+        def choke_keeping_receiver_owned(self, up, dl, cancel):
+            # The link releases its pieces, but the receiver still counts
+            # them as owned.
+            owned = dl.owned
+            cancelled = choke(self, up, dl, cancel)
+            dl.owned = owned
+            return cancelled
+
+        monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_receiver_owned)
+        self.run_checked("owns pieces that no link owns")
+
+    def test_completed_piece_left_owned(self, monkeypatch):
+        on_block_complete = sim._Engine._on_block_complete
+
+        def complete_keeping_owner(self, link, version):
+            # The link that delivers a piece's last block keeps owning it.
+            owned = link.owned
+            handled = on_block_complete(self, link, version)
+            kept = owned & ~link.owned
+            link.owned |= kept
+            self.peers[link.receiver].owned |= kept
+            return handled
+
+        monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_owner)
+        self.run_checked("owns a piece it holds")
 
     def test_requested_kept_on_choke(self, monkeypatch):
         choke = sim._Engine._choke

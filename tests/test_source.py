@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from swarmsim.sim import _Link, _RunPeer
+
 PACKAGE = Path(__file__).parents[1] / "src" / "swarmsim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -25,3 +27,29 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_every_record_slot_is_read():
+    # Each slot of the engine's peer and link records is read somewhere in
+    # the package outside an `__init__`: a slot that is only ever written
+    # is state that nothing needs. Reads are matched by attribute name, so
+    # a load of another object's attribute of the same name counts too.
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_init = {
+            id(node)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            for node in ast.walk(f)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in in_init
+        }
+    for record in (_Link, _RunPeer):
+        unread = [name for name in record.__slots__ if name not in read]
+        assert not unread, f"{record.__name__} slots never read: {', '.join(unread)}"
