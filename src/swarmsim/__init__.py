@@ -38,7 +38,6 @@ from .sim import (
     QoSReport,
     RunResult,
     SimConfig,
-    continuity_index,
     fairness,
     playback_model,
     run,

@@ -1,8 +1,11 @@
 """Command-line front door: generate, analyze, simulate, compare.
 
 Configuration files are flat INI (key = value under sections); flags
-override file values. All randomness derives from --seed / base_seed, so
-reruns with the same inputs produce byte-identical outputs. Exit codes:
+override file values. Each key sets one config field; a key left unset
+keeps the default that its config class declares. A horizon of more than
+a million unchoke or tracker intervals is a config error. All randomness
+derives from --seed / base_seed, so reruns with the same inputs produce
+byte-identical outputs. Exit codes:
 0 success, also when standard output closes before all is written, 1
 usage or config error, 2 input data error, 3 internal invariant
 violation.
@@ -27,9 +30,8 @@ from . import metrics
 from .errors import ConfigError, EmptyRecordError, InvariantError, SwarmsimError, TraceError
 from .policies import PolicySpec
 from .sim import CapacityClass, PeerQoS, QoSReport, SimConfig, event_log_lines, run
-from .swarm import ContentSpec, SwarmConfig
+from .swarm import DEFAULT_PLAYBACK_RATE, ContentSpec, SwarmConfig
 from .workload import (
-    DEFAULT_PLAYBACK_RATE,
     GeneratorConfig,
     InteractivityProfile,
     Workload,
@@ -58,16 +60,8 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _get(sections, section, key, cast, default):
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}")
+def _parse_bool(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
 def _parse_capacity_classes(raw: str) -> tuple[CapacityClass, ...]:
@@ -86,20 +80,38 @@ def _parse_capacity_classes(raw: str) -> tuple[CapacityClass, ...]:
     return tuple(classes)
 
 
-# The keys build_sim_config reads, by section. Any other is rejected: a
-# typo would leave a default in place without a word.
+# Each INI key, by section, with the parser of its value. A key sets the
+# keyword of its own name, or the one paired with its parser. The keywords
+# are those of ContentSpec.for_duration, GeneratorConfig, SwarmConfig,
+# PolicySpec.from_name and SimConfig, and a (field, i) keyword sets end i
+# of that range; `trace` instead names a trace file, which replaces the
+# generator. A key that the file leaves out is not passed, so it keeps the
+# default that its class declares. Any other section or key is rejected:
+# a typo would leave a default in place without a word.
 _SIM_KEYS = {
-    "content": ("playback_rate", "piece_size", "block_size"),
-    "workload": ("trace", "profile", "sessions", "object_length", "mean_session_gap",
-                 "mean_intra_gap", "start_skew"),
-    "swarm": ("unchoke_interval", "optimistic_interval", "neighbourhood_min",
-              "neighbourhood_max", "neighbourhood_target", "neighbourhood_floor",
-              "pipeline_depth", "regular_slots", "optimistic_slots", "tracker_list_size",
-              "tracker_update_interval"),
-    "policy": ("kind", "n"),
-    "run": ("seed", "horizon", "capacity_classes", "check_invariants", "initial_seeds",
-            "startup_pieces", "linger_fraction"),
+    "content": {"playback_rate": float, "piece_size": int, "block_size": int},
+    "workload": {
+        "trace": str, "profile": InteractivityProfile.from_token,
+        "sessions": ("session_count", int), "object_length": float,
+        "mean_session_gap": float, "mean_intra_gap": float, "start_skew": float,
+    },
+    "swarm": {
+        "unchoke_interval": float, "optimistic_interval": float,
+        "neighbourhood_min": (("neighbourhood_range", 0), int),
+        "neighbourhood_max": (("neighbourhood_range", 1), int),
+        "neighbourhood_target": int, "neighbourhood_floor": int, "pipeline_depth": int,
+        "regular_slots": ("regular_slot_count", int),
+        "optimistic_slots": ("optimistic_slot_count", int),
+        "tracker_list_size": int, "tracker_update_interval": float,
+    },
+    "policy": {"kind": ("name", str), "n": int},
+    "run": {
+        "seed": int, "horizon": float, "capacity_classes": _parse_capacity_classes,
+        "check_invariants": _parse_bool, "initial_seeds": int, "startup_pieces": int,
+        "linger_fraction": ("linger_as_seed_fraction", float),
+    },
 }
+_EXPERIMENT_KEYS = {"base_seed": int, "repetitions": int}
 
 
 def _check_known(kind: str, name: str, known) -> None:
@@ -107,16 +119,52 @@ def _check_known(kind: str, name: str, known) -> None:
         raise ConfigError(f"unknown {kind} {name!r}; expected one of {', '.join(known)}")
 
 
-def build_sim_config(sections: dict[str, dict[str, str]], **overrides) -> SimConfig:
-    """Assemble a SimConfig from INI sections plus flag overrides."""
+def _entry(table, key: str) -> tuple:
+    """The keyword that `key` sets and the parser of its value."""
+    entry = table[key]
+    return entry if isinstance(entry, tuple) else (key, entry)
+
+
+def _parse_section(section: str, entries: dict[str, str], table, flags: dict) -> dict:
+    """The keywords that one section's entries set, each parsed by its
+    `table` entry. A key in `flags` takes the flag's value instead, and
+    the file's value of it is not parsed."""
+    kwargs = {_entry(table, key)[0]: value for key, value in flags.items() if key in table}
+    for key, raw in entries.items():
+        if key in flags:
+            continue
+        field, parse = _entry(table, key)
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}")
+        if isinstance(field, tuple):  # the other end keeps its value or default
+            field, end = field
+            ends = list(kwargs.get(field, getattr(SwarmConfig, field)))
+            ends[end] = value
+            value = tuple(ends)
+        kwargs[field] = value
+    return kwargs
+
+
+def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
+    """Assemble a SimConfig from INI sections plus flag overrides.
+
+    Each flag is named by the key that it replaces. A flag that is None
+    or empty is unset; any other replaces its key's value, which is then
+    not parsed. Generator keys beside a trace are not parsed either.
+    """
     for section, entries in sections.items():
         _check_known("config section", section, _SIM_KEYS)
         for key in entries:
             _check_known(f"[{section}] key", key, _SIM_KEYS[section])
-    playback_rate = _get(sections, "content", "playback_rate", float, DEFAULT_PLAYBACK_RATE)
-    piece_size = _get(sections, "content", "piece_size", int, 262144)
-    block_size = _get(sections, "content", "block_size", int, 16384)
+    flags = {key: value for key, value in flags.items() if value is not None and value != ""}
 
+    def parsed(section: str) -> dict:
+        return _parse_section(section, sections.get(section, {}), _SIM_KEYS[section], flags)
+
+    content_kw = parsed("content")
+    playback_rate = content_kw.setdefault("playback_rate", DEFAULT_PLAYBACK_RATE)
     trace_path = sections.get("workload", {}).get("trace")
     if trace_path:
         try:
@@ -125,92 +173,42 @@ def build_sim_config(sections: dict[str, dict[str, str]], **overrides) -> SimCon
         except OSError as exc:
             raise TraceError(f"cannot read {trace_path}: {exc.strerror}")
         workload: Workload | GeneratorConfig = parse_trace(text, playback_rate=playback_rate)
-        object_length = workload.object_length
     else:
-        profile_raw = sections.get("workload", {}).get("profile")
-        if profile_raw is None:
+        generator_kw = parsed("workload")
+        generator_kw.pop("trace", None)
+        if "profile" not in generator_kw:
             raise ConfigError("[workload] needs either trace= or profile=")
-        object_length = _get(sections, "workload", "object_length", float, None)
-        if object_length is None:
+        if "object_length" not in generator_kw:
             raise ConfigError("[workload] object_length is required with a generator profile")
         workload = GeneratorConfig(
-            profile=InteractivityProfile.from_token(profile_raw),
-            session_count=_get(sections, "workload", "sessions", int, 50),
-            object_length=object_length,
-            mean_session_gap=_get(sections, "workload", "mean_session_gap", float, None),
-            mean_intra_gap=_get(sections, "workload", "mean_intra_gap", float, None),
-            start_skew=_get(sections, "workload", "start_skew", float, 0.85),
-            playback_rate=playback_rate,
-            seed=0,
+            **{"session_count": 50, **generator_kw}, playback_rate=playback_rate
         )
 
     try:
-        content = ContentSpec.for_duration(object_length, playback_rate, piece_size, block_size)
+        content = ContentSpec.for_duration(workload.object_length, **content_kw)
     except ValueError as exc:
         raise ConfigError(f"[content] {exc}")
-
     try:
-        swarm = SwarmConfig(
-            unchoke_interval=_get(sections, "swarm", "unchoke_interval", float, 10.0),
-            optimistic_interval=_get(sections, "swarm", "optimistic_interval", float, 30.0),
-            neighbourhood_range=(
-                _get(sections, "swarm", "neighbourhood_min", int, 40),
-                _get(sections, "swarm", "neighbourhood_max", int, 80),
-            ),
-            neighbourhood_target=_get(sections, "swarm", "neighbourhood_target", int, None),
-            neighbourhood_floor=_get(sections, "swarm", "neighbourhood_floor", int, 20),
-            pipeline_depth=_get(sections, "swarm", "pipeline_depth", int, 5),
-            regular_slot_count=_get(sections, "swarm", "regular_slots", int, 4),
-            optimistic_slot_count=_get(sections, "swarm", "optimistic_slots", int, 1),
-            tracker_list_size=_get(sections, "swarm", "tracker_list_size", int, 40),
-            tracker_update_interval=_get(
-                sections, "swarm", "tracker_update_interval", float, 1800.0
-            ),
-        )
+        swarm = SwarmConfig(**parsed("swarm"))
     except ValueError as exc:
         raise ConfigError(f"[swarm] {exc}")
-
-    policy_name = overrides.get("policy") or _get(sections, "policy", "kind", str, None)
-    if policy_name is None:
+    policy_kw = parsed("policy")
+    if "name" not in policy_kw:
         raise ConfigError("missing policy: set [policy] kind or --policy")
-    policy_n = overrides.get("policy_n")
-    if policy_n is None:
-        policy_n = _get(sections, "policy", "n", int, None)
-    policy = PolicySpec.from_name(policy_name, policy_n)
-
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _get(sections, "run", "seed", int, 0)
-    horizon = overrides.get("horizon")
-    if horizon is None:
-        horizon = _get(sections, "run", "horizon", float, None)
-    if horizon is None:
+    run_kw = {
+        "seed": 0,
+        "capacity_classes": (CapacityClass(rate=playback_rate * 4, fraction=1.0),),
+        **parsed("run"),
+    }
+    if "horizon" not in run_kw:
         raise ConfigError("missing horizon: set [run] horizon or --horizon")
-
-    capacity_raw = _get(
-        sections, "run", "capacity_classes", str, f"{playback_rate * 4}:1.0"
+    return SimConfig(
+        content=content,
+        swarm=swarm,
+        policy=PolicySpec.from_name(**policy_kw),
+        workload=workload,
+        **run_kw,
     )
-    check = overrides.get("check_invariants")
-    if check is None:
-        check = _get(sections, "run", "check_invariants", bool, False)
-
-    try:
-        return SimConfig(
-            content=content,
-            swarm=swarm,
-            policy=policy,
-            workload=workload,
-            capacity_classes=_parse_capacity_classes(capacity_raw),
-            seed=seed,
-            horizon=horizon,
-            initial_seeds=_get(sections, "run", "initial_seeds", int, 1),
-            startup_pieces=_get(sections, "run", "startup_pieces", int, 1),
-            linger_as_seed_fraction=_get(sections, "run", "linger_fraction", float, 0.0),
-            record_events=bool(overrides.get("record_events", False)),
-            check_invariants=check,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +326,14 @@ def cmd_simulate(args) -> int:
     sections = _read_ini(args.config) if args.config else {}
     cfg = build_sim_config(
         sections,
-        policy=args.policy,
-        policy_n=args.policy_n,
+        kind=args.policy,
+        n=args.policy_n,
         seed=args.seed,
         horizon=args.horizon,
         check_invariants=True if args.check_invariants else None,
-        record_events=args.event_log is not None,
     )
+    if args.event_log is not None:
+        cfg = dataclasses.replace(cfg, record_events=True)
     result = run(cfg)
     if args.format == "csv":
         _write_or_print(_qos_csv(result.report), args.out)
@@ -365,8 +364,8 @@ class ExperimentSpec:
 
     labels: tuple[str, ...]
     configs: dict[str, dict[str, dict[str, str]]]
-    repetitions: int
-    base_seed: int
+    repetitions: int = 1
+    base_seed: int = 0
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -383,9 +382,8 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
         if not name.startswith("label:"):
             _check_known("experiment spec section", name, ("experiment", "defaults", "label:..."))
     for key in sections["experiment"]:
-        _check_known("[experiment] key", key, ("base_seed", "repetitions"))
-    base_seed = _get(sections, "experiment", "base_seed", int, 0)
-    repetitions = _get(sections, "experiment", "repetitions", int, 1)
+        _check_known("[experiment] key", key, _EXPERIMENT_KEYS)
+    settings = _parse_section("experiment", sections["experiment"], _EXPERIMENT_KEYS, {})
     defaults = sections.get("defaults", {})
     labels = []
     configs = {}
@@ -403,9 +401,7 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
         configs[label] = merged
     if not labels:
         raise ConfigError("experiment spec defines no [label:...] sections")
-    return ExperimentSpec(
-        labels=tuple(labels), configs=configs, repetitions=repetitions, base_seed=base_seed
-    )
+    return ExperimentSpec(labels=tuple(labels), configs=configs, **settings)
 
 
 def _compare_worker(job: tuple[str, int, SimConfig]) -> tuple[str, int, dict]:
@@ -502,10 +498,12 @@ def _build_parser() -> _Parser:
     g.add_argument("--profile", required=True, help="hi, mi, or li")
     g.add_argument("--sessions", type=int, required=True)
     g.add_argument("--object-len", type=float, required=True, help="object length in seconds")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=GeneratorConfig.seed)
     g.add_argument("--mean-gap", type=float, default=None, help="mean gap between sessions")
     g.add_argument("--intra-gap", type=float, default=None, help="mean gap within a session")
-    g.add_argument("--skew", type=float, default=0.85, help="start-position decay rate")
+    g.add_argument(
+        "--skew", type=float, default=GeneratorConfig.start_skew, help="start-position decay rate"
+    )
     g.add_argument("--playback-rate", type=float, default=DEFAULT_PLAYBACK_RATE)
     g.add_argument("--granularity", type=float, default=1.0)
     g.add_argument("--out", default=None, help="trace path (default stdout)")

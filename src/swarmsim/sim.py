@@ -83,6 +83,7 @@ from .workload import (
 )
 
 _EPS = 1e-9
+_MAX_TICKS = 10**6  # unchoke or tracker ticks that one run may schedule
 
 _YANG_KINDS = (
     PolicyKind.LLP,
@@ -144,6 +145,13 @@ class SimConfig:
                 raise ConfigError(f"{name} must be a finite number; got {value}")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        # The periodic ticks run up to the horizon. The optimistic interval
+        # is a multiple of the unchoke interval and needs no term of its own.
+        tick = min(self.swarm.unchoke_interval, self.swarm.tracker_update_interval)
+        if self.horizon / tick > _MAX_TICKS:
+            raise ConfigError(
+                f"horizon {self.horizon} spans more than {_MAX_TICKS} ticks of {tick} s"
+            )
         if self.initial_seeds < 1:
             raise ConfigError("at least one initial seed is required")
         if self.startup_pieces < 1:
@@ -169,20 +177,6 @@ class SimConfig:
 
 # ---------------------------------------------------------------------------
 # QoS primitives
-
-
-def continuity_index(deadlines: Sequence[float], arrivals: Sequence[float | None]) -> float:
-    """Fraction of pieces that arrived no later than their deadline."""
-    if len(deadlines) != len(arrivals):
-        raise ValueError("deadline and arrival sequences must align")
-    if not deadlines:
-        raise ValueError("continuity undefined for an empty playback path")
-    on_time = sum(
-        1
-        for due, arr in zip(deadlines, arrivals)
-        if arr is not None and arr <= due + _EPS
-    )
-    return on_time / len(deadlines)
 
 
 def fairness(rates: Sequence[float]) -> float:
@@ -418,7 +412,7 @@ class _RunPeer:
         "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
         "queue_length", "pending", "forward_accum", "forward_snapshot",
         "unchoked_by", "links", "requested", "owned", "block_source", "wanted", "replicas",
-        "requests_made", "current_req", "playback_version",
+        "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
     )
 
@@ -461,8 +455,7 @@ class _RunPeer:
         self.block_source: dict[int, list[str | None]] = {}
         self.wanted = 0
         self.replicas: list[int] = []
-        # session progress
-        self.requests_made = 0
+        # session progress: the index of the last request made
         self.current_req = -1
         self.playback_version = 0
         # accounting
@@ -560,10 +553,7 @@ class _Engine:
         self.heap: list = []
         self._pipeline_depth = cfg.swarm.pipeline_depth
         self.peers: dict[str, _RunPeer] = {}
-        self.tracker = TrackerState(
-            update_interval=cfg.swarm.tracker_update_interval,
-            list_size=cfg.swarm.tracker_list_size,
-        )
+        self.tracker = TrackerState(list_size=cfg.swarm.tracker_list_size)
         self.events: list[dict] | None = [] if cfg.record_events else None
         # Set by every change to links, have-maps or wanted sets; read by
         # the invariant check to decide whether to recount.
@@ -639,7 +629,7 @@ class _Engine:
 
         self._schedule(self.swarm.unchoke_interval, on[EventKind.UNCHOKE_TICK], ())
         self._schedule(self.swarm.optimistic_interval, on[EventKind.OPTIMISTIC_TICK], ())
-        self._schedule(self.tracker.update_interval, on[EventKind.TRACKER_UPDATE], ())
+        self._schedule(self.swarm.tracker_update_interval, on[EventKind.TRACKER_UPDATE], ())
 
     def _draw_capacity(self, rng: random.Random) -> float:
         u = rng.random()
@@ -686,7 +676,8 @@ class _Engine:
         if peer.session is not None:
             first = peer.session.requests[0]
             self._record_request_coverage(peer, first)
-            peer.requests_made = 1
+            # request 0 runs next: same time, the next sequence number
+            peer.current_req = 0
         selected = self._form_neighbourhood(peer, candidates)
         for other in selected:
             self._connect(peer, self.peers[other])
@@ -697,7 +688,7 @@ class _Engine:
         """Requests per object duration, floored at one elapsed duration."""
         elapsed = max(self.now - peer.join_time, 0.0)
         spans = max(elapsed / self.content.duration, 1.0)
-        return peer.requests_made / spans
+        return (peer.current_req + 1) / spans
 
     def _candidate_info(self, peer: _RunPeer) -> CandidateInfo:
         """What greedy formation reads of a candidate."""
@@ -883,7 +874,6 @@ class _Engine:
         req = peer.session.requests[idx]
         if idx > 0:
             self._record_request_coverage(peer, req)
-            peer.requests_made += 1
         peer.current_req = idx
         region = self.content.pieces_for_interval(req.start_pos, req.end_pos)
         peer.wanted = 0
@@ -1042,7 +1032,7 @@ class _Engine:
         for pid in self._alive_ids():
             self._refill_neighbourhood(self.peers[pid])
         self._log(EventKind.TRACKER_UPDATE, None)
-        next_t = self.now + self.tracker.update_interval
+        next_t = self.now + self.swarm.tracker_update_interval
         if next_t <= self.cfg.horizon + _EPS:
             self._schedule(next_t, self.handlers[EventKind.TRACKER_UPDATE], ())
         return True

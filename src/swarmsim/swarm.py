@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 
 DEFAULT_PIECE_SIZE = 262144
 DEFAULT_BLOCK_SIZE = 16384
+DEFAULT_PLAYBACK_RATE = float(DEFAULT_PIECE_SIZE)  # bytes/second; one piece per second
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class ContentSpec:
     total_size: int
     piece_size: int = DEFAULT_PIECE_SIZE
     block_size: int = DEFAULT_BLOCK_SIZE
-    playback_rate: float = float(DEFAULT_PIECE_SIZE)
+    playback_rate: float = DEFAULT_PLAYBACK_RATE
 
     def __post_init__(self):
         if self.total_size <= 0 or self.piece_size <= 0 or self.block_size <= 0:
@@ -241,7 +242,6 @@ class TrackerState:
     that `rng.sample` draws from; its values are unused.
     """
 
-    update_interval: float = 1800.0
     list_size: int = 40
     registry: dict[str, None] = field(default_factory=dict)
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, TraceError
+from .swarm import DEFAULT_PLAYBACK_RATE
 
 TRACE_HEADER = "client_id,arrival_time,start_pos,end_pos,interaction"
-
-DEFAULT_PLAYBACK_RATE = 262144.0  # bytes/second; one 256 KiB piece per second
 
 # Start-position grid used by the generator: geometric decay over bins of
 # 5% of the object, starts aligned to bin starts so the very beginning of

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsim import metrics
-from swarmsim.cli import _read_ini, build_sim_config, load_experiment_spec, main
+from swarmsim.cli import _SIM_KEYS, _entry, _read_ini, build_sim_config, load_experiment_spec, main
+from swarmsim.sim import CapacityClass
+from swarmsim.swarm import DEFAULT_PLAYBACK_RATE
 from swarmsim.workload import (
     GeneratorConfig,
     InteractivityProfile,
@@ -333,6 +335,125 @@ class TestSimulate:
         assert not out.exists()
 
 
+# A minimal generator config, and for each INI key a valid value that is
+# not its field's value in that config, with the field value that it
+# should give. Float keys take a value that `int` cannot parse, and the
+# check on types below catches `float` for an int key.
+MINIMAL_INI = {
+    "workload": {"profile": "hi", "object_length": "30"},
+    "policy": {"kind": "random"},
+    "run": {"horizon": "30"},
+}
+KEY_VALUES = {
+    ("content", "playback_rate"): ("131072.5", 131072.5),
+    ("content", "piece_size"): ("524288", 524288),
+    ("content", "block_size"): ("65536", 65536),
+    ("workload", "trace"): (None, None),  # the tiny trace, set in the test
+    ("workload", "profile"): ("li", InteractivityProfile.LI),
+    ("workload", "sessions"): ("7", 7),
+    ("workload", "object_length"): ("20.5", 20.5),
+    ("workload", "mean_session_gap"): ("3.5", 3.5),
+    ("workload", "mean_intra_gap"): ("2.5", 2.5),
+    ("workload", "start_skew"): ("0.5", 0.5),
+    ("swarm", "unchoke_interval"): ("2.5", 2.5),
+    ("swarm", "optimistic_interval"): ("40.0", 40.0),
+    # each end outside the default range, so that swapped ends are invalid
+    ("swarm", "neighbourhood_min"): ("30", 30),
+    ("swarm", "neighbourhood_max"): ("90", 90),
+    ("swarm", "neighbourhood_target"): ("50", 50),
+    ("swarm", "neighbourhood_floor"): ("10", 10),
+    ("swarm", "pipeline_depth"): ("3", 3),
+    ("swarm", "regular_slots"): ("2", 2),
+    ("swarm", "optimistic_slots"): ("0", 0),
+    ("swarm", "tracker_list_size"): ("10", 10),
+    ("swarm", "tracker_update_interval"): ("600.5", 600.5),
+    ("policy", "kind"): ("TitForTat", "titfortat"),
+    ("policy", "n"): ("3", 3),  # with kind = ynp, which needs it
+    ("run", "seed"): ("4", 4),
+    ("run", "horizon"): ("45.5", 45.5),
+    ("run", "capacity_classes"): (
+        "131072:0.5,524288:0.5",
+        (CapacityClass(131072.0, 0.5), CapacityClass(524288.0, 0.5)),
+    ),
+    ("run", "check_invariants"): ("yes", True),
+    ("run", "initial_seeds"): ("2", 2),
+    ("run", "startup_pieces"): ("3", 3),
+    ("run", "linger_fraction"): ("0.25", 0.25),
+}
+
+
+def config_value(cfg, section: str, field):
+    """What the keyword `field` of [section] set in `cfg`."""
+    owner = cfg if section == "run" else getattr(cfg, section)
+    if field == "trace":  # the workload read from the named file
+        return owner
+    if field == "name":  # PolicySpec.from_name's name is its kind's value
+        return owner.kind.value
+    if isinstance(field, tuple):  # one end of a range
+        return getattr(owner, field[0])[field[1]]
+    return getattr(owner, field)
+
+
+@pytest.mark.parametrize(
+    "section, key", [(s, key) for s, table in _SIM_KEYS.items() for key in table]
+)
+def test_each_key_sets_its_field(tmp_path, section, key):
+    raw, expected = KEY_VALUES[section, key]  # a new key needs a value here
+    if key == "trace":
+        raw = write(tmp_path, "t.csv", TINY_TRACE)
+        expected = parse_trace(TINY_TRACE, playback_rate=DEFAULT_PLAYBACK_RATE)
+    sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
+    sections.setdefault(section, {})[key] = raw
+    if key == "n":
+        sections["policy"]["kind"] = "ynp"
+    field = _entry(_SIM_KEYS[section], key)[0]
+    got = config_value(build_sim_config(sections), section, field)
+    assert got == expected and type(got) is type(expected)
+    assert config_value(build_sim_config(MINIMAL_INI), section, field) != expected
+
+
+@pytest.mark.parametrize(
+    "section, key, flag", [("run", "seed", 5), ("run", "seed", 0), ("policy", "n", 3)]
+)
+def test_flagged_key_is_not_parsed(section, key, flag):
+    sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
+    sections["policy"]["kind"] = "cnp"
+    sections["policy"]["n"] = "2"
+    sections[section][key] = "x"
+    cfg = build_sim_config(sections, **{key: flag})
+    assert config_value(cfg, section, key) == flag
+
+
+def test_generator_keys_beside_trace_are_not_parsed(tmp_path):
+    sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
+    trace = write(tmp_path, "t.csv", TINY_TRACE)
+    sections["workload"].update(trace=trace, profile="bogus", sessions="x")
+    assert build_sim_config(sections).workload == parse_trace(
+        TINY_TRACE, playback_rate=DEFAULT_PLAYBACK_RATE
+    )
+
+
+@pytest.mark.parametrize(
+    "horizon, swarm",
+    [
+        ("1e300", ""),
+        ("30", "unchoke_interval = 1e-300\noptimistic_interval = 1e-300\n"),
+        ("30", "tracker_update_interval = 1e-300\n"),
+    ],
+)
+def test_horizon_beyond_tick_bound_is_config_error(tmp_path, capsys, horizon, swarm):
+    trace = write(tmp_path, "t.csv", TINY_TRACE)
+    ini = (
+        f"[workload]\ntrace = {trace}\n[swarm]\n{swarm}"
+        f"[policy]\nkind = random\n[run]\nhorizon = {horizon}\n"
+    )
+    cfg = write(tmp_path, "sim.ini", ini)
+    out = tmp_path / "qos.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "ticks" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 class TestCompare:
     def test_two_labels_three_reps(self, tmp_path, capsys):
         spec = write(tmp_path, "exp.ini", EXPERIMENT_INI)
@@ -543,22 +664,11 @@ TINY_TRACE = serialize_trace(
 # Half plausible values, half special, zero, negative or not a number.
 INI_TOKENS = st.one_of(
     st.sampled_from(["1", "2", "5", "10", "30"]),
-    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "abc", ""]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e-300", "abc", ""]),
 )
-SWARM_KEYS = [
-    "unchoke_interval",
-    "optimistic_interval",
-    "neighbourhood_min",
-    "neighbourhood_max",
-    "neighbourhood_target",
-    "neighbourhood_floor",
-    "pipeline_depth",
-    "regular_slots",
-    "optimistic_slots",
-    "tracker_list_size",
-    "tracker_update_interval",
-]
-RUN_KEYS = ["seed", "initial_seeds", "startup_pieces", "linger_fraction"]
+SWARM_KEYS = list(_SIM_KEYS["swarm"])
+# horizon and capacity_classes are drawn on their own
+RUN_KEYS = [key for key in _SIM_KEYS["run"] if key not in ("horizon", "capacity_classes")]
 CAPACITY_TOKENS = st.one_of(
     st.sampled_from(["262144:1.0", "131072:0.5,262144:0.5"]),
     st.sampled_from(["nan:1.0", "inf:1.0", "262144:nan", "0:1", "abc"]),
@@ -639,12 +749,9 @@ class TestErrorContract:
                 argv.append(f"--top={top}")
             assert _run_cli(argv) in (0, 1, 2)
 
-    # The horizon set leaves out huge finite values such as 1e300: the
-    # periodic ticks reschedule themselves up to the horizon, so such a
-    # run never ends.
     @given(
         horizon=st.one_of(
-            st.just("30"), st.sampled_from(["nan", "inf", "-inf", "0", "-1", "abc"])
+            st.just("30"), st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "abc"])
         ),
         swarm=st.dictionaries(st.sampled_from(SWARM_KEYS), INI_TOKENS, max_size=2),
         run=st.dictionaries(st.sampled_from(RUN_KEYS), INI_TOKENS, max_size=2),

@@ -18,7 +18,6 @@ from swarmsim.sim import (
     CapacityClass,
     EventKind,
     SimConfig,
-    continuity_index,
     event_log_lines,
     fairness,
     playback_model,
@@ -26,21 +25,6 @@ from swarmsim.sim import (
 )
 from swarmsim.swarm import ContentSpec
 from swarmsim.workload import Interaction, Request, Session, Workload
-
-
-class TestContinuityIndex:
-    def test_all_on_time(self):
-        assert continuity_index([1.0, 2.0, 3.0], [0.5, 1.5, 2.5]) == 1.0
-
-    def test_three_of_four(self):
-        assert continuity_index([1.0, 2.0, 3.0, 4.0], [0.5, 1.5, 2.5, 9.0]) == 0.75
-
-    def test_none_on_time(self):
-        assert continuity_index([1.0, 2.0], [5.0, None]) == 0.0
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            continuity_index([], [])
 
 
 class TestFairness:
@@ -382,11 +366,11 @@ class TestEngineState:
         engine.setup()
         engine.loop()
         leechers = [peer for peer in engine.peers.values() if peer.session is not None]
-        assert leechers and all(peer.requests_made > 0 for peer in leechers)
+        assert leechers and all(peer.current_req >= 0 for peer in leechers)
         granularity, horizon = _record_grid(engine.content)
         for peer in leechers:
             counts = [0] * horizon
-            for req in peer.session.requests[: peer.requests_made]:
+            for req in peer.session.requests[: peer.current_req + 1]:
                 lo, hi = kernels.bin_span(req.start_pos, req.end_pos, granularity, horizon)
                 for p in range(lo, hi):
                     counts[p] += 1
@@ -403,7 +387,7 @@ class TestEngineState:
 
         def dense_record(engine, peer):
             granularity, horizon = _record_grid(engine.content)
-            requests = peer.session.requests[: peer.requests_made] if peer.session else ()
+            requests = peer.session.requests[: peer.current_req + 1] if peer.session else ()
             pairs = []
             for req in requests:
                 lo, hi = kernels.bin_span(req.start_pos, req.end_pos, granularity, horizon)
@@ -1022,6 +1006,18 @@ class TestConfigValidation:
     def test_capacity_class_finite(self, rate, fraction):
         with pytest.raises(ConfigError, match="capacity class"):
             sim_config("random", seed=1, capacity_classes=(CapacityClass(rate, fraction),))
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [{"unchoke_interval": 1.0, "optimistic_interval": 1.0}, {"tracker_update_interval": 1.0}],
+    )
+    def test_horizon_at_tick_bound(self, intervals):
+        # The periodic ticks reschedule themselves up to the horizon, and
+        # at a tiny interval `now + interval == now`: such a run never ends.
+        swarm = dataclasses.replace(small_swarm(), **intervals)
+        sim_config("random", seed=1, horizon=float(sim._MAX_TICKS), swarm=swarm)
+        with pytest.raises(ConfigError, match="horizon .* ticks"):
+            sim_config("random", seed=1, horizon=float(sim._MAX_TICKS) + 1, swarm=swarm)
 
     def test_needs_one_seed(self):
         with pytest.raises(ConfigError):
