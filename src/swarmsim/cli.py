@@ -3,12 +3,12 @@
 Configuration files are flat INI (key = value under sections); flags
 override file values. Each key sets one config field; a key left unset
 keeps the default that its config class declares. A horizon of more than
-a million unchoke or tracker intervals is a config error. All randomness
-derives from --seed / base_seed, so reruns with the same inputs produce
-byte-identical outputs. Exit codes:
-0 success, also when standard output closes before all is written, 1
-usage or config error, 2 input data error, 3 internal invariant
-violation.
+a million unchoke or tracker intervals is a config error, and so is
+content of more than a million pieces. All randomness derives from
+--seed / base_seed, so reruns with the same inputs produce byte-identical
+outputs. Exit codes: 0 success, also when standard output closes before
+all is written, 1 usage or config error, 2 input data error, 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import metrics
 from .errors import ConfigError, EmptyRecordError, InvariantError, SwarmsimError, TraceError
 from .policies import PolicySpec
 from .sim import CapacityClass, PeerQoS, QoSReport, SimConfig, event_log_lines, run
-from .swarm import DEFAULT_PLAYBACK_RATE, ContentSpec, SwarmConfig
+from .swarm import ContentSpec, SwarmConfig
 from .workload import (
     GeneratorConfig,
     InteractivityProfile,
@@ -152,7 +152,8 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
 
     Each flag is named by the key that it replaces. A flag that is None
     or empty is unset; any other replaces its key's value, which is then
-    not parsed. Generator keys beside a trace are not parsed either.
+    not parsed. Generator keys beside a trace are not parsed either. An
+    unset [content] playback_rate is the trace header's or generator's.
     """
     for section, entries in sections.items():
         _check_known("config section", section, _SIM_KEYS)
@@ -164,7 +165,6 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
         return _parse_section(section, sections.get(section, {}), _SIM_KEYS[section], flags)
 
     content_kw = parsed("content")
-    playback_rate = content_kw.setdefault("playback_rate", DEFAULT_PLAYBACK_RATE)
     trace_path = sections.get("workload", {}).get("trace")
     if trace_path:
         try:
@@ -172,7 +172,7 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
                 text = fh.read()
         except OSError as exc:
             raise TraceError(f"cannot read {trace_path}: {exc.strerror}")
-        workload: Workload | GeneratorConfig = parse_trace(text, playback_rate=playback_rate)
+        workload: Workload | GeneratorConfig = parse_trace(text)
     else:
         generator_kw = parsed("workload")
         generator_kw.pop("trace", None)
@@ -180,10 +180,11 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
             raise ConfigError("[workload] needs either trace= or profile=")
         if "object_length" not in generator_kw:
             raise ConfigError("[workload] object_length is required with a generator profile")
-        workload = GeneratorConfig(
-            **{"session_count": 50, **generator_kw}, playback_rate=playback_rate
-        )
+        if "playback_rate" in content_kw:
+            generator_kw["playback_rate"] = content_kw["playback_rate"]
+        workload = GeneratorConfig(**{"session_count": 50, **generator_kw})
 
+    content_kw.setdefault("playback_rate", workload.playback_rate)
     try:
         content = ContentSpec.for_duration(workload.object_length, **content_kw)
     except ValueError as exc:
@@ -197,7 +198,7 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
         raise ConfigError("missing policy: set [policy] kind or --policy")
     run_kw = {
         "seed": 0,
-        "capacity_classes": (CapacityClass(rate=playback_rate * 4, fraction=1.0),),
+        "capacity_classes": (CapacityClass(rate=content.playback_rate * 4, fraction=1.0),),
         **parsed("run"),
     }
     if "horizon" not in run_kw:
@@ -234,7 +235,10 @@ def _check_granularity(granularity: float, object_length: float) -> None:
             f"--granularity must lie in (0, {object_length}], the object length; "
             f"got {granularity}"
         )
-    if object_length / granularity > _MAX_BINS:
+    # A ratio that overflows to inf has no bin count, and is over the bound.
+    if math.isinf(object_length / granularity) or (
+        metrics.bin_count(object_length, granularity) > _MAX_BINS
+    ):
         raise ConfigError(
             f"--granularity {granularity} gives more than {_MAX_BINS} position bins "
             f"over the object length {object_length}"
@@ -504,7 +508,7 @@ def _build_parser() -> _Parser:
     g.add_argument(
         "--skew", type=float, default=GeneratorConfig.start_skew, help="start-position decay rate"
     )
-    g.add_argument("--playback-rate", type=float, default=DEFAULT_PLAYBACK_RATE)
+    g.add_argument("--playback-rate", type=float, default=GeneratorConfig.playback_rate)
     g.add_argument("--granularity", type=float, default=1.0)
     g.add_argument("--out", default=None, help="trace path (default stdout)")
     g.set_defaults(func=cmd_generate)

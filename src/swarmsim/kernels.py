@@ -1,49 +1,8 @@
-"""Kernels behind the metric and selection hot paths.
-
-Both run in plain Python: coverage counting accumulates a difference
-array over `bin_span`, and greedy selection reads only each record's
-support bitset and mass, in plain integers.
-
-Dispersion comparisons use exact integer arithmetic (cross-multiplied
-ratios), so selection never depends on floating-point rounding.
-
-Dispersion convention used throughout: for a merged count vector with
-``distinct`` nonzero positions and total mass ``m``, the dispersion is
-``distinct / m``; an empty vector (m == 0) scores as 1.0, i.e. worst.
+"""The greedy selection inner loop, over each record's support bitset
+and mass in plain integers, so selection never depends on float rounding.
 """
 
 from __future__ import annotations
-
-import math
-from array import array
-from itertools import accumulate
-
-_CEIL_GUARD = 1e-9  # absorbs float noise in position/granularity divisions
-
-
-def bin_span(start: float, end: float, granularity: float, horizon: int) -> tuple[int, int]:
-    """Half-open bin index range [lo, hi) whose bin starts fall in [start, end)."""
-    lo = int(math.ceil(start / granularity - _CEIL_GUARD))
-    hi = int(math.ceil(end / granularity - _CEIL_GUARD))
-    return max(lo, 0), min(max(hi, 0), horizon)
-
-
-def coverage_counts(starts, ends, granularity: float, horizon: int) -> array:
-    """Count, per position bin, how many [start, end) intervals cover the bin start."""
-    if len(starts) != len(ends):
-        raise ValueError("starts and ends must have equal length")
-    if not granularity > 0:
-        raise ValueError("granularity must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    delta = [0] * (horizon + 1)
-    for start, end in zip(starts, ends):
-        lo, hi = bin_span(start, end, granularity, horizon)
-        if hi > lo:
-            delta[lo] += 1
-            delta[hi] -= 1
-    delta.pop()
-    return array("q", accumulate(delta))
 
 
 def greedy_select(base, candidates, keys, max_size: int):

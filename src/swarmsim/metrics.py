@@ -15,14 +15,14 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import kernels
 from .errors import EmptyRecordError
 from .workload import Workload
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_CEIL_GUARD = 1e-9  # absorbs float noise in position/granularity divisions
 
 
 class DispersionCategory(enum.Enum):
@@ -107,17 +107,6 @@ class PopularityRecord:
             counts[p] += _integer(q, f"count at position {p}")
         return cls(granularity, counts)
 
-    def to_dict(self) -> dict:
-        return {
-            "granularity": self.granularity,
-            "t": self.horizon,
-            "counts": [[p, q] for p, q in self.items()],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PopularityRecord":
-        return cls.from_pairs(d["granularity"], d["t"], d["counts"])
-
 
 @dataclass(frozen=True)
 class DispersionReport:
@@ -146,6 +135,36 @@ class RateSummary(NamedTuple):
     temporal_dispersion: float
 
 
+def bin_count(length: float, granularity: float) -> int:
+    """Number of bins of `granularity` seconds whose starts fall in [0, length)."""
+    return int(math.ceil(length / granularity - _CEIL_GUARD))
+
+
+def bin_span(start: float, end: float, granularity: float, horizon: int) -> tuple[int, int]:
+    """Half-open bin index range [lo, hi) whose bin starts fall in [start, end)."""
+    lo = int(math.ceil(start / granularity - _CEIL_GUARD))
+    hi = int(math.ceil(end / granularity - _CEIL_GUARD))
+    return max(lo, 0), min(max(hi, 0), horizon)
+
+
+def coverage_counts(starts, ends, granularity: float, horizon: int) -> array:
+    """Count, per position bin, how many [start, end) intervals cover the bin start."""
+    if len(starts) != len(ends):
+        raise ValueError("starts and ends must have equal length")
+    if not granularity > 0:
+        raise ValueError("granularity must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    delta = [0] * (horizon + 1)
+    for start, end in zip(starts, ends):
+        lo, hi = bin_span(start, end, granularity, horizon)
+        if hi > lo:
+            delta[lo] += 1
+            delta[hi] -= 1
+    delta.pop()
+    return array("q", accumulate(delta))
+
+
 def popularity(workload: Workload, granularity: float) -> PopularityRecord:
     """Count how many requests cover each position bin of the object.
 
@@ -154,9 +173,9 @@ def popularity(workload: Workload, granularity: float) -> PopularityRecord:
     _check_granularity(granularity)
     if granularity > workload.object_length:
         raise ValueError("granularity exceeds object length")
-    horizon = int(math.ceil(workload.object_length / granularity - kernels._CEIL_GUARD))
+    horizon = bin_count(workload.object_length, granularity)
     reqs = list(workload.iter_requests())
-    counts = kernels.coverage_counts(
+    counts = coverage_counts(
         [r.start_pos for r in reqs], [r.end_pos for r in reqs], granularity, horizon
     )
     return PopularityRecord(granularity, counts)

@@ -200,11 +200,13 @@ def capacity_check_and_reselect(
     set cannot jointly sustain `demand`, the greedy loop reruns with the
     step score extended to prefer, among dispersion-minimizing candidates,
     those that recently forwarded data to third parties the fastest.
+    Records and rates are checked only on that path, the one that reads
+    them, so candidates that `select_neighbors_greedy` saw are not rechecked.
     """
-    _check_records(own, candidates)
     aggregate = sum(expected_rates.get(pid, 0.0) for pid in outcome.selected)
     if aggregate >= demand or not candidates:
         return outcome
+    _check_records(own, candidates)
     return _run_greedy(own, candidates, max_size, profile_hint, forward_first=True)
 
 

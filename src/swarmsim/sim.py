@@ -47,9 +47,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import kernels
 from .errors import ConfigError, InvariantError, TraceError
-from .metrics import DispersionReport, make_report
+from .metrics import DispersionReport, bin_count, bin_span, make_report
 from .policies import (
     CandidateInfo,
     HolderView,
@@ -84,6 +83,7 @@ from .workload import (
 
 _EPS = 1e-9
 _MAX_TICKS = 10**6  # unchoke or tracker ticks that one run may schedule
+_MAX_PIECES = 10**6  # pieces of the content that one run may track
 
 _YANG_KINDS = (
     PolicyKind.LLP,
@@ -151,6 +151,10 @@ class SimConfig:
         if self.horizon / tick > _MAX_TICKS:
             raise ConfigError(
                 f"horizon {self.horizon} spans more than {_MAX_TICKS} ticks of {tick} s"
+            )
+        if self.content.num_pieces > _MAX_PIECES:
+            raise ConfigError(
+                f"content spans more than {_MAX_PIECES} pieces of {self.content.piece_size} bytes"
             )
         if self.initial_seeds < 1:
             raise ConfigError("at least one initial seed is required")
@@ -582,7 +586,7 @@ class _Engine:
         # piece -> bitset of all its blocks
         self._all_blocks = [(1 << len(lengths)) - 1 for lengths in self._block_lengths]
         # popularity record bins: one per piece duration of the object
-        self._bins = int(math.ceil(self.content.duration / self.content.piece_duration - _EPS))
+        self._bins = bin_count(self.content.duration, self.content.piece_duration)
 
         wl = cfg.workload
         if isinstance(wl, GeneratorConfig):
@@ -864,7 +868,7 @@ class _Engine:
 
     def _record_request_coverage(self, peer: _RunPeer, req: Request) -> None:
         pd = self.content.piece_duration
-        lo, hi = kernels.bin_span(req.start_pos, req.end_pos, pd, self._bins)
+        lo, hi = bin_span(req.start_pos, req.end_pos, pd, self._bins)
         if hi > lo:
             peer.support |= (1 << hi) - (1 << lo)
             peer.mass += hi - lo

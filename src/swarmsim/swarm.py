@@ -35,6 +35,11 @@ DEFAULT_BLOCK_SIZE = 16384
 DEFAULT_PLAYBACK_RATE = float(DEFAULT_PIECE_SIZE)  # bytes/second; one piece per second
 
 
+def _check_rate(playback_rate: float) -> None:
+    if not (playback_rate > 0 and math.isfinite(playback_rate)):
+        raise ValueError(f"playback_rate must be a positive finite number; got {playback_rate}")
+
+
 @dataclass(frozen=True)
 class ContentSpec:
     """Geometry of the shared object."""
@@ -49,8 +54,7 @@ class ContentSpec:
             raise ValueError("sizes must be positive")
         if self.piece_size % self.block_size != 0:
             raise ValueError("block_size must divide piece_size")
-        if self.playback_rate <= 0:
-            raise ValueError("playback_rate must be positive")
+        _check_rate(self.playback_rate)
 
     @classmethod
     def for_duration(
@@ -60,8 +64,11 @@ class ContentSpec:
         piece_size: int = DEFAULT_PIECE_SIZE,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> "ContentSpec":
-        total = int(math.ceil(duration * playback_rate))
-        return cls(total, piece_size, block_size, playback_rate)
+        _check_rate(playback_rate)
+        total = duration * playback_rate
+        if math.isinf(total):
+            raise ValueError(f"{duration} s at playback_rate {playback_rate} overflows the size")
+        return cls(int(math.ceil(total)), piece_size, block_size, playback_rate)
 
     @functools.cached_property
     def num_pieces(self) -> int:

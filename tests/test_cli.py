@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from swarmsim import metrics
 from swarmsim.cli import _SIM_KEYS, _entry, _read_ini, build_sim_config, load_experiment_spec, main
 from swarmsim.sim import CapacityClass
-from swarmsim.swarm import DEFAULT_PLAYBACK_RATE
 from swarmsim.workload import (
     GeneratorConfig,
     InteractivityProfile,
@@ -401,7 +400,7 @@ def test_each_key_sets_its_field(tmp_path, section, key):
     raw, expected = KEY_VALUES[section, key]  # a new key needs a value here
     if key == "trace":
         raw = write(tmp_path, "t.csv", TINY_TRACE)
-        expected = parse_trace(TINY_TRACE, playback_rate=DEFAULT_PLAYBACK_RATE)
+        expected = parse_trace(TINY_TRACE)
     sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
     sections.setdefault(section, {})[key] = raw
     if key == "n":
@@ -428,9 +427,51 @@ def test_generator_keys_beside_trace_are_not_parsed(tmp_path):
     sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
     trace = write(tmp_path, "t.csv", TINY_TRACE)
     sections["workload"].update(trace=trace, profile="bogus", sessions="x")
-    assert build_sim_config(sections).workload == parse_trace(
-        TINY_TRACE, playback_rate=DEFAULT_PLAYBACK_RATE
+    assert build_sim_config(sections).workload == parse_trace(TINY_TRACE)
+
+
+@pytest.mark.parametrize("rate, expected", [(None, 65536.0), ("131072.5", 131072.5)])
+def test_trace_sets_the_rate_that_content_leaves_unset(tmp_path, rate, expected):
+    # TINY_TRACE's header says playback_rate=65536.0.
+    sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
+    sections["workload"] = {"trace": write(tmp_path, "t.csv", TINY_TRACE)}
+    if rate is not None:
+        sections["content"] = {"playback_rate": rate}
+    cfg = build_sim_config(sections)
+    assert cfg.content.playback_rate == expected
+    assert cfg.capacity_classes == (CapacityClass(4 * expected, 1.0),)
+    assert cfg.workload == parse_trace(TINY_TRACE)
+
+
+@pytest.mark.parametrize(
+    "rate, expected", [(None, GeneratorConfig.playback_rate), ("131072.5", 131072.5)]
+)
+def test_generator_and_content_share_one_rate(rate, expected):
+    sections = {name: dict(entries) for name, entries in MINIMAL_INI.items()}
+    if rate is not None:
+        sections["content"] = {"playback_rate": rate}
+    cfg = build_sim_config(sections)
+    assert cfg.content.playback_rate == cfg.workload.playback_rate == expected
+    assert cfg.capacity_classes == (CapacityClass(4 * expected, 1.0),)
+
+
+@pytest.mark.parametrize("rate", ["inf", "1e300", "nan", "0", "-1", "-inf"])
+@pytest.mark.parametrize("source", ["trace", "generator"])
+def test_bad_content_rate_is_config_error(tmp_path, capsys, source, rate):
+    if source == "trace":
+        workload = f"trace = {write(tmp_path, 't.csv', TINY_TRACE)}"
+    else:
+        workload = "profile = hi\nobject_length = 30"
+    ini = (
+        f"[content]\nplayback_rate = {rate}\n[workload]\n{workload}\n"
+        "[policy]\nkind = random\n[run]\nhorizon = 30\n"
     )
+    cfg = write(tmp_path, "sim.ini", ini)
+    out = tmp_path / "qos.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    # 1e300 B/s is a legal rate, but 30 s of it is too many pieces.
+    assert ("pieces" if rate == "1e300" else "playback_rate") in assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -561,7 +602,7 @@ def test_readme_ini_examples_parse(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["generate", "analyze"])
-@pytest.mark.parametrize("granularity", ["50", "0", "-1", "nan", "1e-300"])
+@pytest.mark.parametrize("granularity", ["50", "0", "-1", "nan", "1e-300", "1e-320"])
 def test_bad_granularity_is_config_error(tmp_path, capsys, command, granularity):
     trace = tmp_path / "t.csv"
     args = ["generate", "--profile", "hi", "--sessions", "3", "--object-len", "10"]
@@ -753,12 +794,17 @@ class TestErrorContract:
         horizon=st.one_of(
             st.just("30"), st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "abc"])
         ),
+        # Large finite rates such as 1e9 are legal runs of millions of
+        # block events, so the finite rates drawn here stay small.
+        rate=st.sampled_from(
+            ["65536", "131072.5", "0", "-1", "nan", "inf", "-inf", "1e300", "abc"]
+        ),
         swarm=st.dictionaries(st.sampled_from(SWARM_KEYS), INI_TOKENS, max_size=2),
         run=st.dictionaries(st.sampled_from(RUN_KEYS), INI_TOKENS, max_size=2),
         capacity=CAPACITY_TOKENS,
     )
     @settings(max_examples=40, deadline=None)
-    def test_simulate_ini_values(self, horizon, swarm, run, capacity):
+    def test_simulate_ini_values(self, horizon, rate, swarm, run, capacity):
         base = {
             "neighbourhood_min": "6",
             "neighbourhood_max": "10",
@@ -771,7 +817,7 @@ class TestErrorContract:
             trace.write_text(TINY_TRACE)
             lines = [
                 "[content]",
-                "playback_rate = 65536",
+                f"playback_rate = {rate}",
                 "piece_size = 65536",
                 "block_size = 16384",
                 "[workload]",

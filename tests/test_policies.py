@@ -194,7 +194,7 @@ class TestGreedy:
         [
             lambda own, cands: select_neighbors_greedy(own, cands, 2),
             lambda own, cands: capacity_check_and_reselect(
-                SelectionOutcome((), ()), own, cands, {}, demand=0.0, max_size=2
+                SelectionOutcome((), ()), own, cands, {}, demand=1.0, max_size=2
             ),
             evaluate_set_dispersion,
         ],

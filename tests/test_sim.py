@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,9 +9,15 @@ from pathlib import Path
 import pytest
 
 from conftest import PLAYBACK, sim_config, small_swarm
-from swarmsim import kernels, sim
+from swarmsim import sim
 from swarmsim.errors import ConfigError, InvariantError
-from swarmsim.metrics import PopularityRecord, categorize_dispersion, merge_records
+from swarmsim.metrics import (
+    PopularityRecord,
+    bin_count,
+    bin_span,
+    categorize_dispersion,
+    merge_records,
+)
 from swarmsim.policies import PolicyKind, PolicySpec
 from swarmsim.sim import (
     CapacityClass,
@@ -371,7 +376,7 @@ class TestEngineState:
         for peer in leechers:
             counts = [0] * horizon
             for req in peer.session.requests[: peer.current_req + 1]:
-                lo, hi = kernels.bin_span(req.start_pos, req.end_pos, granularity, horizon)
+                lo, hi = bin_span(req.start_pos, req.end_pos, granularity, horizon)
                 for p in range(lo, hi):
                     counts[p] += 1
             support = sum(1 << p for p, q in enumerate(counts) if q)
@@ -390,7 +395,7 @@ class TestEngineState:
             requests = peer.session.requests[: peer.current_req + 1] if peer.session else ()
             pairs = []
             for req in requests:
-                lo, hi = kernels.bin_span(req.start_pos, req.end_pos, granularity, horizon)
+                lo, hi = bin_span(req.start_pos, req.end_pos, granularity, horizon)
                 pairs += [(p, 1) for p in range(lo, hi)]
             return PopularityRecord.from_pairs(granularity, horizon, pairs)
 
@@ -419,7 +424,7 @@ class TestEngineState:
 
 def _record_grid(content):
     """The popularity record grid of a run: piece-duration bins over the object."""
-    return content.piece_duration, math.ceil(content.duration / content.piece_duration - 1e-9)
+    return content.piece_duration, bin_count(content.duration, content.piece_duration)
 
 
 def _finish_time(up, link):
@@ -1018,6 +1023,17 @@ class TestConfigValidation:
         sim_config("random", seed=1, horizon=float(sim._MAX_TICKS), swarm=swarm)
         with pytest.raises(ConfigError, match="horizon .* ticks"):
             sim_config("random", seed=1, horizon=float(sim._MAX_TICKS) + 1, swarm=swarm)
+
+    def test_pieces_at_bound(self):
+        # Setup builds tables with one entry per piece: at a rate of
+        # 1e300 B/s they would not fit in memory, so the config refuses
+        # such content first.
+        def content(pieces):
+            return ContentSpec(pieces * 65536, 65536, 16384, PLAYBACK)
+
+        sim_config("random", seed=1, content=content(sim._MAX_PIECES))
+        with pytest.raises(ConfigError, match="more than 1000000 pieces of 65536 bytes$"):
+            sim_config("random", seed=1, content=content(sim._MAX_PIECES + 1))
 
     def test_needs_one_seed(self):
         with pytest.raises(ConfigError):

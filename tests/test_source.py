@@ -29,6 +29,29 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_read_from_another_module(path):
+    # A module reads another package module, bound by `from . import
+    # name`, through its public names only. A private name imported for
+    # type hints alone, as `swarm` imports `_RunPeer`, is not such a read.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    private = [
+        f"{node.value.id}.{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert not private, f"{path.name} reads private names of other modules: {', '.join(private)}"
+
+
 def test_every_record_slot_is_read():
     # Each slot of the engine's peer and link records is read somewhere in
     # the package outside an `__init__`: a slot that is only ever written

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 
@@ -71,6 +72,19 @@ class TestContentSpec:
     def test_block_must_divide_piece(self):
         with pytest.raises(ValueError):
             ContentSpec(total_size=100, piece_size=1000, block_size=300)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        # Checked before the size is computed: ceil(30 * inf) overflows.
+        match = "^playback_rate must be a positive finite number"
+        with pytest.raises(ValueError, match=match):
+            ContentSpec.for_duration(30.0, rate)
+        with pytest.raises(ValueError, match=match):
+            ContentSpec(total_size=65536, playback_rate=rate)
+
+    def test_size_beyond_a_float_rejected(self):
+        with pytest.raises(ValueError, match="overflows the size$"):
+            ContentSpec.for_duration(1e10, 1e300)
 
     def test_short_last_piece(self):
         c = ContentSpec(total_size=65536 + 20000, piece_size=65536, block_size=16384)
