@@ -29,7 +29,7 @@ from pathlib import Path
 from . import metrics
 from .errors import ConfigError, EmptyRecordError, InvariantError, SwarmsimError, TraceError
 from .policies import PolicySpec
-from .sim import CapacityClass, PeerQoS, QoSReport, SimConfig, event_log_lines, run
+from .sim import MAX_PIECES, CapacityClass, PeerQoS, QoSReport, SimConfig, event_log_lines, run
 from .swarm import ContentSpec, SwarmConfig
 from .workload import (
     GeneratorConfig,
@@ -153,7 +153,8 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
     Each flag is named by the key that it replaces. A flag that is None
     or empty is unset; any other replaces its key's value, which is then
     not parsed. Generator keys beside a trace are not parsed either. An
-    unset [content] playback_rate is the trace header's or generator's.
+    unset [content] playback_rate is the trace header's or generator's; a
+    header rate that sizes content no run can track is bad trace data.
     """
     for section, entries in sections.items():
         _check_known("config section", section, _SIM_KEYS)
@@ -172,7 +173,10 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
                 text = fh.read()
         except OSError as exc:
             raise TraceError(f"cannot read {trace_path}: {exc.strerror}")
-        workload: Workload | GeneratorConfig = parse_trace(text)
+        try:
+            workload: Workload | GeneratorConfig = parse_trace(text)
+        except TraceError as exc:
+            raise TraceError(f"{trace_path}: {exc}") from None
     else:
         generator_kw = parsed("workload")
         generator_kw.pop("trace", None)
@@ -184,11 +188,17 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
             generator_kw["playback_rate"] = content_kw["playback_rate"]
         workload = GeneratorConfig(**{"session_count": 50, **generator_kw})
 
+    rate_from_trace = bool(trace_path) and "playback_rate" not in content_kw
     content_kw.setdefault("playback_rate", workload.playback_rate)
+    oversized = f"{trace_path}: playback_rate {workload.playback_rate} sizes content beyond"
+    if rate_from_trace and math.isinf(workload.object_length * workload.playback_rate):
+        raise TraceError(f"{oversized} a float byte count")
     try:
         content = ContentSpec.for_duration(workload.object_length, **content_kw)
     except ValueError as exc:
         raise ConfigError(f"[content] {exc}")
+    if rate_from_trace and content.num_pieces > MAX_PIECES:
+        raise TraceError(f"{oversized} {MAX_PIECES} pieces of {content.piece_size} bytes")
     try:
         swarm = SwarmConfig(**parsed("swarm"))
     except ValueError as exc:
@@ -374,6 +384,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ConfigError("experiment labels must be unique")
+        for label in self.labels:
+            # a label is one field of a comparison.csv row
+            if not label or any(c in label for c in ',"\r\n'):
+                raise ConfigError(f"experiment label {label!r} is empty or breaks a CSV field")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
 

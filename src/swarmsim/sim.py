@@ -64,10 +64,8 @@ from .swarm import (
     ContentSpec,
     SwarmConfig,
     TrackerState,
-    add_replicas,
     rarest_first,
     record_block,
-    remove_replicas,
     tracker_join,
     tracker_leave,
     tracker_refill,
@@ -83,7 +81,7 @@ from .workload import (
 
 _EPS = 1e-9
 _MAX_TICKS = 10**6  # unchoke or tracker ticks that one run may schedule
-_MAX_PIECES = 10**6  # pieces of the content that one run may track
+MAX_PIECES = 10**6  # pieces of the content that one run may track
 
 _YANG_KINDS = (
     PolicyKind.LLP,
@@ -152,9 +150,9 @@ class SimConfig:
             raise ConfigError(
                 f"horizon {self.horizon} spans more than {_MAX_TICKS} ticks of {tick} s"
             )
-        if self.content.num_pieces > _MAX_PIECES:
+        if self.content.num_pieces > MAX_PIECES:
             raise ConfigError(
-                f"content spans more than {_MAX_PIECES} pieces of {self.content.piece_size} bytes"
+                f"content spans more than {MAX_PIECES} pieces of {self.content.piece_size} bytes"
             )
         if self.initial_seeds < 1:
             raise ConfigError("at least one initial seed is required")
@@ -388,9 +386,8 @@ class _RunPeer:
     piece. A leecher joins at its session's first request holding none.
 
     The have-map `have` and the wanted set `wanted` are `int` bitsets, bit
-    k standing for piece k. `replicas` holds how many alive neighbours
-    hold each piece as bit planes: `replicas[j]` is the bitset of pieces
-    whose count has bit j set (see `swarm.add_replicas`).
+    k standing for piece k. How many neighbours hold each piece is not
+    kept: `swarm.rarest_first` sums the neighbours' have-maps at each pick.
 
     Each begun piece has two block bitsets, bit b standing for block b.
     `partial[p]` holds the blocks still missing: it is set at the piece's
@@ -415,7 +412,7 @@ class _RunPeer:
         "neighbourhood", "regular_slots", "optimistic_slot", "support", "mass",
         "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
         "queue_length", "pending", "forward_accum", "forward_snapshot",
-        "unchoked_by", "links", "requested", "owned", "block_source", "wanted", "replicas",
+        "unchoked_by", "links", "requested", "owned", "block_source", "wanted",
         "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
     )
@@ -458,7 +455,6 @@ class _RunPeer:
         # `forward_accum`; kept only under give-to-get and dispersion-greedy
         self.block_source: dict[int, list[str | None]] = {}
         self.wanted = 0
-        self.replicas: list[int] = []
         # session progress: the index of the last request made
         self.current_req = -1
         self.playback_version = 0
@@ -762,8 +758,6 @@ class _Engine:
     def _connect(self, a: _RunPeer, b: _RunPeer) -> None:
         a.neighbourhood.add(b.peer_id)
         b.neighbourhood.add(a.peer_id)
-        add_replicas(a.replicas, b.have)
-        add_replicas(b.replicas, a.have)
         self._maps_changed = True
 
     def _refill_neighbourhood(self, peer: _RunPeer) -> None:
@@ -797,7 +791,6 @@ class _Engine:
         for nid in sorted(peer.neighbourhood):
             other = self.peers[nid]
             other.neighbourhood.discard(pid)
-            remove_replicas(other.replicas, peer.have)
             other.regular_slots.discard(pid)
             if other.optimistic_slot == pid:
                 other.optimistic_slot = None
@@ -1048,11 +1041,12 @@ class _Engine:
         if not avail:
             return None
         # `up` is a neighbour holding all of `avail`, so the pick succeeds
-        piece = rarest_first(dl.replicas, avail, self.rng)
+        peers = self.peers
+        piece = rarest_first([peers[n].have for n in dl.neighbourhood], avail, self.rng)
         if self._yang:
             holders = [
                 self._holder_view(holder, dl)
-                for holder in map(self.peers.__getitem__, sorted(dl.unchoked_by))
+                for holder in map(peers.__getitem__, sorted(dl.unchoked_by))
                 if holder.have >> piece & 1
             ]
             if holders:
@@ -1223,10 +1217,7 @@ class _Engine:
                     completed=completed,
                 )
             if completed:
-                peers = self.peers
                 bit = 1 << piece
-                for nid in dl.neighbourhood:
-                    add_replicas(peers[nid].replicas, bit)
                 if dl.owned & bit:
                     dl.owned ^= bit
                     # another link owns it if a block served after a choke finished it
@@ -1391,9 +1382,8 @@ class _Engine:
                 raise InvariantError(f"{pid} keeps a block map for complete piece {piece}")
 
     def _check_links_and_pieces(self, alive: dict[str, _RunPeer]) -> None:
-        """Links join alive peers both ways, no leecher lost a piece, no
-        peer wants a piece it holds, and every replica count equals a
-        recount over the neighbours.
+        """Links join alive peers both ways, no leecher lost a piece, and no
+        peer wants a piece it holds.
 
         Runs after each event that links, unlinks, completes or requests a
         piece; no other event changes what it checks.
@@ -1419,12 +1409,6 @@ class _Engine:
         for pid, peer in alive.items():
             if peer.wanted & peer.have:
                 raise InvariantError(f"{pid} wants a piece it holds")
-        for pid, peer in alive.items():
-            recount: list[int] = []
-            for nid in peer.neighbourhood:
-                add_replicas(recount, alive[nid].have)
-            if recount != peer.replicas:
-                raise InvariantError(f"{pid} replica counts disagree with a recount")
 
     # -- reporting -------------------------------------------------------------
 

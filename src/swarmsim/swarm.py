@@ -7,14 +7,14 @@ bitset (bit k set when piece k is complete) and, per partially received
 piece, an `int` bitset of the blocks still missing; the functions here
 read and update those.
 
-Replica counts, how many neighbours hold each piece, are kept bit-sliced:
-`planes[j]` is the bitset of pieces whose count has bit j set, lowest
-bit first and with no zero plane on top. Adding or removing a
-neighbour's have-map is a ripple carry or borrow over the few planes,
-and rarest-first reads the minimum off them with a fixed number of
-integer operations, whatever the number of candidates. Block receipt,
-the count updates and picking run once per delivered block, completed
-piece or pick, where a numpy call costs more than the work it does.
+Replica counts, how many neighbours hold each piece, are summed at each
+pick from the neighbours' have-maps, bit-sliced: plane j is the bitset of
+pieces whose count has bit j set, lowest bit first. Adding a have-map is
+a ripple carry over the few planes, and rarest-first reads the minimum
+off them with a fixed number of integer operations per plane, whatever
+the number of candidates. Block receipt and picking run once per
+delivered block or pick, where a numpy call costs more than the work it
+does.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvariantError
 
@@ -140,48 +140,38 @@ def record_block(peer: _RunPeer, content: ContentSpec, piece: int, block: int) -
     return True
 
 
-def add_replicas(planes: list[int], pieces: int) -> None:
-    """Add one to the replica count of every piece in the bitset `pieces`."""
-    for j, plane in enumerate(planes):
-        if not pieces:
-            return
-        planes[j] = plane ^ pieces
-        pieces &= plane
-    if pieces:
-        planes.append(pieces)
+def rarest_first(have_maps: Iterable[int], among: int, rng: random.Random) -> int | None:
+    """Pick the piece of `among` held by the fewest of the neighbours.
 
-
-def remove_replicas(planes: list[int], pieces: int) -> None:
-    """Subtract one from the replica count of every piece in the bitset
-    `pieces`, each of which must count at least one."""
-    for j, plane in enumerate(planes):
-        if not pieces:
-            break
-        planes[j] = plane ^ pieces
-        pieces &= ~plane
-    while planes and not planes[-1]:
-        planes.pop()
-
-
-def rarest_first(replicas: list[int], among: int, rng: random.Random) -> int | None:
-    """Pick the piece of `among` with the fewest replicas among neighbours.
-
-    `replicas` holds the replica counts as bit planes (see the module
-    docstring). `among` is the candidate bitset, e.g. the wanted pieces
-    the peer neither holds nor fetches. Pieces that no neighbour holds
-    are not candidates. Ties break uniformly at random with the run's
-    generator, over the tied pieces in ascending order. Returns None,
-    drawing nothing, when no neighbour holds a candidate.
+    `have_maps` are the neighbours' have-maps, in any order. `among` is
+    the candidate bitset, e.g. the wanted pieces the peer neither holds
+    nor fetches. Pieces that no neighbour holds are not candidates. Ties
+    break uniformly at random with the run's generator, over the tied
+    pieces in ascending order. Returns None, drawing nothing, when no
+    neighbour holds a candidate.
     """
-    held = 0
-    for plane in replicas:
-        held |= plane
-    tied = among & held
-    if not tied:
+    # Sum the candidate bits of the maps into bit planes (see the module
+    # docstring). The top plane is never zero, so the planes depend on the
+    # counts alone, not on the order of the maps.
+    planes: list[int] = []
+    for have in have_maps:
+        carry = have & among
+        for j, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[j] = plane ^ carry
+            carry &= plane
+        if carry:
+            planes.append(carry)
+    if not planes:
         return None
+    # a candidate some neighbour holds has a bit set in some plane
+    tied = 0
+    for plane in planes:
+        tied |= plane
     # From the top plane down, keep the candidates whose count has a 0
     # there whenever there are any: what is left has the least count.
-    for plane in reversed(replicas):
+    for plane in reversed(planes):
         low = tied & ~plane
         if low:
             tied = low

@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsim import metrics
-from swarmsim.cli import _SIM_KEYS, _entry, _read_ini, build_sim_config, load_experiment_spec, main
+from swarmsim.cli import (
+    _SIM_KEYS,
+    ExperimentSpec,
+    _entry,
+    _read_ini,
+    build_sim_config,
+    load_experiment_spec,
+    main,
+)
+from swarmsim.errors import ConfigError
 from swarmsim.sim import CapacityClass
 from swarmsim.workload import (
     GeneratorConfig,
@@ -474,6 +483,20 @@ def test_bad_content_rate_is_config_error(tmp_path, capsys, source, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["0", "inf", "1e9", "1e300", "1e307"])
+def test_bad_header_rate_is_input_error(tmp_path, capsys, rate):
+    # [content] leaves the rate to the 300 s trace's header. 1e9 and 1e300
+    # B/s are legal rates, but 300 s of them is more pieces than a run may
+    # track; 300 s of 1e307 B/s overflows a float.
+    trace = write(
+        tmp_path, "t.csv", f"# object_length=300.0 playback_rate={rate}\n{HEADER}\nc0,0,0,30,play\n"
+    )
+    ini = f"[workload]\ntrace = {trace}\n[policy]\nkind = random\n[run]\nhorizon = 30\n"
+    cfg = write(tmp_path, "sim.ini", ini)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert trace in assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "horizon, swarm",
     [
@@ -556,6 +579,22 @@ class TestCompare:
         (out / "comparison.json").mkdir(parents=True)
         assert main(["compare", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 2
         assert "comparison.json" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("label", ["", "greedy,fast", 'greedy"fast'])
+    def test_label_that_breaks_the_csv_is_config_error(self, tmp_path, capsys, label):
+        spec = write(
+            tmp_path, "exp.ini", EXPERIMENT_INI.replace("[label:greedy]", f"[label:{label}]")
+        )
+        assert main(["compare", "--spec", spec, "--out", str(tmp_path / "x")]) == 1
+        assert "label" in assert_one_line_error(capsys)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("label", ["greedy\rfast", "greedy\nfast"])
+    def test_label_with_a_line_break_is_config_error(self, label):
+        # An INI file read as text cannot name such a section, so the spec
+        # is built directly.
+        with pytest.raises(ConfigError, match="label"):
+            ExperimentSpec(labels=(label,), configs={label: {}})
 
     def test_empty_spec_is_usage_error(self, tmp_path, capsys):
         spec = write(tmp_path, "exp.ini", "[experiment]\nbase_seed = 1\nrepetitions = 1\n")

@@ -781,22 +781,6 @@ class TestInvariantMutations:
         monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_requested)
         self.run_checked("not on exactly one link")
 
-    def test_completion_not_counted(self, monkeypatch):
-        on_piece_complete = sim._Engine._on_piece_complete
-
-        def complete_uncounted(self, dl, piece):
-            # Undo the +1 the completion gave each neighbour's count.
-            for nid in dl.neighbourhood:
-                sim.remove_replicas(self.peers[nid].replicas, 1 << piece)
-            on_piece_complete(self, dl, piece)
-
-        monkeypatch.setattr(sim._Engine, "_on_piece_complete", complete_uncounted)
-        self.run_checked("replica counts disagree with a recount")
-
-    def test_departure_not_subtracted(self, monkeypatch):
-        monkeypatch.setattr(sim, "remove_replicas", lambda planes, pieces: None)
-        self.run_checked("replica counts disagree with a recount")
-
     def test_have_bit_cleared(self, monkeypatch):
         on_piece_complete = sim._Engine._on_piece_complete
 
@@ -867,7 +851,6 @@ class TestInvariantMutations:
     def test_one_sided_connect(self, monkeypatch):
         def connect_one_sided(self, a, b):
             a.neighbourhood.add(b.peer_id)
-            sim.add_replicas(a.replicas, b.have)
             self._maps_changed = True
 
         monkeypatch.setattr(sim._Engine, "_connect", connect_one_sided)
@@ -973,7 +956,7 @@ class TestInvariantMutations:
 
         def departure_taking_pieces(self, pid):
             # The pieces of a departing peer leave the have-maps of its
-            # seed neighbours too, not only their replica counts.
+            # seed neighbours too.
             peer = self.peers[pid]
             seeds = [self.peers[n] for n in peer.neighbourhood if self.peers[n].session is None]
             handled = on_departure(self, pid)
@@ -1031,9 +1014,9 @@ class TestConfigValidation:
         def content(pieces):
             return ContentSpec(pieces * 65536, 65536, 16384, PLAYBACK)
 
-        sim_config("random", seed=1, content=content(sim._MAX_PIECES))
+        sim_config("random", seed=1, content=content(sim.MAX_PIECES))
         with pytest.raises(ConfigError, match="more than 1000000 pieces of 65536 bytes$"):
-            sim_config("random", seed=1, content=content(sim._MAX_PIECES + 1))
+            sim_config("random", seed=1, content=content(sim.MAX_PIECES + 1))
 
     def test_needs_one_seed(self):
         with pytest.raises(ConfigError):

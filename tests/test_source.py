@@ -76,3 +76,26 @@ def test_every_record_slot_is_read():
     for record in (_Link, _RunPeer):
         unread = [name for name in record.__slots__ if name not in read]
         assert not unread, f"{record.__name__} slots never read: {', '.join(unread)}"
+
+
+def test_every_module_level_definition_is_referenced():
+    # Each module-level function or class of a package module is used by
+    # some package module, its own included, or exported by `__init__`: a
+    # helper that only tests call is code that no run needs. Uses are
+    # matched by name, as loaded names, attributes and imported names.
+    referenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unused = [
+        f"{path.name}: {node.name} (line {node.lineno})"
+        for path in MODULES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+    ]
+    assert not unused, f"definitions that no package module uses: {', '.join(unused)}"
