@@ -546,7 +546,7 @@ class _Engine:
         self.content = cfg.content
         self.swarm = cfg.swarm
         root = random.Random(cfg.seed)
-        self.workload_seed = root.getrandbits(63)
+        generator_seed = root.getrandbits(63)
         self.rng = random.Random(root.getrandbits(63))
         self.now = 0.0
         self.seq = 0
@@ -586,7 +586,7 @@ class _Engine:
 
         wl = cfg.workload
         if isinstance(wl, GeneratorConfig):
-            wl = generate_workload(dataclasses.replace(wl, seed=self.workload_seed))
+            wl = generate_workload(dataclasses.replace(wl, seed=generator_seed))
         self.workload: Workload = wl
 
     # -- scheduling ---------------------------------------------------------
@@ -601,6 +601,14 @@ class _Engine:
             self.events.append(
                 {"time": self.now, "kind": kind.value, "actor": actor, **detail}
             )
+
+    def _repeat(self, kind: EventKind, interval: float) -> bool:
+        """Log a periodic tick and schedule the next one up to the horizon."""
+        self._log(kind, None)
+        next_t = self.now + interval
+        if next_t <= self.cfg.horizon + _EPS:
+            self._schedule(next_t, self.handlers[kind], ())
+        return True
 
     def setup(self) -> None:
         cfg = self.cfg
@@ -715,8 +723,6 @@ class _Engine:
 
     def _form_neighbourhood(self, peer: _RunPeer, candidates: list[str]) -> list[str]:
         target = self.swarm.target
-        if not candidates:
-            return []
         if (
             self.cfg.policy.kind is PolicyKind.DISPERSION_GREEDY
             and peer.session is not None
@@ -767,7 +773,7 @@ class _Engine:
             return
         fresh = tracker_refill(self.tracker, peer.peer_id, peer.neighbourhood, self.rng)
         needed = self.swarm.target - len(peer.neighbourhood)
-        for other in fresh[: max(needed, 0)]:
+        for other in fresh[:needed]:
             self._connect(peer, self.peers[other])
 
     def _on_departure(self, pid: str) -> bool:
@@ -935,19 +941,12 @@ class _Engine:
 
     # -- neighbour interest and unchoking ------------------------------------
 
-    def _wanting(self, ids: Iterable[str]) -> set[str]:
-        """The peers among `ids`, all alive, that still want some piece."""
-        peers = self.peers
-        return {pid for pid in ids if peers[pid].wanted}
-
-    def _interested(self, peer: _RunPeer, wanting: set[str]) -> list[str]:
-        """Neighbours that want a piece `peer` holds, in id order."""
+    def _interested(self, peer: _RunPeer) -> list[str]:
+        """Neighbours that want a piece `peer` holds, in id order. Every
+        neighbour is alive, and a lingering one wants nothing."""
         have = peer.have
-        return [
-            n
-            for n in sorted(peer.neighbourhood)
-            if n in wanting and self.peers[n].wanted & have
-        ]
+        peers = self.peers
+        return [n for n in sorted(peer.neighbourhood) if peers[n].wanted & have]
 
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
         delta = self.swarm.unchoke_interval
@@ -969,11 +968,9 @@ class _Engine:
         }
 
     def _on_unchoke_tick(self) -> bool:
-        alive = self._alive_ids()
-        wanting = self._wanting(alive)
-        for pid in alive:
+        for pid in self._alive_ids():
             peer = self.peers[pid]
-            rates = self._rank_rates(peer, self._interested(peer, wanting))
+            rates = self._rank_rates(peer, self._interested(peer))
             regular = tit_for_tat_unchoke(rates, self.swarm.regular_slot_count)
             old = peer.unchoked_set()
             peer.regular_slots = set(regular)
@@ -983,39 +980,25 @@ class _Engine:
         for link in self._windowed:
             link.window = 0
         self._windowed.clear()
-        self._log(EventKind.UNCHOKE_TICK, None)
-        next_t = self.now + self.swarm.unchoke_interval
-        if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, self.handlers[EventKind.UNCHOKE_TICK], ())
-        return True
+        return self._repeat(EventKind.UNCHOKE_TICK, self.swarm.unchoke_interval)
 
-    def _reoptimistic(self, peer: _RunPeer, wanting: set[str] | None = None) -> None:
+    def _reoptimistic(self, peer: _RunPeer) -> None:
         if self.swarm.optimistic_slot_count == 0:
             return
-        if wanting is None:
-            wanting = self._wanting(peer.neighbourhood)
-        choked = [
-            n for n in self._interested(peer, wanting) if n not in peer.regular_slots
-        ]
+        choked = [n for n in self._interested(peer) if n not in peer.regular_slots]
         pick = optimistic_unchoke(choked, self.rng)
         old = peer.unchoked_set()
         peer.optimistic_slot = pick
         self._apply_slot_diff(peer, old, peer.unchoked_set())
 
     def _on_optimistic_tick(self) -> bool:
-        alive = self._alive_ids()
-        wanting = self._wanting(alive)
-        for pid in alive:
-            self._reoptimistic(self.peers[pid], wanting)
+        for pid in self._alive_ids():
+            self._reoptimistic(self.peers[pid])
         if self._forward_credit:
             for p in self.peers.values():
                 p.forward_snapshot = dict(p.forward_accum)
                 p.forward_accum.clear()
-        self._log(EventKind.OPTIMISTIC_TICK, None)
-        next_t = self.now + self.swarm.optimistic_interval
-        if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, self.handlers[EventKind.OPTIMISTIC_TICK], ())
-        return True
+        return self._repeat(EventKind.OPTIMISTIC_TICK, self.swarm.optimistic_interval)
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
         for rid in sorted(old - new):
@@ -1028,11 +1011,7 @@ class _Engine:
     def _on_tracker_update(self) -> bool:
         for pid in self._alive_ids():
             self._refill_neighbourhood(self.peers[pid])
-        self._log(EventKind.TRACKER_UPDATE, None)
-        next_t = self.now + self.swarm.tracker_update_interval
-        if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, self.handlers[EventKind.TRACKER_UPDATE], ())
-        return True
+        return self._repeat(EventKind.TRACKER_UPDATE, self.swarm.tracker_update_interval)
 
     # -- block transfer machinery ---------------------------------------------
 
@@ -1044,17 +1023,17 @@ class _Engine:
         peers = self.peers
         piece = rarest_first([peers[n].have for n in dl.neighbourhood], avail, self.rng)
         if self._yang:
+            # `up` unchokes `dl` and holds the piece, so it is a holder
             holders = [
                 self._holder_view(holder, dl)
                 for holder in map(peers.__getitem__, sorted(dl.unchoked_by))
                 if holder.have >> piece & 1
             ]
-            if holders:
-                target = baseline_request_target(
-                    self.cfg.policy, piece, holders, dl.join_time, self.rng
-                )
-                if target != up.peer_id:
-                    return None
+            target = baseline_request_target(
+                self.cfg.policy, piece, holders, dl.join_time, self.rng
+            )
+            if target != up.peer_id:
+                return None
         return piece
 
     def _fill_pipeline(self, dl: _RunPeer, up: _RunPeer) -> None:
@@ -1115,29 +1094,16 @@ class _Engine:
         up.queue_length += added
         link.requests_sent += added
         if link.serving is None:
-            self._service_channel(up, link)
+            self._reshare_sender(up, link)
 
-    def _service_channel(self, up: _RunPeer, link: _Link) -> None:
-        """Start the next queued block on an idle link, if any; reshare `up`."""
-        start = None
-        if link.queue:
-            link.serving = link.queue.popleft()
-            piece, block = link.serving
-            if not up.have >> piece & 1:
-                raise InvariantError(
-                    f"{up.peer_id} asked to serve incomplete piece {piece}"
-                )
-            link.remaining = float(self._block_lengths[piece][block])
-            link.pre_choke = False
-            start = link
-        self._reshare_sender(up, start)
-
-    def _reshare_sender(self, up: _RunPeer, start: _Link | None = None) -> None:
-        """Split `up`'s capacity equally over its active transfers.
+    def _reshare_sender(self, up: _RunPeer, idle: _Link | None = None) -> None:
+        """Start the idle link's next queued block, if any, and split
+        `up`'s capacity equally over its active transfers.
 
         The links of `up.in_service` are charged what each sent at
-        `up.share` since `up.t_last`; then `start`, a link whose block
-        starts now, joins them and `up.share` becomes the new split. The
+        `up.share` since `up.t_last`. Then `idle`, a link of `up` with no
+        block in service, starts its next queued block, if it has one, and
+        joins them; `up.share` becomes the new split. The
         first block is chosen by (finish time, receiver id), whatever the
         list's order. Only it gets a completion event, whose payload
         `up.pending` keeps: a busy sender has exactly one pending
@@ -1153,8 +1119,13 @@ class _Engine:
             for link in active:
                 link.remaining = max(link.remaining - sent, 0.0)
         up.t_last = now
-        if start is not None:
-            active.append(start)
+        if idle is not None and idle.queue:
+            idle.serving = piece, block = idle.queue.popleft()
+            if not up.have >> piece & 1:
+                raise InvariantError(f"{up.peer_id} asked to serve incomplete piece {piece}")
+            idle.remaining = float(self._block_lengths[piece][block])
+            idle.pre_choke = False
+            active.append(idle)
         if up.pending is not None:
             up.pending[0].version += 1
         if not active:
@@ -1229,9 +1200,9 @@ class _Engine:
                 self._on_piece_complete(dl, piece)
             self._fill_pipeline(dl, up)
         if link.serving is None:
-            # The refill above did not start a block here (which would have
-            # reshared `up`); start the next queued one, if any, and reshare.
-            self._service_channel(up, link)
+            # The refill above did not start a block here, so it did not
+            # reshare `up`: start the next queued block, if any, and reshare.
+            self._reshare_sender(up, link)
         return True
 
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:

@@ -206,8 +206,8 @@ class SwarmConfig:
         lo, hi = self.neighbourhood_range
         if not 0 < lo <= hi:
             raise ValueError("invalid neighbourhood range")
-        if self.neighbourhood_floor >= lo:
-            raise ValueError("neighbourhood_floor must sit below the target range")
+        if not 0 <= self.neighbourhood_floor < lo:
+            raise ValueError("neighbourhood_floor must be non-negative and below the target range")
         if self.neighbourhood_target is not None and not lo <= self.neighbourhood_target <= hi:
             raise ValueError("neighbourhood_target must lie in the neighbourhood range")
         if self.pipeline_depth <= 0:

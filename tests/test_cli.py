@@ -296,6 +296,12 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 1
         assert_one_line_error(capsys)
 
+    def test_negative_floor_is_config_error(self, tmp_path, capsys):
+        bad = SIM_INI.replace("neighbourhood_floor = 3", "neighbourhood_floor = -1")
+        cfg = write(tmp_path, "sim.ini", bad)
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "[swarm] neighbourhood_floor" in assert_one_line_error(capsys)
+
     def test_optimistic_slots_above_one_is_config_error(self, tmp_path, capsys):
         ini = SIM_INI.replace("[swarm]\n", "[swarm]\noptimistic_slots = 3\n")
         cfg = write(tmp_path, "sim.ini", ini)

@@ -610,11 +610,12 @@ class TestInvariantMutations:
     def test_idle_sender_keeps_pending(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_busy_only(self, up, start=None):
+        def reshare_busy_only(self, up, idle=None):
             # A sender left with nothing in service keeps the payload of
-            # its last completion.
-            if up.in_service or start is not None:
-                reshare(self, up, start)
+            # its last completion: the reshare is skipped when no block is
+            # in service and none can start.
+            if up.in_service or (idle is not None and idle.queue):
+                reshare(self, up, idle)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_busy_only)
         self.run_checked("serves nothing but keeps a pending completion")
@@ -676,15 +677,15 @@ class TestInvariantMutations:
         self.run_checked("blocks queued or in service, but its links hold")
 
     def test_leecher_serves_piece_it_lacks(self, monkeypatch):
-        service = sim._Engine._service_channel
+        reshare = sim._Engine._reshare_sender
 
-        def service_losing_piece(self, up, link):
+        def reshare_losing_piece(self, up, idle=None):
             # A leecher loses the piece of each block it starts to serve.
-            service(self, up, link)
-            if up.session is not None and link.serving is not None:
-                up.have &= ~(1 << link.serving[0])
+            reshare(self, up, idle)
+            if up.session is not None and idle is not None and idle.serving is not None:
+                up.have &= ~(1 << idle.serving[0])
 
-        monkeypatch.setattr(sim._Engine, "_service_channel", service_losing_piece)
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_losing_piece)
         self.run_checked("queues or serves a piece it lacks")
 
     def test_served_piece_lost(self):
@@ -713,16 +714,16 @@ class TestInvariantMutations:
         self.run_checked("exactly one link")
 
     def test_block_in_service_not_in_flight(self, monkeypatch):
-        service = sim._Engine._service_channel
+        reshare = sim._Engine._reshare_sender
 
-        def service_unrequesting(self, up, link):
+        def reshare_unrequesting(self, up, idle=None):
             # Each block that starts loses its requested bit.
-            service(self, up, link)
-            if link.serving is not None:
-                piece, block = link.serving
-                self.peers[link.receiver].requested[piece] &= ~(1 << block)
+            reshare(self, up, idle)
+            if idle is not None and idle.serving is not None:
+                piece, block = idle.serving
+                self.peers[idle.receiver].requested[piece] &= ~(1 << block)
 
-        monkeypatch.setattr(sim._Engine, "_service_channel", service_unrequesting)
+        monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_unrequesting)
         self.run_checked("not in flight")
 
     def test_piece_owned_on_two_links(self, monkeypatch):
@@ -902,9 +903,9 @@ class TestInvariantMutations:
     def test_optimistic_slot_in_regular_slots(self, monkeypatch):
         reoptimistic = sim._Engine._reoptimistic
 
-        def reoptimistic_regular(self, peer, wanting=None):
+        def reoptimistic_regular(self, peer):
             # The optimistic pick falls on a peer already in a regular slot.
-            reoptimistic(self, peer, wanting)
+            reoptimistic(self, peer)
             if peer.regular_slots:
                 old = peer.unchoked_set()
                 peer.optimistic_slot = min(peer.regular_slots)
@@ -914,11 +915,9 @@ class TestInvariantMutations:
         self.run_checked("optimistic slot duplicates a regular slot")
 
     def test_optimistic_slot_past_total_cap(self, monkeypatch):
-        def reoptimistic_uncapped(self, peer, wanting=None):
+        def reoptimistic_uncapped(self, peer):
             # A swarm with no optimistic slot fills one all the same.
-            if wanting is None:
-                wanting = self._wanting(peer.neighbourhood)
-            choked = [n for n in self._interested(peer, wanting) if n not in peer.regular_slots]
+            choked = [n for n in self._interested(peer) if n not in peer.regular_slots]
             old = peer.unchoked_set()
             peer.optimistic_slot = sim.optimistic_unchoke(choked, self.rng)
             self._apply_slot_diff(peer, old, peer.unchoked_set())
@@ -947,7 +946,7 @@ class TestInvariantMutations:
         # Interest that ignores what a neighbour wants lets a peer unchoke
         # a seed, which then opens a link to it.
         monkeypatch.setattr(
-            sim._Engine, "_interested", lambda self, peer, wanting: sorted(peer.neighbourhood)
+            sim._Engine, "_interested", lambda self, peer: sorted(peer.neighbourhood)
         )
         self.run_checked("seed seed.* has outstanding requests")
 

@@ -78,11 +78,8 @@ def test_every_record_slot_is_read():
         assert not unread, f"{record.__name__} slots never read: {', '.join(unread)}"
 
 
-def test_every_module_level_definition_is_referenced():
-    # Each module-level function or class of a package module is used by
-    # some package module, its own included, or exported by `__init__`: a
-    # helper that only tests call is code that no run needs. Uses are
-    # matched by name, as loaded names, attributes and imported names.
+def _referenced_names() -> set[str]:
+    """Every name the package uses: loaded names, attributes and imported names."""
     referenced = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -92,6 +89,15 @@ def test_every_module_level_definition_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced |= {alias.name for alias in node.names}
+    return referenced
+
+
+def test_every_module_level_definition_is_referenced():
+    # Each module-level function or class of a package module is used by
+    # some package module, its own included, or exported by `__init__`: a
+    # helper that only tests call is code that no run needs. Uses are
+    # matched by name.
+    referenced = _referenced_names()
     unused = [
         f"{path.name}: {node.name} (line {node.lineno})"
         for path in MODULES
@@ -99,3 +105,27 @@ def test_every_module_level_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
     ]
     assert not unused, f"definitions that no package module uses: {', '.join(unused)}"
+
+
+def test_every_engine_method_is_referenced():
+    # Each method of the engine and of its peer and link records is used
+    # by name somewhere in the package, as a call or as a handler: a
+    # method that nothing reaches is code that no run needs. Dunder
+    # methods are left out; Python calls them.
+    referenced = _referenced_names()
+    tree = ast.parse((PACKAGE / "sim.py").read_text(), filename="sim.py")
+    classes = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in ("_Engine", "_RunPeer", "_Link")
+    ]
+    assert len(classes) == 3
+    unused = [
+        f"{cls.name}.{node.name} (line {node.lineno})"
+        for cls in classes
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unused, f"methods that no package module uses: {', '.join(unused)}"

@@ -344,6 +344,12 @@ class TestSwarmConfig:
         with pytest.raises(ValueError):
             SwarmConfig(neighbourhood_range=(10, 20), neighbourhood_floor=15)
 
+    @pytest.mark.parametrize("floor", [-1, -5])
+    def test_negative_floor(self, floor):
+        with pytest.raises(ValueError, match="neighbourhood_floor must be non-negative"):
+            SwarmConfig(neighbourhood_floor=floor)
+        assert SwarmConfig(neighbourhood_floor=0).neighbourhood_floor == 0
+
     def test_target_inside_range(self):
         with pytest.raises(ValueError, match="neighbourhood_target"):
             SwarmConfig(neighbourhood_range=(6, 10), neighbourhood_floor=3, neighbourhood_target=50)
