@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import metrics
-from .errors import ConfigError, EmptyRecordError, InvariantError, SwarmsimError, TraceError
+from .errors import ConfigError, EmptyRecordError, InvariantError, TraceError
 from .policies import PolicySpec
 from .sim import MAX_PIECES, CapacityClass, PeerQoS, QoSReport, SimConfig, event_log_lines, run
-from .swarm import ContentSpec, SwarmConfig
+from .swarm import ContentSpec, RateError, SwarmConfig
 from .workload import (
     GeneratorConfig,
     InteractivityProfile,
@@ -190,15 +190,17 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
 
     rate_from_trace = bool(trace_path) and "playback_rate" not in content_kw
     content_kw.setdefault("playback_rate", workload.playback_rate)
-    oversized = f"{trace_path}: playback_rate {workload.playback_rate} sizes content beyond"
-    if rate_from_trace and math.isinf(workload.object_length * workload.playback_rate):
-        raise TraceError(f"{oversized} a float byte count")
     try:
         content = ContentSpec.for_duration(workload.object_length, **content_kw)
     except ValueError as exc:
+        if rate_from_trace and isinstance(exc, RateError):
+            raise TraceError(f"{trace_path}: {exc}") from None
         raise ConfigError(f"[content] {exc}")
     if rate_from_trace and content.num_pieces > MAX_PIECES:
-        raise TraceError(f"{oversized} {MAX_PIECES} pieces of {content.piece_size} bytes")
+        raise TraceError(
+            f"{trace_path}: playback_rate {workload.playback_rate} sizes content beyond "
+            f"{MAX_PIECES} pieces of {content.piece_size} bytes"
+        )
     try:
         swarm = SwarmConfig(**parsed("swarm"))
     except ValueError as exc:
@@ -580,9 +582,6 @@ def main(argv=None) -> int:
         return 2
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except SwarmsimError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -143,10 +143,6 @@ def _run_greedy(
     profile_hint: InteractivityProfile | None,
     forward_first: bool,
 ) -> SelectionOutcome:
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
-    if not candidates or max_size == 0:
-        return SelectionOutcome((), ())
     keys = _tie_keys(candidates, profile_hint, forward_first)
     supports = [(c.support, c.mass) for c in candidates]
     order, distinct, mass = kernels.greedy_select(own, supports, keys, max_size)

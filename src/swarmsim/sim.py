@@ -30,9 +30,12 @@ Forward credit (who sent each block, and the bytes forwarded for each
 origin) is kept only under give-to-get and dispersion-greedy, which read
 it. Each heap entry carries its handler, a plain function of the
 engine's class, and the loop calls it with the engine and the entry's
-payload. All randomness flows from one seeded generator, and events tie
-on time through monotonically assigned sequence numbers, so a (config,
-seed) pair reproduces the run byte for byte.
+payload; handlers return nothing. The loop stops at the first event
+past the horizon, so a periodic tick always schedules its next one, and
+a checked run checks the invariants after every event it handles, stale
+ones included. All randomness flows from one seeded generator, and
+events tie on time through monotonically assigned sequence numbers, so a
+(config, seed) pair reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -503,15 +506,9 @@ class QoSReport:
     per_peer: dict[str, PeerQoS]
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "policy": self.policy,
-            "horizon": self.horizon,
-            "peer_count": self.peer_count,
-            "leecher_count": self.leecher_count,
-            "aggregate": self.aggregate,
-            "per_peer": {pid: q.to_dict() for pid, q in sorted(self.per_peer.items())},
-        }
+        out = dataclasses.asdict(self)
+        out["per_peer"] = dict(sorted(out["per_peer"].items()))
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
@@ -602,13 +599,11 @@ class _Engine:
                 {"time": self.now, "kind": kind.value, "actor": actor, **detail}
             )
 
-    def _repeat(self, kind: EventKind, interval: float) -> bool:
-        """Log a periodic tick and schedule the next one up to the horizon."""
+    def _repeat(self, kind: EventKind, interval: float) -> None:
+        """Log a periodic tick and schedule the next one, `interval` on; the
+        loop stops at the first tick past the horizon."""
         self._log(kind, None)
-        next_t = self.now + interval
-        if next_t <= self.cfg.horizon + _EPS:
-            self._schedule(next_t, self.handlers[kind], ())
-        return True
+        self._schedule(self.now + interval, self.handlers[kind], ())
 
     def setup(self) -> None:
         cfg = self.cfg
@@ -658,9 +653,9 @@ class _Engine:
             if t > end:
                 break
             self.now = t
-            if handler(self, *payload) and check:
+            handler(self, *payload)
+            if check:
                 self._check_invariants()
-        self.now = min(self.now, self.cfg.horizon)
         if check:
             uploaded, downloaded = self._byte_totals()
             if uploaded != downloaded:
@@ -676,7 +671,7 @@ class _Engine:
     def _alive_ids(self) -> list[str]:
         return sorted(pid for pid, p in self.peers.items() if p.alive)
 
-    def _on_arrival(self, pid: str) -> bool:
+    def _on_arrival(self, pid: str) -> None:
         peer = self.peers[pid]
         peer.joined = True
         peer.alive = True
@@ -690,7 +685,6 @@ class _Engine:
         for other in selected:
             self._connect(peer, self.peers[other])
         self._log(EventKind.PEER_ARRIVAL, pid, neighbours=sorted(selected))
-        return True
 
     def _request_rate(self, peer: _RunPeer) -> float:
         """Requests per object duration, floored at one elapsed duration."""
@@ -776,7 +770,7 @@ class _Engine:
         for other in fresh[:needed]:
             self._connect(peer, self.peers[other])
 
-    def _on_departure(self, pid: str) -> bool:
+    def _on_departure(self, pid: str) -> None:
         peer = self.peers[pid]
         peer.qos_cutoff = self.now
         if (
@@ -788,7 +782,7 @@ class _Engine:
             peer.wanted = 0
             self._cancel_downloads(peer)
             self._log(EventKind.PEER_DEPARTURE, pid, lingering=True)
-            return True
+            return
         peer.alive = False
         self._maps_changed = True
         tracker_leave(self.tracker, pid)
@@ -803,7 +797,6 @@ class _Engine:
             self._refill_neighbourhood(other)
         peer.neighbourhood.clear()
         self._log(EventKind.PEER_DEPARTURE, pid, lingering=False)
-        return True
 
     def _cancel_downloads(self, peer: _RunPeer) -> None:
         """Drop this peer's requests and in-flight inbound blocks.
@@ -872,7 +865,7 @@ class _Engine:
             peer.support |= (1 << hi) - (1 << lo)
             peer.mass += hi - lo
 
-    def _on_request(self, pid: str, idx: int) -> bool:
+    def _on_request(self, pid: str, idx: int) -> None:
         peer = self.peers[pid]
         req = peer.session.requests[idx]
         if idx > 0:
@@ -894,7 +887,6 @@ class _Engine:
             start=req.start_pos,
             end=req.end_pos,
         )
-        return True
 
     def _per_piece_optimistic(self, peer: _RunPeer, piece: int | None = None) -> None:
         """The play-triggered variant's hook at a request (`piece` None)
@@ -927,17 +919,15 @@ class _Engine:
             if start + (piece - region.start) * pd <= self.now + _EPS:
                 self._reoptimistic(peer)
 
-    def _on_playback_tick(self, pid: str, version: int, piece: int, due: float) -> bool:
+    def _on_playback_tick(self, pid: str, version: int, piece: int, due: float) -> None:
         peer = self.peers[pid]
         if not peer.alive or peer.lingering or version != peer.playback_version:
-            return False
+            return
         if peer.have >> piece & 1:
             # Piece consumed on time: the play-triggered variant re-rolls
             # this peer's optimistic slot at every played piece.
             self._reoptimistic(peer)
             self._log(EventKind.PLAYBACK_TICK, pid, piece=piece, due=due)
-            return True
-        return False
 
     # -- neighbour interest and unchoking ------------------------------------
 
@@ -967,7 +957,7 @@ class _Engine:
             for n, link in zip(interested, links)
         }
 
-    def _on_unchoke_tick(self) -> bool:
+    def _on_unchoke_tick(self) -> None:
         for pid in self._alive_ids():
             peer = self.peers[pid]
             rates = self._rank_rates(peer, self._interested(peer))
@@ -980,7 +970,7 @@ class _Engine:
         for link in self._windowed:
             link.window = 0
         self._windowed.clear()
-        return self._repeat(EventKind.UNCHOKE_TICK, self.swarm.unchoke_interval)
+        self._repeat(EventKind.UNCHOKE_TICK, self.swarm.unchoke_interval)
 
     def _reoptimistic(self, peer: _RunPeer) -> None:
         if self.swarm.optimistic_slot_count == 0:
@@ -991,14 +981,14 @@ class _Engine:
         peer.optimistic_slot = pick
         self._apply_slot_diff(peer, old, peer.unchoked_set())
 
-    def _on_optimistic_tick(self) -> bool:
+    def _on_optimistic_tick(self) -> None:
         for pid in self._alive_ids():
             self._reoptimistic(self.peers[pid])
         if self._forward_credit:
             for p in self.peers.values():
                 p.forward_snapshot = dict(p.forward_accum)
                 p.forward_accum.clear()
-        return self._repeat(EventKind.OPTIMISTIC_TICK, self.swarm.optimistic_interval)
+        self._repeat(EventKind.OPTIMISTIC_TICK, self.swarm.optimistic_interval)
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
         for rid in sorted(old - new):
@@ -1008,10 +998,10 @@ class _Engine:
             dl.unchoked_by.add(peer.peer_id)
             self._fill_pipeline(dl, peer)
 
-    def _on_tracker_update(self) -> bool:
+    def _on_tracker_update(self) -> None:
         for pid in self._alive_ids():
             self._refill_neighbourhood(self.peers[pid])
-        return self._repeat(EventKind.TRACKER_UPDATE, self.swarm.tracker_update_interval)
+        self._repeat(EventKind.TRACKER_UPDATE, self.swarm.tracker_update_interval)
 
     # -- block transfer machinery ---------------------------------------------
 
@@ -1108,7 +1098,7 @@ class _Engine:
         list's order. Only it gets a completion event, whose payload
         `up.pending` keeps: a busy sender has exactly one pending
         completion, and bumping the version of the payload it replaces
-        makes that event stale. Each handled completion reshares its
+        makes that event stale. Each live completion reshares its
         sender, so the next block's event is pushed then.
         """
         now = self.now
@@ -1144,9 +1134,9 @@ class _Engine:
         heapq.heappush(self.heap, (first_eta, self.seq, self._completion_handler, payload))
         self.seq += 1
 
-    def _on_block_complete(self, link: _Link, version: int) -> bool:
+    def _on_block_complete(self, link: _Link, version: int) -> None:
         if version != link.version:
-            return False
+            return
         up = self.peers[link.sender]
         dl = self.peers[link.receiver]
         piece, block = link.serving
@@ -1203,7 +1193,6 @@ class _Engine:
             # The refill above did not start a block here, so it did not
             # reshare `up`: start the next queued block, if any, and reshare.
             self._reshare_sender(up, link)
-        return True
 
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
         dl.piece_arrival[piece] = self.now
@@ -1321,10 +1310,9 @@ class _Engine:
         active = peer.in_service
         if any(link.serving is None for link in active) or len(set(active)) != len(active):
             raise InvariantError(f"{pid} lists links in service other than those it serves on")
+        # called only for a sender that lists a link or keeps a completion
         if not active:
-            if peer.pending is not None:
-                raise InvariantError(f"{pid} serves nothing but keeps a pending completion")
-            return
+            raise InvariantError(f"{pid} serves nothing but keeps a pending completion")
         if peer.pending is None:
             raise InvariantError(f"{pid} serves blocks with no pending completion")
         link, version = peer.pending

@@ -35,9 +35,13 @@ DEFAULT_BLOCK_SIZE = 16384
 DEFAULT_PLAYBACK_RATE = float(DEFAULT_PIECE_SIZE)  # bytes/second; one piece per second
 
 
+class RateError(ValueError):
+    """A playback rate that gives the content no finite size or duration."""
+
+
 def _check_rate(playback_rate: float) -> None:
     if not (playback_rate > 0 and math.isfinite(playback_rate)):
-        raise ValueError(f"playback_rate must be a positive finite number; got {playback_rate}")
+        raise RateError(f"playback_rate must be a positive finite number; got {playback_rate}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class ContentSpec:
         if self.piece_size % self.block_size != 0:
             raise ValueError("block_size must divide piece_size")
         _check_rate(self.playback_rate)
+        if not (math.isfinite(self.duration) and math.isfinite(self.piece_duration)):
+            raise RateError(
+                f"playback_rate {self.playback_rate} gives the content no finite duration"
+            )
 
     @classmethod
     def for_duration(
@@ -67,7 +75,7 @@ class ContentSpec:
         _check_rate(playback_rate)
         total = duration * playback_rate
         if math.isinf(total):
-            raise ValueError(f"{duration} s at playback_rate {playback_rate} overflows the size")
+            raise RateError(f"{duration} s at playback_rate {playback_rate} overflows the size")
         return cls(int(math.ceil(total)), piece_size, block_size, playback_rate)
 
     @functools.cached_property
@@ -201,7 +209,7 @@ class SwarmConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number; got {value}")
         ratio = self.optimistic_interval / self.unchoke_interval
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+        if math.isinf(ratio) or abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ValueError("optimistic_interval must be a multiple of the unchoke interval")
         lo, hi = self.neighbourhood_range
         if not 0 < lo <= hi:

@@ -12,7 +12,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ConfigError, TraceError
 from .swarm import DEFAULT_PLAYBACK_RATE
@@ -207,7 +207,7 @@ def _parse_float(token: str, name: str, line_no: int) -> float:
 
 
 def parse_trace(
-    text: str | Iterable[str],
+    text: str,
     *,
     object_length: float | None = None,
     observation_window: float | None = None,
@@ -219,16 +219,11 @@ def parse_trace(
     line. object_length must come from one of the two. A missing window
     defaults to just past the last request activity.
     """
-    if isinstance(text, str):
-        lines = io.StringIO(text)
-    else:
-        lines = iter(text)
-
     meta: dict[str, float] = {}
     header_seen = False
     rows: list[tuple[int, str, float, float, float, Interaction]] = []
 
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -359,6 +354,8 @@ class GeneratorConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite number; got {value}")
+        if not (self.session_gap > 0 and self.intra_gap > 0):
+            raise ConfigError(f"object_length {self.object_length} gives a zero default mean gap")
 
     @property
     def session_gap(self) -> float:
@@ -437,6 +434,11 @@ def generate_workload(cfg: GeneratorConfig) -> Workload:
         arrival += rng.expovariate(1.0 / cfg.session_gap)
 
     window = max(s.requests[-1].arrival_time + s.requests[-1].duration for s in sessions) + 1.0
+    if math.isinf(window):
+        raise ConfigError(
+            f"mean gaps of {cfg.session_gap} s and {cfg.intra_gap} s put an arrival "
+            "beyond the float range"
+        )
     return Workload(
         object_length=cfg.object_length,
         playback_rate=cfg.playback_rate,

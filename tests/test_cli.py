@@ -470,7 +470,7 @@ def test_generator_and_content_share_one_rate(rate, expected):
     assert cfg.capacity_classes == (CapacityClass(4 * expected, 1.0),)
 
 
-@pytest.mark.parametrize("rate", ["inf", "1e300", "nan", "0", "-1", "-inf"])
+@pytest.mark.parametrize("rate", ["inf", "1e300", "nan", "0", "-1", "-inf", "5e-324"])
 @pytest.mark.parametrize("source", ["trace", "generator"])
 def test_bad_content_rate_is_config_error(tmp_path, capsys, source, rate):
     if source == "trace":
@@ -489,11 +489,12 @@ def test_bad_content_rate_is_config_error(tmp_path, capsys, source, rate):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["0", "inf", "1e9", "1e300", "1e307"])
+@pytest.mark.parametrize("rate", ["0", "inf", "1e9", "1e300", "1e307", "5e-324", "1e-320"])
 def test_bad_header_rate_is_input_error(tmp_path, capsys, rate):
     # [content] leaves the rate to the 300 s trace's header. 1e9 and 1e300
     # B/s are legal rates, but 300 s of them is more pieces than a run may
-    # track; 300 s of 1e307 B/s overflows a float.
+    # track; 300 s of 1e307 B/s overflows a float, and a piece at 5e-324
+    # or 1e-320 B/s lasts longer than any float.
     trace = write(
         tmp_path, "t.csv", f"# object_length=300.0 playback_rate={rate}\n{HEADER}\nc0,0,0,30,play\n"
     )
@@ -714,6 +715,48 @@ def test_non_finite_swarm_interval_is_config_error(tmp_path, capsys, key, value)
     assert key in assert_one_line_error(capsys)
 
 
+# Values that pass their own field's check but break one derived from
+# them: an interval ratio that overflows, a default mean gap that
+# underflows to 0, and mean gaps that drive an arrival to inf.
+@pytest.mark.parametrize(
+    "command, setting, named",
+    [
+        ("simulate", "[swarm] unchoke_interval = 5e-324", "multiple of the unchoke interval"),
+        ("simulate", "[swarm] unchoke_interval = 1e-307", "multiple of the unchoke interval"),
+        ("simulate", "[workload] object_length = 5e-324", "zero default mean gap"),
+        ("generate", "--object-len=5e-324 --granularity=5e-324", "zero default mean gap"),
+        ("simulate", "[workload] mean_intra_gap = 1e308", "beyond the float range"),
+        ("generate", "--intra-gap=1e308", "beyond the float range"),
+        ("simulate", "[workload] mean_session_gap = 1e308", "beyond the float range"),
+        ("generate", "--mean-gap=1e308", "beyond the float range"),
+    ],
+    ids=[
+        "simulate-unchoke_interval-5e-324",
+        "simulate-unchoke_interval-1e-307",
+        "simulate-object_length",
+        "generate-object-len",
+        "simulate-mean_intra_gap",
+        "generate-intra-gap",
+        "simulate-mean_session_gap",
+        "generate-mean-gap",
+    ],
+)
+def test_derived_value_out_of_range_is_config_error(tmp_path, capsys, command, setting, named):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--profile", "hi", "--sessions", "3", "--object-len", "30"]
+        argv += setting.split()
+    else:
+        section, _, entry = setting.partition(" ")
+        key = entry.partition(" = ")[0]
+        lines = [line for line in SIM_INI.splitlines() if not line.startswith(f"{key} = ")]
+        ini = "\n".join(lines).replace(section, f"{section}\n{entry}")
+        argv = ["simulate", "--config", write(tmp_path, "sim.ini", ini)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert named in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_zero_object_length_comment_is_trace_error(tmp_path, capsys):
     trace = write(tmp_path, "t.csv", f"# object_length=0\n{HEADER}\nc1,0,0,0,play\n")
     assert main(["analyze", "--trace", trace]) == 2
@@ -750,7 +793,9 @@ TINY_TRACE = serialize_trace(
 # Half plausible values, half special, zero, negative or not a number.
 INI_TOKENS = st.one_of(
     st.sampled_from(["1", "2", "5", "10", "30"]),
-    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e-300", "abc", ""]),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e-300", "5e-324", "1e308", "abc", ""]
+    ),
 )
 SWARM_KEYS = list(_SIM_KEYS["swarm"])
 # horizon and capacity_classes are drawn on their own
@@ -842,7 +887,10 @@ class TestErrorContract:
         # Large finite rates such as 1e9 are legal runs of millions of
         # block events, so the finite rates drawn here stay small.
         rate=st.sampled_from(
-            ["65536", "131072.5", "0", "-1", "nan", "inf", "-inf", "1e300", "abc"]
+            [
+                "65536", "131072.5", "0", "-1", "nan", "inf", "-inf",
+                "1e300", "5e-324", "1e308", "abc",
+            ]
         ),
         swarm=st.dictionaries(st.sampled_from(SWARM_KEYS), INI_TOKENS, max_size=2),
         run=st.dictionaries(st.sampled_from(RUN_KEYS), INI_TOKENS, max_size=2),

@@ -759,11 +759,10 @@ class TestInvariantMutations:
         def complete_keeping_owner(self, link, version):
             # The link that delivers a piece's last block keeps owning it.
             owned = link.owned
-            handled = on_block_complete(self, link, version)
+            on_block_complete(self, link, version)
             kept = owned & ~link.owned
             link.owned |= kept
             self.peers[link.receiver].owned |= kept
-            return handled
 
         monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_owner)
         self.run_checked("owns a piece it holds")
@@ -798,10 +797,10 @@ class TestInvariantMutations:
         on_block_complete = sim._Engine._on_block_complete
 
         def complete_keeping_count(self, link, version):
-            handled = on_block_complete(self, link, version)
-            if handled:
+            live = version == link.version
+            on_block_complete(self, link, version)
+            if live:
                 self.peers[link.sender].queue_length += 1
-            return handled
 
         monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_count)
         self.run_checked("blocks queued or in service")
@@ -828,11 +827,10 @@ class TestInvariantMutations:
             # receiver's tally, and only there.
             dl = self.peers[link.receiver]
             before = dl.downloaded
-            handled = on_block_complete(self, link, version)
+            on_block_complete(self, link, version)
             if dl.downloaded > before and not uncredited:
                 uncredited.append(dl.downloaded - before)
                 dl.downloaded = before
-            return handled
 
         monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_uncredited)
         self.run_checked("byte conservation broken")
@@ -863,10 +861,9 @@ class TestInvariantMutations:
         def departure_kept_by_one(self, pid):
             peer = self.peers[pid]
             neighbours = sorted(peer.neighbourhood)
-            handled = on_departure(self, pid)
+            on_departure(self, pid)
             if not peer.alive and neighbours:
                 self.peers[neighbours[0]].neighbourhood.add(pid)
-            return handled
 
         monkeypatch.setattr(sim._Engine, "_on_departure", departure_kept_by_one)
         self.run_checked("keeps departed peer")
@@ -958,11 +955,10 @@ class TestInvariantMutations:
             # seed neighbours too.
             peer = self.peers[pid]
             seeds = [self.peers[n] for n in peer.neighbourhood if self.peers[n].session is None]
-            handled = on_departure(self, pid)
+            on_departure(self, pid)
             if not peer.alive:
                 for seed in seeds:
                     seed.have &= ~peer.have
-            return handled
 
         monkeypatch.setattr(sim._Engine, "_on_departure", departure_taking_pieces)
         self.run_checked("seed seed.* lost pieces")

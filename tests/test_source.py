@@ -129,3 +129,27 @@ def test_every_engine_method_is_referenced():
         and node.name not in referenced
     ]
     assert not unused, f"methods that no package module uses: {', '.join(unused)}"
+
+
+def test_handlers_return_nothing():
+    # The loop ignores what an event handler returns, and a checked run
+    # checks after every event: a handler or `_repeat` that returns a
+    # value keeps a protocol that no caller reads.
+    tree = ast.parse((PACKAGE / "sim.py").read_text(), filename="sim.py")
+    engine = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Engine"
+    )
+    handlers = [
+        node
+        for node in engine.body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_on_") or node.name == "_repeat")
+    ]
+    assert len(handlers) >= 9
+    valued = [
+        f"{f.name} (line {node.lineno})"
+        for f in handlers
+        for node in ast.walk(f)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert not valued, f"handlers that return a value: {', '.join(valued)}"
