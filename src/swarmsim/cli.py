@@ -154,7 +154,8 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
     or empty is unset; any other replaces its key's value, which is then
     not parsed. Generator keys beside a trace are not parsed either. An
     unset [content] playback_rate is the trace header's or generator's; a
-    header rate that sizes content no run can track is bad trace data.
+    header rate that sizes content no run can track is bad trace data,
+    unless [content] sets the piece size.
     """
     for section, entries in sections.items():
         _check_known("config section", section, _SIM_KEYS)
@@ -196,11 +197,14 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
         if rate_from_trace and isinstance(exc, RateError):
             raise TraceError(f"{trace_path}: {exc}") from None
         raise ConfigError(f"[content] {exc}")
-    if rate_from_trace and content.num_pieces > MAX_PIECES:
-        raise TraceError(
-            f"{trace_path}: playback_rate {workload.playback_rate} sizes content beyond "
+    if content.num_pieces > MAX_PIECES:
+        beyond = (
+            f"playback_rate {content.playback_rate} sizes content beyond "
             f"{MAX_PIECES} pieces of {content.piece_size} bytes"
         )
+        if rate_from_trace and "piece_size" not in content_kw:
+            raise TraceError(f"{trace_path}: {beyond}")
+        raise ConfigError(f"[content] {beyond}")
     try:
         swarm = SwarmConfig(**parsed("swarm"))
     except ValueError as exc:

@@ -18,14 +18,16 @@ busy sender has exactly one pending completion. All state of one
 direction of a peer pair (queued blocks, the block in service and its
 bytes left, requests, bytes in the current unchoke window) lives in one
 link record that both peers share, with the bitset of the pieces the
-receiver owns on it. The receiver keeps two block bitsets per begun
-piece, the blocks still missing and the blocks requested, so a link's
-unrequested blocks are derived, never stored: a refill takes the lowest
-missing and unrequested blocks of the link's owned pieces in ascending
-piece order, and picks a new piece only when room is left. A link's
-requests end only in `_Engine._choke`, which clears their requested bits
-and releases the link's pieces. Playback starts by one rule,
-`_play_start`, for the report and the play-triggered variant alike.
+receiver owns on it, and the receiver keeps it for the whole run. A
+sender's slots alone record whom it unchokes. The receiver keeps two
+block bitsets per begun piece, the blocks still missing and the blocks
+requested, so a link's unrequested blocks are derived, never stored: a
+refill takes the lowest missing and unrequested blocks of the link's
+owned pieces in ascending piece order, and picks a new piece only when
+room is left. A link's requests end only in `_Engine._choke`, which
+clears their requested bits and releases the link's pieces. Playback
+starts by one rule, `_play_start`, for the report and the
+play-triggered variant alike.
 Forward credit (who sent each block, and the bytes forwarded for each
 origin) is kept only under give-to-get and dispersion-greedy, which read
 it. Each heap entry carries its handler, a plain function of the
@@ -46,7 +48,6 @@ import heapq
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -325,8 +326,8 @@ class _Link:
     """One direction of a peer pair: what `receiver` gets from `sender`.
 
     Both ends hold the same record. The receiver keeps it in `links`
-    until it stops requesting, since lrp reads `requests_sent`; the
-    sender keeps it in its `in_service` list while a block is in service.
+    for the whole run, and lrp reads its `requests_sent`; the sender
+    keeps it in its `in_service` list while a block is in service.
     The block in service had `remaining` bytes left at the sender's
     `t_last` and moves at the sender's `share`. A reshare that replaces
     the sender's pending completion, and every cancel, bump `version`,
@@ -334,7 +335,10 @@ class _Link:
     stale.
 
     The pipeline holds the queued blocks plus the block in service, and
-    a link with a queued block always has a block in service.
+    a link with a queued block always has a block in service. The queue
+    is a list: it holds at most `pipeline_depth` blocks, and a receiver
+    keeps every link for the run, where an empty deque takes 760 bytes
+    (64-bit CPython 3.11).
     `owned` is the bitset of the pieces the receiver fetches over this
     link: a pick sets the piece's bit, and the piece's completion or the
     link's choke clears it. Each owned piece is owned on one link.
@@ -364,7 +368,7 @@ class _Link:
     def __init__(self, sender: str, receiver: str):
         self.sender = sender
         self.receiver = receiver
-        self.queue: deque[tuple[int, int]] = deque()
+        self.queue: list[tuple[int, int]] = []
         self.owned = 0
         # (piece, block) in service
         self.serving: tuple[int, int] | None = None
@@ -381,10 +385,11 @@ class _RunPeer:
 
     The protocol side is what piece picking, block receipt and the
     policies read: the have-map, the block maps of partly received
-    pieces, the neighbourhood, the upload slots, the popularity record on
-    the content's piece grid (`support`, the `int` bitset of the bins its
-    requests cover, and `mass`, the sum of their widths), the upload
-    capacity and the join time. The rest is the engine's runtime state.
+    pieces, the neighbourhood, the upload slots (the only record of whom
+    it unchokes), the popularity record on the content's piece grid
+    (`support`, the `int` bitset of the bins its requests cover, and
+    `mass`, the sum of their widths), the upload capacity and the join
+    time. The rest is the engine's runtime state.
     A seed is a peer with no session: it joins at time 0 holding every
     piece. A leecher joins at its session's first request holding none.
 
@@ -415,7 +420,7 @@ class _RunPeer:
         "neighbourhood", "regular_slots", "optimistic_slot", "support", "mass",
         "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
         "queue_length", "pending", "forward_accum", "forward_snapshot",
-        "unchoked_by", "links", "requested", "owned", "block_source", "wanted",
+        "links", "requested", "owned", "block_source", "wanted",
         "current_req", "playback_version",
         "uploaded", "downloaded", "piece_arrival", "formation",
     )
@@ -449,8 +454,7 @@ class _RunPeer:
         self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
         self.forward_snapshot: dict[str, int] = {}
-        # download side: links by sender
-        self.unchoked_by: set[str] = set()
+        # download side: links by sender, kept for the whole run
         self.links: dict[str, _Link] = {}
         self.requested: dict[int, int] = {}
         self.owned = 0
@@ -466,9 +470,6 @@ class _RunPeer:
         self.downloaded = 0
         self.piece_arrival: dict[int, float] = {}
         self.formation: DispersionReport | None = None
-
-    def unchokes(self, other: str) -> bool:
-        return other in self.regular_slots or self.optimistic_slot == other
 
     def unchoked_set(self) -> set[str]:
         out = set(self.regular_slots)
@@ -801,16 +802,13 @@ class _Engine:
     def _cancel_downloads(self, peer: _RunPeer) -> None:
         """Drop this peer's requests and in-flight inbound blocks.
 
-        Only unchoked links are cancelled: a block in service on a link
-        that has been choked still finishes and is delivered. The peer
-        lingers or departs and never requests again, so its links go too.
+        Only the links of its unchokers are cancelled: a block in service
+        on a link that has been choked still finishes, and a lingering
+        peer gets it. The peer keeps its links, but wants nothing more.
         """
-        for uid in sorted(peer.unchoked_by):
-            up = self.peers[uid]
+        for up in self._unchokers(peer):
             if self._choke(up, peer, cancel=True):
                 self._reshare_sender(up)
-        peer.links.clear()
-        peer.requested.clear()
 
     def _cancel_uploads(self, peer: _RunPeer) -> None:
         """Cancel every link of a departing peer to a peer it serves or unchokes."""
@@ -827,14 +825,7 @@ class _Engine:
         it was cancelled, so that `up` needs a reshare. A dropped block's
         piece owner requests it again at its next refill.
         """
-        dl.unchoked_by.discard(up.peer_id)
-        # A lingering receiver has dropped its links, but a block still in
-        # service on a link choked before it lingered stays in `in_service`.
-        link = dl.links.get(up.peer_id) or next(
-            (k for k in up.in_service if k.receiver == dl.peer_id), None
-        )
-        if link is None:
-            return False
+        link = dl.links[up.peer_id]
         dropped = list(link.queue)
         link.queue.clear()
         link.pre_choke = True
@@ -878,8 +869,8 @@ class _Engine:
             peer.wanted = ((1 << region.stop) - (1 << region.start)) & ~peer.have
         if self.cfg.policy.kind is PolicyKind.PER_PIECE_OPTIMISTIC:
             self._per_piece_optimistic(peer)
-        for uid in sorted(peer.unchoked_by):
-            self._fill_pipeline(peer, self.peers[uid])
+        for up in self._unchokers(peer):
+            self._fill_pipeline(peer, up)
         self._log(
             EventKind.REQUEST_ISSUED,
             pid,
@@ -938,6 +929,12 @@ class _Engine:
         peers = self.peers
         return [n for n in sorted(peer.neighbourhood) if peers[n].wanted & have]
 
+    def _unchokers(self, peer: _RunPeer) -> list[_RunPeer]:
+        """The neighbours whose slots hold `peer`, in id order."""
+        pid = peer.peer_id
+        peers = map(self.peers.__getitem__, sorted(peer.neighbourhood))
+        return [up for up in peers if pid in up.regular_slots or up.optimistic_slot == pid]
+
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
         delta = self.swarm.unchoke_interval
         if peer.session is None or peer.lingering:
@@ -994,9 +991,7 @@ class _Engine:
         for rid in sorted(old - new):
             self._choke(peer, self.peers[rid], cancel=False)
         for rid in sorted(new - old):
-            dl = self.peers[rid]
-            dl.unchoked_by.add(peer.peer_id)
-            self._fill_pipeline(dl, peer)
+            self._fill_pipeline(self.peers[rid], peer)
 
     def _on_tracker_update(self) -> None:
         for pid in self._alive_ids():
@@ -1014,10 +1009,12 @@ class _Engine:
         piece = rarest_first([peers[n].have for n in dl.neighbourhood], avail, self.rng)
         if self._yang:
             # `up` unchokes `dl` and holds the piece, so it is a holder
+            pid = dl.peer_id
             holders = [
                 self._holder_view(holder, dl)
-                for holder in map(peers.__getitem__, sorted(dl.unchoked_by))
+                for holder in map(peers.__getitem__, sorted(dl.neighbourhood))
                 if holder.have >> piece & 1
+                and (pid in holder.regular_slots or holder.optimistic_slot == pid)
             ]
             target = baseline_request_target(
                 self.cfg.policy, piece, holders, dl.join_time, self.rng
@@ -1036,10 +1033,12 @@ class _Engine:
         unrequested blocks. While room is left, new pieces are then picked
         one at a time, after the owned ones whatever their number, until
         the pick fails or the picked piece has no unrequested block (it
-        stays owned all the same). A departed, lingering or seed receiver
-        lists no unchoker, so the one guard turns it away.
+        stays owned all the same). The one guard turns `dl` away unless
+        `up` unchokes it; a lingering `dl` may keep its slot until the next
+        tick, but owns and wants nothing, so it requests nothing.
         """
-        if up.peer_id not in dl.unchoked_by:
+        pid = dl.peer_id
+        if pid not in up.regular_slots and up.optimistic_slot != pid:
             return
         link = dl.links.get(up.peer_id)
         if link is None:
@@ -1110,7 +1109,7 @@ class _Engine:
                 link.remaining = max(link.remaining - sent, 0.0)
         up.t_last = now
         if idle is not None and idle.queue:
-            idle.serving = piece, block = idle.queue.popleft()
+            idle.serving = piece, block = idle.queue.pop(0)
             if not up.have >> piece & 1:
                 raise InvariantError(f"{up.peer_id} asked to serve incomplete piece {piece}")
             idle.remaining = float(self._block_lengths[piece][block])
@@ -1160,7 +1159,6 @@ class _Engine:
                 if sources is None:
                     sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
                 sources[block] = link.sender
-            # a lingering receiver has dropped its requested bits
             requested = dl.requested
             left = requested.get(piece, 0) & ~(1 << block)
             if left:
@@ -1215,17 +1213,10 @@ class _Engine:
                 raise InvariantError(f"{pid} optimistic slot duplicates a regular slot")
             if len(peer.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
-            # unchoked_by mirrors the senders' slots; a lingering receiver
-            # requests nothing and has dropped its list for good
-            if peer.lingering and peer.unchoked_by:
-                raise InvariantError(f"lingering {pid} lists an unchoker")
-            for uid in peer.unchoked_by:
-                if uid not in alive or not alive[uid].unchokes(pid):
-                    raise InvariantError(f"{pid} lists {uid} as unchoking it, but it does not")
-            for rid in peer.unchoked_set():
-                dl = alive.get(rid)
-                if dl is not None and not dl.lingering and pid not in dl.unchoked_by:
-                    raise InvariantError(f"{pid} unchokes {rid}, which does not list it")
+            # a receiver's unchokers are read off its neighbours' slots
+            stray = peer.unchoked_set() - peer.neighbourhood
+            if stray:
+                raise InvariantError(f"{pid} unchokes {min(stray)}, which is not its neighbour")
             # a link with a queued block has one in service, so is listed
             queued = served = 0
             for link in peer.in_service:
@@ -1248,7 +1239,7 @@ class _Engine:
             elif served & ~peer.have:
                 raise InvariantError(f"{pid} queues or serves a piece it lacks")
             if peer.links or peer.requested or peer.owned:
-                self._check_inbound(pid, peer)
+                self._check_inbound(pid, peer, self.peers)
             if peer.in_service or peer.pending is not None:
                 self._check_pending(pid, peer)
         if self._maps_changed and alive:
@@ -1256,7 +1247,7 @@ class _Engine:
             self._check_links_and_pieces(alive)
 
     @staticmethod
-    def _check_inbound(pid: str, peer: _RunPeer) -> None:
+    def _check_inbound(pid: str, peer: _RunPeer, peers: dict[str, _RunPeer]) -> None:
         """Requested blocks and owned pieces agree with the links toward
         `peer`.
 
@@ -1269,7 +1260,6 @@ class _Engine:
         test.
         """
         requested = peer.requested
-        unchoked_by = peer.unchoked_by
         owned = on_links = 0
         for link in peer.links.values():
             if not (link.owned or link.queue or link.serving):
@@ -1278,7 +1268,7 @@ class _Engine:
                 if link.owned & owned:
                     raise InvariantError(f"{pid} owns a piece on two links")
                 owned |= link.owned
-                if link.sender not in unchoked_by:
+                if pid not in peers[link.sender].unchoked_set():
                     raise InvariantError(f"{pid} owns pieces on a link that is not unchoked")
             blk = link.serving
             if blk is not None and not requested.get(blk[0], 0) >> blk[1] & 1:

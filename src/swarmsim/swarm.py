@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -58,6 +59,10 @@ class ContentSpec:
             raise ValueError("sizes must be positive")
         if self.piece_size % self.block_size != 0:
             raise ValueError("block_size must divide piece_size")
+        # block_size divides piece_size, so it is no larger
+        for name in ("total_size", "piece_size"):
+            if getattr(self, name) > sys.float_info.max:
+                raise ValueError(f"{name} is beyond the float range")
         _check_rate(self.playback_rate)
         if not (math.isfinite(self.duration) and math.isfinite(self.piece_duration)):
             raise RateError(

@@ -505,6 +505,34 @@ def test_bad_header_rate_is_input_error(tmp_path, capsys, rate):
 
 
 @pytest.mark.parametrize(
+    "content", ["", "playback_rate = 262144\n"], ids=["header-rate", "config-rate"]
+)
+def test_config_piece_size_beyond_bound_is_config_error(tmp_path, capsys, content):
+    # The 300 s trace's header rate is a legal one; the config's 16-byte
+    # pieces are what make too many of them, whoever sets the rate.
+    trace = write(
+        tmp_path, "t.csv", f"# object_length=300.0 playback_rate=262144.0\n{HEADER}\nc0,0,0,30,play\n"
+    )
+    ini = (
+        f"[content]\n{content}piece_size = 16\nblock_size = 16\n[workload]\ntrace = {trace}\n"
+        "[policy]\nkind = random\n[run]\nhorizon = 30\n"
+    )
+    assert main(["simulate", "--config", write(tmp_path, "sim.ini", ini)]) == 1
+    err = assert_one_line_error(capsys)
+    assert err.startswith("error: [content] ") and "pieces of 16 bytes" in err
+
+
+def test_piece_size_beyond_a_float_is_config_error(tmp_path, capsys):
+    ini = SIM_INI.replace("piece_size = 65536", "piece_size = 1" + "0" * 400).replace(
+        "block_size = 16384", "block_size = 1"
+    )
+    out = tmp_path / "qos.json"
+    assert main(["simulate", "--config", write(tmp_path, "sim.ini", ini), "--out", str(out)]) == 1
+    assert "[content] piece_size" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "horizon, swarm",
     [
         ("1e300", ""),

@@ -76,6 +76,14 @@ class TestContentSpec:
         with pytest.raises(ValueError, match="overflows the size$"):
             ContentSpec.for_duration(1e10, 1e300)
 
+    @pytest.mark.parametrize("field", ["total_size", "piece_size"])
+    def test_int_size_beyond_a_float_rejected(self, field):
+        # A duration divides the size by the rate, which needs it as a float.
+        sizes = dict(total_size=65536, piece_size=65536, block_size=1)
+        sizes[field] = 10**400
+        with pytest.raises(ValueError, match=f"^{field} is beyond the float range$"):
+            ContentSpec(**sizes)
+
     def test_short_last_piece(self):
         c = ContentSpec(total_size=65536 + 20000, piece_size=65536, block_size=16384)
         assert c.num_pieces == 2
