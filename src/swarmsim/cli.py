@@ -147,15 +147,26 @@ def _parse_section(section: str, entries: dict[str, str], table, flags: dict) ->
     return kwargs
 
 
+def _rate_alone_fails(workload: Workload) -> bool:
+    """Whether the workload's playback rate gives its content no finite size
+    or duration at the default piece size."""
+    try:
+        ContentSpec.for_duration(workload.object_length, workload.playback_rate)
+    except RateError:
+        return True
+    return False
+
+
 def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
     """Assemble a SimConfig from INI sections plus flag overrides.
 
     Each flag is named by the key that it replaces. A flag that is None
     or empty is unset; any other replaces its key's value, which is then
     not parsed. Generator keys beside a trace are not parsed either. An
-    unset [content] playback_rate is the trace header's or generator's; a
-    header rate that sizes content no run can track is bad trace data,
-    unless [content] sets the piece size.
+    unset [content] playback_rate is the trace header's or generator's. A
+    header rate is bad trace data when it gives content no finite size or
+    duration even at the default piece size, or sizes content beyond what
+    a run can track while [content] leaves the piece size unset.
     """
     for section, entries in sections.items():
         _check_known("config section", section, _SIM_KEYS)
@@ -194,7 +205,7 @@ def build_sim_config(sections: dict[str, dict[str, str]], **flags) -> SimConfig:
     try:
         content = ContentSpec.for_duration(workload.object_length, **content_kw)
     except ValueError as exc:
-        if rate_from_trace and isinstance(exc, RateError):
+        if rate_from_trace and isinstance(exc, RateError) and _rate_alone_fails(workload):
             raise TraceError(f"{trace_path}: {exc}") from None
         raise ConfigError(f"[content] {exc}")
     if content.num_pieces > MAX_PIECES:

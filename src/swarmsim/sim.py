@@ -30,14 +30,19 @@ starts by one rule, `_play_start`, for the report and the
 play-triggered variant alike.
 Forward credit (who sent each block, and the bytes forwarded for each
 origin) is kept only under give-to-get and dispersion-greedy, which read
-it. Each heap entry carries its handler, a plain function of the
-engine's class, and the loop calls it with the engine and the entry's
-payload; handlers return nothing. The loop stops at the first event
-past the horizon, so a periodic tick always schedules its next one, and
-a checked run checks the invariants after every event it handles, stale
-ones included. All randomness flows from one seeded generator, and
-events tie on time through monotonically assigned sequence numbers, so a
-(config, seed) pair reproduces the run byte for byte.
+it. Events come from two sources. The sessions' arrivals, requests and
+departures are all known at setup and sit in one list, sorted once; the
+heap holds what the run schedules: completions, ticks, playback ticks
+and the initial seeds' arrivals. Each event carries its handler, a plain
+function of the engine's class, and the loop calls it with the engine
+and the event's payload; handlers return nothing. The loop takes the
+next event from whichever source comes first by (time, sequence number),
+and stops at the first event past the horizon, so a periodic tick always
+schedules its next one, and a checked run checks the invariants after
+every event it handles, stale ones included. All randomness flows from
+one seeded generator, and events tie on time through monotonically
+assigned sequence numbers across both sources, so a (config, seed) pair
+reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -548,7 +553,11 @@ class _Engine:
         self.rng = random.Random(root.getrandbits(63))
         self.now = 0.0
         self.seq = 0
+        # the events the run schedules: completions, ticks, seed arrivals
         self.heap: list = []
+        # the sessions' arrivals, requests and departures, all known at
+        # setup: sorted by (time, seq), latest first, so the next is last
+        self.workload_events: list = []
         self._pipeline_depth = cfg.swarm.pipeline_depth
         self.peers: dict[str, _RunPeer] = {}
         self.tracker = TrackerState(list_size=cfg.swarm.tracker_list_size)
@@ -617,19 +626,25 @@ class _Engine:
             self.peers[pid] = _RunPeer(pid, None, self._draw_capacity(cap_rng), self.content)
             self._schedule(0.0, on[EventKind.PEER_ARRIVAL], (pid,))
 
+        later = self.workload_events
+
+        def plan(t: float, kind: EventKind, payload: tuple) -> None:
+            later.append((t, self.seq, on[kind], payload))
+            self.seq += 1
+
         for session in self.workload.sessions:
             pid = session.client_id
             if pid in self.peers:
                 raise TraceError(f"client id {pid} clashes with an initial seed")
             peer = _RunPeer(pid, session, self._draw_capacity(cap_rng), self.content)
             self.peers[pid] = peer
-            self._schedule(peer.join_time, on[EventKind.PEER_ARRIVAL], (pid,))
+            plan(peer.join_time, EventKind.PEER_ARRIVAL, (pid,))
             for idx, req in enumerate(session.requests):
-                self._schedule(req.arrival_time, on[EventKind.REQUEST_ISSUED], (pid, idx))
+                plan(req.arrival_time, EventKind.REQUEST_ISSUED, (pid, idx))
             last = session.requests[-1]
-            self._schedule(
-                last.arrival_time + last.duration, on[EventKind.PEER_DEPARTURE], (pid,)
-            )
+            plan(last.arrival_time + last.duration, EventKind.PEER_DEPARTURE, (pid,))
+        # seqs are unique, so the sort never compares two handlers
+        later.sort(reverse=True)
 
         self._schedule(self.swarm.unchoke_interval, on[EventKind.UNCHOKE_TICK], ())
         self._schedule(self.swarm.optimistic_interval, on[EventKind.OPTIMISTIC_TICK], ())
@@ -645,12 +660,28 @@ class _Engine:
         return self.cfg.capacity_classes[-1].rate
 
     def loop(self) -> None:
+        """Handle events in (time, seq) order until the first one past the
+        horizon.
+
+        The next event is the heap's top or the next workload event,
+        whichever comes first by (time, seq). Only what the run schedules
+        sits in the heap, so its size, and any high-water mark of it,
+        counts those events alone.
+        """
         end = self.cfg.horizon + _EPS
         check = self.cfg.check_invariants
         heap = self.heap
         heappop = heapq.heappop
-        while heap:
-            t, _, handler, payload = heappop(heap)
+        later = self.workload_events
+        # stands in for the workload events once they run out
+        drained = (math.inf, -1, None, ())
+        upcoming = later.pop() if later else drained
+        while True:
+            if heap and heap[0] < upcoming:
+                t, _, handler, payload = heappop(heap)
+            else:
+                t, _, handler, payload = upcoming
+                upcoming = later.pop() if later else drained
             if t > end:
                 break
             self.now = t
@@ -1053,23 +1084,32 @@ class _Engine:
         queue = link.queue
         added = room
         owned = link.owned
-        while room:
-            picked = not owned
-            if picked:
-                piece = self._pick_new_piece(dl, up)
-                if piece is None:
-                    break
-                link.owned |= 1 << piece
-                dl.owned |= 1 << piece
-            else:
-                piece = (owned & -owned).bit_length() - 1
-                owned &= owned - 1
+        while owned and room:
+            low = owned & -owned
+            owned ^= low
+            piece = low.bit_length() - 1
             asked = requested.get(piece, 0)
             free = partial.get(piece, all_blocks[piece]) & ~asked
             if not free:
-                if picked:
-                    break
                 continue
+            while free and room:
+                low = free & -free
+                free ^= low
+                asked |= low
+                queue.append((piece, low.bit_length() - 1))
+                room -= 1
+            requested[piece] = asked
+        while room:
+            piece = self._pick_new_piece(dl, up)
+            if piece is None:
+                break
+            low = 1 << piece
+            link.owned |= low
+            dl.owned |= low
+            asked = requested.get(piece, 0)
+            free = partial.get(piece, all_blocks[piece]) & ~asked
+            if not free:
+                break
             while free and room:
                 low = free & -free
                 free ^= low
@@ -1106,13 +1146,14 @@ class _Engine:
         if elapsed > 0:
             sent = up.share * elapsed
             for link in active:
-                link.remaining = max(link.remaining - sent, 0.0)
+                left = link.remaining - sent
+                link.remaining = left if left >= 0.0 else 0.0
         up.t_last = now
         if idle is not None and idle.queue:
             idle.serving = piece, block = idle.queue.pop(0)
             if not up.have >> piece & 1:
                 raise InvariantError(f"{up.peer_id} asked to serve incomplete piece {piece}")
-            idle.remaining = float(self._block_lengths[piece][block])
+            idle.remaining = self._block_lengths[piece][block]
             idle.pre_choke = False
             active.append(idle)
         if up.pending is not None:
@@ -1159,12 +1200,13 @@ class _Engine:
                 if sources is None:
                     sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
                 sources[block] = link.sender
+            # the block in service has its requested bit set
             requested = dl.requested
-            left = requested.get(piece, 0) & ~(1 << block)
+            left = requested[piece] & ~(1 << block)
             if left:
                 requested[piece] = left
             else:
-                requested.pop(piece, None)
+                del requested[piece]
             completed = record_block(dl, self.content, piece, block)
             if self.events is not None:
                 self._log(

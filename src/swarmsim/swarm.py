@@ -169,12 +169,16 @@ def rarest_first(have_maps: Iterable[int], among: int, rng: random.Random) -> in
     planes: list[int] = []
     for have in have_maps:
         carry = have & among
-        for j, plane in enumerate(planes):
-            if not carry:
-                break
+        if not carry:
+            continue
+        j = 0
+        for plane in planes:
             planes[j] = plane ^ carry
             carry &= plane
-        if carry:
+            if not carry:
+                break
+            j += 1
+        else:
             planes.append(carry)
     if not planes:
         return None

@@ -505,6 +505,37 @@ def test_bad_header_rate_is_input_error(tmp_path, capsys, rate):
 
 
 @pytest.mark.parametrize(
+    "rate, content, code",
+    [
+        ("1e-300", "", 0),
+        ("1e-300", "piece_size = 17179869184\nblock_size = 16384\n", 1),
+        ("inf", "piece_size = 17179869184\nblock_size = 16384\n", 2),
+        ("1e307", "piece_size = 16\nblock_size = 16\n", 2),
+    ],
+    ids=["header-alone", "config-piece", "header-inf", "header-overflow"],
+)
+def test_rate_error_blames_the_piece_size_that_causes_it(tmp_path, capsys, rate, content, code):
+    # At 1e-300 B/s a default piece lasts a finite time, but a 16 GiB one
+    # does not: the config's piece size is to blame. An infinite rate, or
+    # 300 s of 1e307 B/s, gives no content whatever the piece size.
+    trace = write(
+        tmp_path, "t.csv", f"# object_length=300.0 playback_rate={rate}\n{HEADER}\nc0,0,0,30,play\n"
+    )
+    ini = (
+        f"[content]\n{content}[workload]\ntrace = {trace}\n"
+        "[policy]\nkind = random\n[run]\nhorizon = 30\n"
+    )
+    out = tmp_path / "qos.json"
+    assert main(["simulate", "--config", write(tmp_path, "sim.ini", ini), "--out", str(out)]) == code
+    if code == 0:
+        assert out.exists()
+        return
+    err = assert_one_line_error(capsys)
+    assert err.startswith("error: [content] " if code == 1 else f"error: {trace}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "content", ["", "playback_rate = 262144\n"], ids=["header-rate", "config-rate"]
 )
 def test_config_piece_size_beyond_bound_is_config_error(tmp_path, capsys, content):

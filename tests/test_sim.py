@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import hashlib
+import heapq
 import json
 import os
 import random
@@ -348,6 +350,64 @@ class TestRun:
         # Small swarms of random shape, each checked after every event.
         rep = run(random_checked_config(random.Random(seed))).report
         assert rep.aggregate["uploaded_bytes"] == rep.aggregate["downloaded_bytes"]
+
+
+def _single_heap_loop(engine):
+    """The event loop with one heap: the workload events go back beside
+    the events the run schedules, and every event is popped off it."""
+    heap = engine.heap
+    for entry in engine.workload_events:
+        heapq.heappush(heap, entry)
+    engine.workload_events.clear()
+    end = engine.cfg.horizon + sim._EPS
+    while heap:
+        t, _, handler, payload = heapq.heappop(heap)
+        if t > end:
+            break
+        engine.now = t
+        handler(engine, *payload)
+        if engine.cfg.check_invariants:
+            engine._check_invariants()
+
+
+def _digest(cfg):
+    result = run(dataclasses.replace(cfg, record_events=True))
+    text = result.report.to_json() + event_log_lines(result.events)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestEventOrder:
+    def test_simultaneous_events_run_in_scheduling_order(self):
+        # `a` joins at 0 beside the seed, whose arrival was scheduled
+        # first; `b` issues a request at 10 s, the first unchoke tick,
+        # which was scheduled after every workload event.
+        sessions = (
+            Session("a", (Request(0.0, 0.0, 60.0, Interaction.PLAY),)),
+            Session(
+                "b",
+                (Request(4.0, 0.0, 60.0, Interaction.PLAY), Request(10.0, 30.0, 60.0, Interaction.JUMP_FORWARD)),
+            ),
+        )
+        workload = Workload(
+            object_length=60.0, playback_rate=PLAYBACK, sessions=sessions, observation_window=100.0
+        )
+        events = run(single_leecher_config(workload=workload, record_events=True)).events
+        at = [(e["time"], e["kind"], e["actor"]) for e in events]
+        assert at[:2] == [(0.0, "peer_arrival", "seed00"), (0.0, "peer_arrival", "a")]
+        request = at.index((10.0, "request_issued", "b"))
+        assert at.index((10.0, "unchoke_tick", None)) == request + 1
+
+    def test_merge_matches_a_single_heap(self, monkeypatch):
+        # Taking each event from the heap or the workload events, whichever
+        # comes first by (time, seq), runs as one heap of them all would.
+        rng = random.Random(26)
+        configs = [
+            dataclasses.replace(random_checked_config(rng), check_invariants=False)
+            for _ in range(12)
+        ]
+        own = [_digest(cfg) for cfg in configs]
+        monkeypatch.setattr(sim._Engine, "loop", _single_heap_loop)
+        assert [_digest(cfg) for cfg in configs] == own
 
 
 class TestEngineState:
