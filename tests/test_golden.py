@@ -5,7 +5,10 @@ of the `conftest.sim_config` swarm at seed 0, with no lingering and
 with 30% of departing leechers lingering as seeds. One more case runs
 dispersion-greedy on 400 sessions with 30% lingering, the size where
 superseded transfer events and lingering receivers are most frequent;
-it takes about 10 s. The digest is the
+it takes about 10 s. Three id-order cases run the 30 sessions with their
+ids relabelled so that id order is neither join order nor creation
+order (see `relabelled_workload`): every tie broken by peer id, and
+every walk over peers, shows in their digests. The digest is the
 sha256 of the QoS report JSON followed by the newline-delimited event
 log. Refactors and speedups must leave every digest unchanged. A change
 that is meant to alter simulated behaviour regenerates the table with
@@ -15,6 +18,7 @@ that is meant to alter simulated behaviour regenerates the table with
 and says why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -23,9 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import sim_config
+from conftest import hi_workload, sim_config
 from swarmsim.policies import PolicyKind
 from swarmsim.sim import event_log_lines, run
+from swarmsim.workload import Workload, generate_workload
 
 SESSIONS = 30
 LARGE_SESSIONS = 400
@@ -72,6 +77,41 @@ def digest(policy: str, linger: float, sessions: int = SESSIONS) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+ID_ORDER_GOLDEN = {
+    ("titfortat", 0.3): "737c6bef766f6622b2044d593848b1512ee39a1494959e54d63de2577723ff36",
+    ("llp", 0.3): "9459f3a38fa6899092e1a8ac42b1728d15f1c834b250a2801520dc651ca966ac",
+    ("dispersiongreedy", 0.3): "e3c93c580a5d9a136c081a23f732f8efc6418f35afcc279d42e46aa7b9196f07",
+}
+
+
+def relabelled_workload() -> Workload:
+    """The 30 HI sessions of `conftest.hi_workload`, with the session that
+    joins i-th renamed `("a", "c", "x")[i % 3] + str(7 * i % 30)`.
+
+    The ids are not in join order, are not zero-padded, and fall on both
+    sides of `seed00`.
+    """
+    wl = generate_workload(hi_workload(SESSIONS))
+    sessions = [
+        dataclasses.replace(s, client_id=("a", "c", "x")[i % 3] + str(7 * i % 30))
+        for i, s in enumerate(wl.sessions)
+    ]
+    return dataclasses.replace(wl, sessions=sessions)
+
+
+def id_order_digest(policy: str, linger: float) -> str:
+    cfg = sim_config(
+        policy,
+        seed=SEED,
+        workload=relabelled_workload(),
+        linger_as_seed_fraction=linger,
+        record_events=True,
+    )
+    result = run(cfg)
+    text = result.report.to_json() + event_log_lines(result.events)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 CASES = [(kind.value, linger, SESSIONS) for kind in PolicyKind for linger in LINGER_FRACTIONS]
 CASES.append((PolicyKind.DISPERSION_GREEDY.value, 0.3, LARGE_SESSIONS))
 
@@ -88,6 +128,18 @@ def test_every_case_has_a_golden():
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_digest_unchanged(case):
     assert digest(*case) == GOLDEN[case]
+
+
+def test_relabelled_ids_out_of_join_order():
+    ids = [s.client_id for s in relabelled_workload().sessions]
+    assert len(set(ids)) == len(ids) == SESSIONS
+    assert sorted(ids) != ids
+    assert min(ids) < "seed00" < max(ids)
+
+
+@pytest.mark.parametrize("case", ID_ORDER_GOLDEN, ids=lambda case: f"{case[0]}-{case[1]}")
+def test_id_order_digest_unchanged(case):
+    assert id_order_digest(*case) == ID_ORDER_GOLDEN[case]
 
 
 def test_digest_independent_of_hash_seed():
@@ -107,3 +159,5 @@ def test_digest_independent_of_hash_seed():
 if __name__ == "__main__":
     for policy, linger, sessions in CASES:
         print(f'    ("{policy}", {linger}, {sessions}): "{digest(policy, linger, sessions)}",')
+    for policy, linger in ID_ORDER_GOLDEN:
+        print(f'    ("{policy}", {linger}): "{id_order_digest(policy, linger)}",')
