@@ -27,7 +27,8 @@ owned pieces in ascending piece order, and picks a new piece only when
 room is left. A link's requests end only in `_Engine._choke`, which
 clears their requested bits and releases the link's pieces. Playback
 starts by one rule, `_play_start`, for the report and the
-play-triggered variant alike.
+play-triggered variant alike. The peer table and every neighbourhood
+are kept in id order, so no walk over peers sorts.
 Forward credit (who sent each block, and the bytes forwarded for each
 origin) is kept only under give-to-get and dispersion-greedy, which read
 it. Events come from two sources. The sessions' arrivals, requests and
@@ -47,6 +48,7 @@ reproduces the run byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 import heapq
@@ -390,11 +392,12 @@ class _RunPeer:
 
     The protocol side is what piece picking, block receipt and the
     policies read: the have-map, the block maps of partly received
-    pieces, the neighbourhood, the upload slots (the only record of whom
-    it unchokes), the popularity record on the content's piece grid
-    (`support`, the `int` bitset of the bins its requests cover, and
-    `mass`, the sum of their widths), the upload capacity and the join
-    time. The rest is the engine's runtime state.
+    pieces, the neighbourhood (a list of ids, kept in id order), the
+    upload slots (the only record of whom it unchokes), the popularity
+    record on the content's piece grid (`support`, the `int` bitset of
+    the bins its requests cover, and `mass`, the sum of their widths),
+    the upload capacity and the join time. The rest is the engine's
+    runtime state.
     A seed is a peer with no session: it joins at time 0 holding every
     piece. A leecher joins at its session's first request holding none.
 
@@ -426,7 +429,7 @@ class _RunPeer:
         "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
         "queue_length", "pending", "forward_accum", "forward_snapshot",
         "links", "requested", "owned", "block_source", "wanted",
-        "current_req", "playback_version",
+        "current_req",
         "uploaded", "downloaded", "piece_arrival", "formation",
     )
 
@@ -440,7 +443,7 @@ class _RunPeer:
         self.have = (1 << content.num_pieces) - 1 if session is None else 0
         # piece -> bitset of missing blocks, for pieces begun but not complete
         self.partial: dict[int, int] = {}
-        self.neighbourhood: set[str] = set()
+        self.neighbourhood: list[str] = []
         self.regular_slots: set[str] = set()
         self.optimistic_slot: str | None = None
         self.support = 0
@@ -469,7 +472,6 @@ class _RunPeer:
         self.wanted = 0
         # session progress: the index of the last request made
         self.current_req = -1
-        self.playback_version = 0
         # accounting
         self.uploaded = 0
         self.downloaded = 0
@@ -645,6 +647,8 @@ class _Engine:
             plan(last.arrival_time + last.duration, EventKind.PEER_DEPARTURE, (pid,))
         # seqs are unique, so the sort never compares two handlers
         later.sort(reverse=True)
+        # capacities were drawn in creation order; every walk from here on is in id order
+        self.peers = dict(sorted(self.peers.items()))
 
         self._schedule(self.swarm.unchoke_interval, on[EventKind.UNCHOKE_TICK], ())
         self._schedule(self.swarm.optimistic_interval, on[EventKind.OPTIMISTIC_TICK], ())
@@ -700,8 +704,8 @@ class _Engine:
 
     # -- peer lifecycle -----------------------------------------------------
 
-    def _alive_ids(self) -> list[str]:
-        return sorted(pid for pid, p in self.peers.items() if p.alive)
+    def _alive_peers(self) -> list[_RunPeer]:
+        return [p for p in self.peers.values() if p.alive]
 
     def _on_arrival(self, pid: str) -> None:
         peer = self.peers[pid]
@@ -716,7 +720,7 @@ class _Engine:
         selected = self._form_neighbourhood(peer, candidates)
         for other in selected:
             self._connect(peer, self.peers[other])
-        self._log(EventKind.PEER_ARRIVAL, pid, neighbours=sorted(selected))
+        self._log(EventKind.PEER_ARRIVAL, pid, neighbours=list(peer.neighbourhood))
 
     def _request_rate(self, peer: _RunPeer) -> float:
         """Requests per object duration, floored at one elapsed duration."""
@@ -788,8 +792,8 @@ class _Engine:
         return make_report(support.bit_count(), mass, self._request_rate(peer))
 
     def _connect(self, a: _RunPeer, b: _RunPeer) -> None:
-        a.neighbourhood.add(b.peer_id)
-        b.neighbourhood.add(a.peer_id)
+        bisect.insort(a.neighbourhood, b.peer_id)
+        bisect.insort(b.neighbourhood, a.peer_id)
         self._maps_changed = True
 
     def _refill_neighbourhood(self, peer: _RunPeer) -> None:
@@ -820,9 +824,9 @@ class _Engine:
         tracker_leave(self.tracker, pid)
         self._cancel_downloads(peer)
         self._cancel_uploads(peer)
-        for nid in sorted(peer.neighbourhood):
+        for nid in peer.neighbourhood:
             other = self.peers[nid]
-            other.neighbourhood.discard(pid)
+            other.neighbourhood.remove(pid)
             other.regular_slots.discard(pid)
             if other.optimistic_slot == pid:
                 other.optimistic_slot = None
@@ -916,11 +920,10 @@ class _Engine:
 
         When the playback start becomes defined, at the request or when a
         lead piece completes, a tick is pushed for each deadline of the
-        request's window. A piece completing at or after its deadline is
+        request's window; it carries the request's index, so the next
+        request leaves it stale. A piece completing at or after its deadline is
         consumed on arrival and re-rolls the optimistic slot.
         """
-        if piece is None:
-            peer.playback_version += 1
         idx = peer.current_req
         requests = peer.session.requests
         req = requests[idx]
@@ -936,14 +939,14 @@ class _Engine:
                 window_end = min(window_end, requests[idx + 1].arrival_time)
             on_tick = self.handlers[EventKind.PLAYBACK_TICK]
             for k, due in _deadlines(start, region, window_end, pd):
-                self._schedule(due, on_tick, (peer.peer_id, peer.playback_version, k, due))
+                self._schedule(due, on_tick, (peer.peer_id, idx, k, due))
         if piece is not None and piece in region:
             if start + (piece - region.start) * pd <= self.now + _EPS:
                 self._reoptimistic(peer)
 
-    def _on_playback_tick(self, pid: str, version: int, piece: int, due: float) -> None:
+    def _on_playback_tick(self, pid: str, idx: int, piece: int, due: float) -> None:
         peer = self.peers[pid]
-        if not peer.alive or peer.lingering or version != peer.playback_version:
+        if not peer.alive or peer.lingering or idx != peer.current_req:
             return
         if peer.have >> piece & 1:
             # Piece consumed on time: the play-triggered variant re-rolls
@@ -954,16 +957,16 @@ class _Engine:
     # -- neighbour interest and unchoking ------------------------------------
 
     def _interested(self, peer: _RunPeer) -> list[str]:
-        """Neighbours that want a piece `peer` holds, in id order. Every
-        neighbour is alive, and a lingering one wants nothing."""
+        """Neighbours that want a piece `peer` holds, in the neighbourhood's
+        id order. Every neighbour is alive, and a lingering one wants nothing."""
         have = peer.have
         peers = self.peers
-        return [n for n in sorted(peer.neighbourhood) if peers[n].wanted & have]
+        return [n for n in peer.neighbourhood if peers[n].wanted & have]
 
     def _unchokers(self, peer: _RunPeer) -> list[_RunPeer]:
-        """The neighbours whose slots hold `peer`, in id order."""
+        """The neighbours whose slots hold `peer`, in the neighbourhood's id order."""
         pid = peer.peer_id
-        peers = map(self.peers.__getitem__, sorted(peer.neighbourhood))
+        peers = map(self.peers.__getitem__, peer.neighbourhood)
         return [up for up in peers if pid in up.regular_slots or up.optimistic_slot == pid]
 
     def _rank_rates(self, peer: _RunPeer, interested: list[str]) -> dict[str, float]:
@@ -986,8 +989,7 @@ class _Engine:
         }
 
     def _on_unchoke_tick(self) -> None:
-        for pid in self._alive_ids():
-            peer = self.peers[pid]
+        for peer in self._alive_peers():
             rates = self._rank_rates(peer, self._interested(peer))
             regular = tit_for_tat_unchoke(rates, self.swarm.regular_slot_count)
             old = peer.unchoked_set()
@@ -1010,8 +1012,8 @@ class _Engine:
         self._apply_slot_diff(peer, old, peer.unchoked_set())
 
     def _on_optimistic_tick(self) -> None:
-        for pid in self._alive_ids():
-            self._reoptimistic(self.peers[pid])
+        for peer in self._alive_peers():
+            self._reoptimistic(peer)
         if self._forward_credit:
             for p in self.peers.values():
                 p.forward_snapshot = dict(p.forward_accum)
@@ -1025,8 +1027,8 @@ class _Engine:
             self._fill_pipeline(self.peers[rid], peer)
 
     def _on_tracker_update(self) -> None:
-        for pid in self._alive_ids():
-            self._refill_neighbourhood(self.peers[pid])
+        for peer in self._alive_peers():
+            self._refill_neighbourhood(peer)
         self._repeat(EventKind.TRACKER_UPDATE, self.swarm.tracker_update_interval)
 
     # -- block transfer machinery ---------------------------------------------
@@ -1043,7 +1045,7 @@ class _Engine:
             pid = dl.peer_id
             holders = [
                 self._holder_view(holder, dl)
-                for holder in map(peers.__getitem__, sorted(dl.neighbourhood))
+                for holder in map(peers.__getitem__, dl.neighbourhood)
                 if holder.have >> piece & 1
                 and (pid in holder.regular_slots or holder.optimistic_slot == pid)
             ]
@@ -1256,7 +1258,7 @@ class _Engine:
             if len(peer.regular_slots) + extra > total_cap:
                 raise InvariantError(f"{pid} exceeds total slot cap")
             # a receiver's unchokers are read off its neighbours' slots
-            stray = peer.unchoked_set() - peer.neighbourhood
+            stray = peer.unchoked_set().difference(peer.neighbourhood)
             if stray:
                 raise InvariantError(f"{pid} unchokes {min(stray)}, which is not its neighbour")
             # a link with a queued block has one in service, so is listed
@@ -1381,17 +1383,18 @@ class _Engine:
         """
         one_way = []
         for pid, peer in alive.items():
-            for nid in peer.neighbourhood:
+            hood = peer.neighbourhood
+            if any(a >= b for a, b in zip(hood, hood[1:])):
+                raise InvariantError(f"{pid}'s neighbourhood is out of id order or repeats a peer")
+            for nid in hood:
                 other = alive.get(nid)
                 if other is None:
                     raise InvariantError(f"a neighbourhood keeps departed peer {nid}")
                 if pid not in other.neighbourhood:
-                    one_way.append((pid, nid))
+                    one_way.append((min(pid, nid), max(pid, nid)))
         if one_way:
-            ids = list(alive)
-            index = {pid: i for i, pid in enumerate(ids)}
-            i, j = min(sorted((index[a], index[b])) for a, b in one_way)
-            raise InvariantError(f"link between {ids[i]} and {ids[j]} is one-way")
+            a, b = min(one_way)
+            raise InvariantError(f"link between {a} and {b} is one-way")
         if self._piece_bits is None:
             self._piece_bits = [1 << k for k in range(self.content.num_pieces)]
         for pid, peer in alive.items():
@@ -1406,12 +1409,8 @@ class _Engine:
     def build_report(self) -> QoSReport:
         horizon = self.cfg.horizon
         per_peer: dict[str, PeerQoS] = {}
-        leechers = [
-            p
-            for p in self.peers.values()
-            if p.session is not None and p.joined
-        ]
-        for peer in sorted(leechers, key=lambda p: p.peer_id):
+        leechers = [p for p in self.peers.values() if p.session is not None and p.joined]
+        for peer in leechers:
             cutoff = min(
                 peer.qos_cutoff if peer.qos_cutoff is not None else horizon, horizon
             )

@@ -24,7 +24,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Container, Iterable
 
 from .errors import InvariantError
 
@@ -271,9 +271,9 @@ def tracker_join(tracker: TrackerState, peer_id: str, rng: random.Random) -> lis
 
 
 def tracker_refill(
-    tracker: TrackerState, peer_id: str, exclude: set[str], rng: random.Random
+    tracker: TrackerState, peer_id: str, exclude: Container[str], rng: random.Random
 ) -> list[str]:
-    """Fresh random candidates excluding the peer's current neighbours."""
+    """Fresh random candidates not in `exclude`, the peer's neighbours."""
     if peer_id not in tracker.registry:
         raise ValueError(f"{peer_id} is not registered")
     others = [p for p in tracker.registry if p != peer_id and p not in exclude]

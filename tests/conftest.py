@@ -1,7 +1,9 @@
+import dataclasses
+import hashlib
 import random
 
 from swarmsim.policies import PolicyKind, PolicySpec
-from swarmsim.sim import CapacityClass, SimConfig
+from swarmsim.sim import CapacityClass, SimConfig, event_log_lines, run
 from swarmsim.swarm import ContentSpec, SwarmConfig
 from swarmsim.workload import GeneratorConfig, InteractivityProfile
 
@@ -45,6 +47,13 @@ def sim_config(policy: str, seed: int, *, n: int | None = None, **kwargs) -> Sim
     )
     defaults.update(kwargs)
     return SimConfig(**defaults)
+
+
+def digest(cfg: SimConfig) -> str:
+    """The sha256 of a run's QoS report JSON followed by its event log."""
+    result = run(dataclasses.replace(cfg, record_events=True))
+    text = result.report.to_json() + event_log_lines(result.events)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def random_checked_config(rng: random.Random) -> SimConfig:

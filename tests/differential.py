@@ -14,8 +14,6 @@ A run that fails an invariant check raises, and the script stops.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import random
 import sys
 from pathlib import Path
@@ -23,14 +21,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from conftest import random_checked_config  # noqa: E402
-from swarmsim.sim import event_log_lines, run  # noqa: E402
-
-
-def digest(cfg) -> str:
-    result = run(dataclasses.replace(cfg, record_events=True))
-    text = result.report.to_json() + event_log_lines(result.events)
-    return hashlib.sha256(text.encode()).hexdigest()
+from conftest import digest, random_checked_config  # noqa: E402
 
 
 def main() -> None:

@@ -19,7 +19,6 @@ and says why in CHANGES.md.
 """
 
 import dataclasses
-import hashlib
 import os
 import subprocess
 import sys
@@ -27,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 from conftest import hi_workload, sim_config
 from swarmsim.policies import PolicyKind
-from swarmsim.sim import event_log_lines, run
 from swarmsim.workload import Workload, generate_workload
 
 SESSIONS = 30
@@ -64,17 +63,8 @@ GOLDEN = {
 
 def digest(policy: str, linger: float, sessions: int = SESSIONS) -> str:
     n = 3 if policy in (PolicyKind.YNP.value, PolicyKind.CNP.value) else None
-    cfg = sim_config(
-        policy,
-        seed=SEED,
-        n=n,
-        sessions=sessions,
-        linger_as_seed_fraction=linger,
-        record_events=True,
-    )
-    result = run(cfg)
-    text = result.report.to_json() + event_log_lines(result.events)
-    return hashlib.sha256(text.encode()).hexdigest()
+    cfg = sim_config(policy, seed=SEED, n=n, sessions=sessions, linger_as_seed_fraction=linger)
+    return conftest.digest(cfg)
 
 
 ID_ORDER_GOLDEN = {
@@ -100,16 +90,9 @@ def relabelled_workload() -> Workload:
 
 
 def id_order_digest(policy: str, linger: float) -> str:
-    cfg = sim_config(
-        policy,
-        seed=SEED,
-        workload=relabelled_workload(),
-        linger_as_seed_fraction=linger,
-        record_events=True,
-    )
-    result = run(cfg)
-    text = result.report.to_json() + event_log_lines(result.events)
-    return hashlib.sha256(text.encode()).hexdigest()
+    workload = relabelled_workload()
+    cfg = sim_config(policy, seed=SEED, workload=workload, linger_as_seed_fraction=linger)
+    return conftest.digest(cfg)
 
 
 CASES = [(kind.value, linger, SESSIONS) for kind in PolicyKind for linger in LINGER_FRACTIONS]

@@ -1,6 +1,6 @@
+import bisect
 import dataclasses
 import gc
-import hashlib
 import heapq
 import json
 import os
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAYBACK, random_checked_config, sim_config, small_swarm
+from conftest import PLAYBACK, digest, random_checked_config, sim_config, small_swarm
 from swarmsim import sim
 from swarmsim.errors import ConfigError, InvariantError
 from swarmsim.metrics import (
@@ -370,12 +370,6 @@ def _single_heap_loop(engine):
             engine._check_invariants()
 
 
-def _digest(cfg):
-    result = run(dataclasses.replace(cfg, record_events=True))
-    text = result.report.to_json() + event_log_lines(result.events)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 class TestEventOrder:
     def test_simultaneous_events_run_in_scheduling_order(self):
         # `a` joins at 0 beside the seed, whose arrival was scheduled
@@ -405,9 +399,9 @@ class TestEventOrder:
             dataclasses.replace(random_checked_config(rng), check_invariants=False)
             for _ in range(12)
         ]
-        own = [_digest(cfg) for cfg in configs]
+        own = [digest(cfg) for cfg in configs]
         monkeypatch.setattr(sim._Engine, "loop", _single_heap_loop)
-        assert [_digest(cfg) for cfg in configs] == own
+        assert [digest(cfg) for cfg in configs] == own
 
 
 class TestEngineState:
@@ -515,7 +509,7 @@ def _two_seed_engine(pipeline_depth, **kwargs):
     for pid in ("seed00", "seed01", "c0"):
         engine._on_arrival(pid)
     s0, s1, c0 = (engine.peers[pid] for pid in ("seed00", "seed01", "c0"))
-    assert c0.neighbourhood == {"seed00", "seed01"}
+    assert c0.neighbourhood == ["seed00", "seed01"]
     c0.wanted = 1 << 7
     engine._check_invariants()
     return engine, s0, s1, c0
@@ -945,21 +939,32 @@ class TestInvariantMutations:
 
     def test_one_sided_connect(self, monkeypatch):
         def connect_one_sided(self, a, b):
-            a.neighbourhood.add(b.peer_id)
+            bisect.insort(a.neighbourhood, b.peer_id)
             self._maps_changed = True
 
         monkeypatch.setattr(sim._Engine, "_connect", connect_one_sided)
         self.run_checked("is one-way")
+
+    def test_connect_appends(self, monkeypatch):
+        def connect_appending(self, a, b):
+            # Both sides link, but the new neighbour goes last, not in id
+            # order.
+            a.neighbourhood.append(b.peer_id)
+            b.neighbourhood.append(a.peer_id)
+            self._maps_changed = True
+
+        monkeypatch.setattr(sim._Engine, "_connect", connect_appending)
+        self.run_checked("out of id order")
 
     def test_departed_peer_kept_as_neighbour(self, monkeypatch):
         on_departure = sim._Engine._on_departure
 
         def departure_kept_by_one(self, pid):
             peer = self.peers[pid]
-            neighbours = sorted(peer.neighbourhood)
+            neighbours = list(peer.neighbourhood)
             on_departure(self, pid)
             if not peer.alive and neighbours:
-                self.peers[neighbours[0]].neighbourhood.add(pid)
+                bisect.insort(self.peers[neighbours[0]].neighbourhood, pid)
 
         monkeypatch.setattr(sim._Engine, "_on_departure", departure_kept_by_one)
         self.run_checked("keeps departed peer")
@@ -1033,7 +1038,7 @@ class TestInvariantMutations:
             # One neighbour that unchokes the departing peer keeps it in a
             # regular slot.
             peer = self.peers[pid]
-            unchokers = [n for n in sorted(peer.neighbourhood) if pid in self.peers[n].regular_slots]
+            unchokers = [n for n in peer.neighbourhood if pid in self.peers[n].regular_slots]
             on_departure(self, pid)
             if not peer.alive and unchokers:
                 self.peers[unchokers[0]].regular_slots.add(pid)
@@ -1045,7 +1050,7 @@ class TestInvariantMutations:
         # Interest that ignores what a neighbour wants lets a peer unchoke
         # a seed, which then opens a link to it.
         monkeypatch.setattr(
-            sim._Engine, "_interested", lambda self, peer: sorted(peer.neighbourhood)
+            sim._Engine, "_interested", lambda self, peer: list(peer.neighbourhood)
         )
         self.run_checked("seed seed.* has outstanding requests")
 
