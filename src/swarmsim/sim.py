@@ -18,17 +18,21 @@ busy sender has exactly one pending completion. All state of one
 direction of a peer pair (queued blocks, the block in service and its
 bytes left, requests, bytes in the current unchoke window) lives in one
 link record that both peers share, with the bitset of the pieces the
-receiver owns on it, and the receiver keeps it for the whole run. A
-sender's slots alone record whom it unchokes. The receiver keeps two
-block bitsets per begun piece, the blocks still missing and the blocks
-requested, so a link's unrequested blocks are derived, never stored: a
-refill takes the lowest missing and unrequested blocks of the link's
-owned pieces in ascending piece order, and picks a new piece only when
-room is left. A link's requests end only in `_Engine._choke`, which
+receiver owns on it. A sender's slots alone record whom it unchokes.
+The receiver keeps two block bitsets per begun piece, the blocks still
+missing and the blocks requested, so a link's unrequested blocks are
+derived, never stored: a refill takes the lowest missing and unrequested
+blocks of the link's owned pieces in ascending piece order, and picks a
+new piece only when room is left. A link's requests end only in `_Engine._choke`, which
 clears their requested bits and releases the link's pieces. Playback
 starts by one rule, `_play_start`, for the report and the
 play-triggered variant alike. The peer table and every neighbourhood
-are kept in id order, so no walk over peers sorts.
+are kept in id order, so no walk over peers sorts. A leecher that
+departs without lingering has its QoS computed then, which is final:
+nothing it holds changes afterwards. It then drops its arrivals, block
+maps and forward credit, and every link but those with a block in
+service, which alone a later event reads; a lingering leecher keeps
+everything until the report, since its uploads still count.
 Forward credit (who sent each block, and the bytes forwarded for each
 origin) is kept only under give-to-get and dispersion-greedy, which read
 it. Events come from two sources. The sessions' arrivals, requests and
@@ -333,8 +337,10 @@ class _Link:
     """One direction of a peer pair: what `receiver` gets from `sender`.
 
     Both ends hold the same record. The receiver keeps it in `links`
-    for the whole run, and lrp reads its `requests_sent`; the sender
-    keeps it in its `in_service` list while a block is in service.
+    while it is in the swarm, lingering included, and lrp reads its
+    `requests_sent`; at a departure without lingering it keeps it only
+    if a block is in service. The sender keeps it in its `in_service`
+    list while a block is in service.
     The block in service had `remaining` bytes left at the sender's
     `t_last` and moves at the sender's `share`. A reshare that replaces
     the sender's pending completion, and every cancel, bump `version`,
@@ -344,8 +350,8 @@ class _Link:
     The pipeline holds the queued blocks plus the block in service, and
     a link with a queued block always has a block in service. The queue
     is a list: it holds at most `pipeline_depth` blocks, and a receiver
-    keeps every link for the run, where an empty deque takes 760 bytes
-    (64-bit CPython 3.11).
+    keeps a link to every sender it ever asked while it stays, where an
+    empty deque takes 760 bytes (64-bit CPython 3.11).
     `owned` is the bitset of the pieces the receiver fetches over this
     link: a pick sets the piece's bit, and the piece's completion or the
     link's choke clears it. Each owned piece is owned on one link.
@@ -400,6 +406,10 @@ class _RunPeer:
     runtime state.
     A seed is a peer with no session: it joins at time 0 holding every
     piece. A leecher joins at its session's first request holding none.
+    When it departs without lingering, `qos` takes its QoS, final then,
+    and `_Engine._on_departure` empties its arrivals, block maps and
+    forward credit and keeps only its links with a block in service. A
+    lingering leecher keeps all of it.
 
     The have-map `have` and the wanted set `wanted` are `int` bitsets, bit
     k standing for piece k. How many neighbours hold each piece is not
@@ -430,7 +440,7 @@ class _RunPeer:
         "queue_length", "pending", "forward_accum", "forward_snapshot",
         "links", "requested", "owned", "block_source", "wanted",
         "current_req",
-        "uploaded", "downloaded", "piece_arrival", "formation",
+        "uploaded", "downloaded", "piece_arrival", "formation", "qos",
     )
 
     def __init__(
@@ -462,7 +472,8 @@ class _RunPeer:
         self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
         self.forward_snapshot: dict[str, int] = {}
-        # download side: links by sender, kept for the whole run
+        # download side: links by sender, kept until a departure that
+        # does not linger
         self.links: dict[str, _Link] = {}
         self.requested: dict[int, int] = {}
         self.owned = 0
@@ -477,6 +488,8 @@ class _RunPeer:
         self.downloaded = 0
         self.piece_arrival: dict[int, float] = {}
         self.formation: DispersionReport | None = None
+        # a leecher's QoS, set when it departs without lingering
+        self.qos: PeerQoS | None = None
 
     def unchoked_set(self) -> set[str]:
         out = set(self.regular_slots)
@@ -832,6 +845,19 @@ class _Engine:
                 other.optimistic_slot = None
             self._refill_neighbourhood(other)
         peer.neighbourhood.clear()
+        # Its arrivals, bytes and formation no longer change, so its QoS is
+        # final. Of what it holds, only a link with a block in service is
+        # read again: by the block's completion, or by the sender's `_choke`
+        # when the sender departs.
+        if peer.session is not None:
+            peer.qos = self._peer_qos(peer)
+        peer.piece_arrival = {}
+        peer.partial = {}
+        peer.requested = {}
+        peer.block_source = {}
+        peer.forward_accum = {}
+        peer.forward_snapshot = {}
+        peer.links = {s: k for s, k in peer.links.items() if k.serving is not None}
         self._log(EventKind.PEER_DEPARTURE, pid, lingering=False)
 
     def _cancel_downloads(self, peer: _RunPeer) -> None:
@@ -839,7 +865,7 @@ class _Engine:
 
         Only the links of its unchokers are cancelled: a block in service
         on a link that has been choked still finishes, and a lingering
-        peer gets it. The peer keeps its links, but wants nothing more.
+        peer gets it. The peer wants nothing more.
         """
         for up in self._unchokers(peer):
             if self._choke(up, peer, cancel=True):
@@ -1012,15 +1038,19 @@ class _Engine:
         self._apply_slot_diff(peer, old, peer.unchoked_set())
 
     def _on_optimistic_tick(self) -> None:
-        for peer in self._alive_peers():
+        alive = self._alive_peers()
+        for peer in alive:
             self._reoptimistic(peer)
         if self._forward_credit:
-            for p in self.peers.values():
+            # only alive peers are candidates or neighbours, so only their credit is read
+            for p in alive:
                 p.forward_snapshot = dict(p.forward_accum)
                 p.forward_accum.clear()
         self._repeat(EventKind.OPTIMISTIC_TICK, self.swarm.optimistic_interval)
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
+        if old == new:
+            return
         for rid in sorted(old - new):
             self._choke(peer, self.peers[rid], cancel=False)
         for rid in sorted(new - old):
@@ -1406,62 +1436,60 @@ class _Engine:
 
     # -- reporting -------------------------------------------------------------
 
+    def _peer_qos(self, peer: _RunPeer) -> PeerQoS:
+        """A leecher's QoS up to its departure, or to the horizon if sooner."""
+        horizon = self.cfg.horizon
+        cutoff = min(peer.qos_cutoff if peer.qos_cutoff is not None else horizon, horizon)
+        join = peer.join_time
+        session = peer.session
+        # through the module global, so that a patched `playback_model` is the one called
+        playback = playback_model(
+            session.requests,
+            peer.piece_arrival,
+            self.content,
+            startup_pieces=self.cfg.startup_pieces,
+            end_time=cutoff,
+        )
+        first_start = playback.play_starts[0] if playback.play_starts else None
+        startup = (
+            first_start - session.requests[0].arrival_time
+            if first_start is not None
+            else max(cutoff - session.requests[0].arrival_time, 0.0)
+        )
+        first_piece = min(peer.piece_arrival.values(), default=None)
+        bootstrap = first_piece - join if first_piece is not None else max(cutoff - join, 0.0)
+        wanted_union: set[int] = set()
+        for req in session.requests:
+            wanted_union.update(self.content.pieces_for_interval(req.start_pos, req.end_pos))
+        if wanted_union and all(k in peer.piece_arrival for k in wanted_union):
+            download_time = max(peer.piece_arrival[k] for k in wanted_union) - join
+        else:
+            download_time = max(cutoff - join, 0.0)
+        residence = max(cutoff - join, 0.0)
+        rate = peer.downloaded / residence if residence > 0 else 0.0
+        util = peer.uploaded / (peer.upload_capacity * residence) if residence > 0 else 0.0
+        return PeerQoS(
+            continuity_index=playback.continuity_index,
+            startup_delay=startup,
+            bootstrap_time=bootstrap,
+            mean_time_to_return=playback.mean_time_to_return,
+            interruption_count=playback.interruption_count,
+            total_download_time=download_time,
+            link_utilization=min(util, 1.0),
+            downloaded_bytes=peer.downloaded,
+            uploaded_bytes=peer.uploaded,
+            download_rate=rate,
+            formation=peer.formation.to_dict() if peer.formation else None,
+        )
+
     def build_report(self) -> QoSReport:
+        """The run's QoS report. A leecher that departed without lingering
+        has its QoS from its departure; the rest are computed now."""
         horizon = self.cfg.horizon
         per_peer: dict[str, PeerQoS] = {}
-        leechers = [p for p in self.peers.values() if p.session is not None and p.joined]
-        for peer in leechers:
-            cutoff = min(
-                peer.qos_cutoff if peer.qos_cutoff is not None else horizon, horizon
-            )
-            join = peer.join_time
-            session = peer.session
-            playback = playback_model(
-                session.requests,
-                peer.piece_arrival,
-                self.content,
-                startup_pieces=self.cfg.startup_pieces,
-                end_time=cutoff,
-            )
-            first_start = playback.play_starts[0] if playback.play_starts else None
-            startup = (
-                first_start - session.requests[0].arrival_time
-                if first_start is not None
-                else max(cutoff - session.requests[0].arrival_time, 0.0)
-            )
-            first_piece = min(peer.piece_arrival.values(), default=None)
-            bootstrap = (
-                first_piece - join if first_piece is not None else max(cutoff - join, 0.0)
-            )
-            wanted_union: set[int] = set()
-            for req in session.requests:
-                wanted_union.update(
-                    self.content.pieces_for_interval(req.start_pos, req.end_pos)
-                )
-            if wanted_union and all(k in peer.piece_arrival for k in wanted_union):
-                download_time = max(peer.piece_arrival[k] for k in wanted_union) - join
-            else:
-                download_time = max(cutoff - join, 0.0)
-            residence = max(cutoff - join, 0.0)
-            rate = peer.downloaded / residence if residence > 0 else 0.0
-            util = (
-                peer.uploaded / (peer.upload_capacity * residence)
-                if residence > 0
-                else 0.0
-            )
-            per_peer[peer.peer_id] = PeerQoS(
-                continuity_index=playback.continuity_index,
-                startup_delay=startup,
-                bootstrap_time=bootstrap,
-                mean_time_to_return=playback.mean_time_to_return,
-                interruption_count=playback.interruption_count,
-                total_download_time=download_time,
-                link_utilization=min(util, 1.0),
-                downloaded_bytes=peer.downloaded,
-                uploaded_bytes=peer.uploaded,
-                download_rate=rate,
-                formation=peer.formation.to_dict() if peer.formation else None,
-            )
+        for peer in self.peers.values():
+            if peer.session is not None and peer.joined:
+                per_peer[peer.peer_id] = peer.qos or self._peer_qos(peer)
 
         def _mean(values: list[float]) -> float | None:
             return sum(values) / len(values) if values else None

@@ -636,6 +636,80 @@ class TestLingeringReceiver:
         engine._check_invariants()
 
 
+class TestDepartedLeecher:
+    @pytest.mark.parametrize("policy", ["dispersiongreedy", "givetoget"])
+    def test_keeps_final_qos_and_only_links_in_service(self, monkeypatch, policy):
+        # A leecher that departs without lingering holds the QoS computed
+        # at its departure, the report's own, and keeps of its links only
+        # those with a block in service. Computing the QoS again at the end
+        # of the run, from the arrivals it had at departure, gives the same
+        # value: nothing the QoS reads changed after the departure. A
+        # lingering leecher keeps its arrivals.
+        departure = sim._Engine._on_departure
+        arrivals = {}
+
+        def checked_departure(self, pid):
+            peer = self.peers[pid]
+            arrivals[pid] = dict(peer.piece_arrival)
+            departure(self, pid)
+            if not peer.alive:
+                assert all(link.serving is not None for link in peer.links.values()), pid
+
+        monkeypatch.setattr(sim._Engine, "_on_departure", checked_departure)
+        cfg = sim_config(
+            policy, seed=6, sessions=15, horizon=300.0,
+            linger_as_seed_fraction=0.3, check_invariants=True,
+        )
+        engine = sim._Engine(cfg)
+        engine.setup()
+        engine.loop()
+        report = engine.build_report()
+        departed = [engine.peers[pid] for pid in arrivals if not engine.peers[pid].alive]
+        lingering = [engine.peers[pid] for pid in arrivals if engine.peers[pid].lingering]
+        assert departed and lingering
+        assert any(arrivals[peer.peer_id] for peer in departed)
+        for peer in departed:
+            pid = peer.peer_id
+            assert report.per_peer[pid] is peer.qos, pid
+            for field in (
+                "piece_arrival", "partial", "requested",
+                "block_source", "forward_accum", "forward_snapshot",
+            ):
+                assert getattr(peer, field) == {}, (pid, field)
+            peer.piece_arrival = arrivals[pid]
+            assert engine._peer_qos(peer) == peer.qos, pid
+        for peer in lingering:
+            assert peer.piece_arrival and peer.qos is None, peer.peer_id
+            assert peer.have == sum(1 << k for k in peer.piece_arrival), peer.peer_id
+
+    @pytest.mark.parametrize("sender_departs", [False, True])
+    def test_keeps_choked_link_until_its_block_ends(self, sender_departs):
+        # `seed00` chokes `c0` with (7, 0) in service, `seed01` unchokes
+        # it, and `c0` then departs without lingering: it keeps the link
+        # to `seed00` alone. That block then finishes, credited to neither
+        # end, or is cancelled when `seed00` departs, which reads the link.
+        engine, s0, s1, c0 = _two_seed_engine(pipeline_depth=4)
+        s0.regular_slots.add("c0")
+        engine._apply_slot_diff(s0, set(), {"c0"})
+        s0.regular_slots.discard("c0")
+        engine._apply_slot_diff(s0, {"c0"}, set())
+        s1.regular_slots.add("c0")
+        engine._apply_slot_diff(s1, set(), {"c0"})
+        link = c0.links["seed00"]
+        assert link.serving == (7, 0) and c0.links["seed01"].serving is not None
+        engine._on_departure("c0")
+        assert not c0.alive and c0.links == {"seed00": link} and c0.requested == {}
+        assert c0.qos is not None and not s1.in_service
+        if sender_departs:
+            engine._on_departure("seed00")
+        else:
+            engine.now = _finish_time(s0, link)
+            engine._on_block_complete(*s0.pending)
+        assert link.serving is None and not s0.in_service and s0.pending is None
+        assert (c0.downloaded, s0.uploaded) == (0, 0)
+        engine._check_invariants()
+
+
 class TestInvariantMutations:
     """Each test breaks one piece of link, neighbourhood, piece or byte
     bookkeeping in the engine and expects the invariant check of a
