@@ -20,11 +20,13 @@ bytes left, requests, bytes in the current unchoke window) lives in one
 link record that both peers share, with the bitset of the pieces the
 receiver owns on it. A sender's slots alone record whom it unchokes.
 The receiver keeps two block bitsets per begun piece, the blocks still
-missing and the blocks requested, so a link's unrequested blocks are
-derived, never stored: a refill takes the lowest missing and unrequested
+missing and the blocks claimed (requested or received), so a link's free
+blocks are derived, never stored: a refill takes the lowest unclaimed
 blocks of the link's owned pieces in ascending piece order, and picks a
-new piece only when room is left. A link's requests end only in `_Engine._choke`, which
-clears their requested bits and releases the link's pieces. Playback
+new piece only when room is left. A link's requests end only in
+`_Engine._choke`, which clears their claimed bits and releases the
+link's pieces. A completion refills its own link, which starts its next
+queued block in place or leaves the sender's list. Playback
 starts by one rule, `_play_start`, for the report and the
 play-triggered variant alike. The peer table and every neighbourhood
 are kept in id order, so no walk over peers sorts. A leecher that
@@ -361,7 +363,7 @@ class _Link:
     left to finish was requested before the choke, so `pre_choke` keeps
     it out of the pipeline count if the link is unchoked again; the next
     block to start clears the flag. A cancelled block only loses its
-    requested bit, so the next refill of its piece's owner requests it
+    claimed bit, so the next refill of its piece's owner requests it
     again in block order.
     """
 
@@ -417,14 +419,19 @@ class _RunPeer:
 
     Each begun piece has two block bitsets, bit b standing for block b.
     `partial[p]` holds the blocks still missing: it is set at the piece's
-    first block and dropped at its completion. `requested[p]` holds the
-    blocks queued or in service on a link toward this peer; a zero entry
-    is deleted. `owned` is the OR of the links' `owned` bitsets.
+    first block and dropped at its completion. `claimed[p]` holds the
+    blocks received, queued or in service on a link toward this peer: it
+    is set at the piece's first request, a choke clears the bits of the
+    blocks it drops, a zero entry is deleted, and so is the entry at the
+    piece's completion. The blocks in flight are `claimed[p] &
+    partial.get(p, all blocks)`. `owned` is the OR of the links' `owned`
+    bitsets.
     `in_service` lists the links on which this peer has a block in
     service, in no set order, and is the only record of what it serves:
-    a block starting in `_Engine._reshare_sender` appends its link, and a
-    block finishing in `_Engine._on_block_complete` or cancelled in
-    `_Engine._choke` removes it. Every listed link moves at `share` since
+    a block starting in `_Engine._reshare_sender` appends its link, a
+    completion's reshare drops its link unless the next block starts in
+    place, and a block cancelled in `_Engine._choke` removes it. Every
+    listed link moves at `share` since
     `t_last`, the sender's last reshare. `queue_length` counts the blocks
     queued or in service on those links, which llp reads. While the list
     is not empty, `pending` holds the payload of its one pending completion.
@@ -438,7 +445,7 @@ class _RunPeer:
         "neighbourhood", "regular_slots", "optimistic_slot", "support", "mass",
         "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
         "queue_length", "pending", "forward_accum", "forward_snapshot",
-        "links", "requested", "owned", "block_source", "wanted",
+        "links", "claimed", "owned", "block_source", "wanted",
         "current_req",
         "uploaded", "downloaded", "piece_arrival", "formation", "qos",
     )
@@ -475,7 +482,7 @@ class _RunPeer:
         # download side: links by sender, kept until a departure that
         # does not linger
         self.links: dict[str, _Link] = {}
-        self.requested: dict[int, int] = {}
+        self.claimed: dict[int, int] = {}
         self.owned = 0
         # piece -> sender of each block, credited in the forwarder's
         # `forward_accum`; kept only under give-to-get and dispersion-greedy
@@ -853,7 +860,7 @@ class _Engine:
             peer.qos = self._peer_qos(peer)
         peer.piece_arrival = {}
         peer.partial = {}
-        peer.requested = {}
+        peer.claimed = {}
         peer.block_source = {}
         peer.forward_accum = {}
         peer.forward_snapshot = {}
@@ -881,7 +888,7 @@ class _Engine:
 
     def _choke(self, up: _RunPeer, dl: _RunPeer, cancel: bool) -> bool:
         """End `dl`'s requests to `up`: drop the queued blocks and their
-        requested bits, and release the pieces `dl` owns on the link. The
+        claimed bits, and release the pieces `dl` owns on the link. The
         block in service finishes unless `cancel` is set; returns whether
         it was cancelled, so that `up` needs a reshare. A dropped block's
         piece owner requests it again at its next refill.
@@ -899,13 +906,13 @@ class _Engine:
             link.version += 1
             up.in_service.remove(link)
         up.queue_length -= len(dropped)
-        requested = dl.requested
+        claimed = dl.claimed
         for piece, block in dropped:
-            left = requested.get(piece, 0) & ~(1 << block)
+            left = claimed.get(piece, 0) & ~(1 << block)
             if left:
-                requested[piece] = left
+                claimed[piece] = left
             else:
-                requested.pop(piece, None)
+                claimed.pop(piece, None)
         return cancelled
 
     # -- requests and playback ----------------------------------------------
@@ -1063,10 +1070,10 @@ class _Engine:
 
     # -- block transfer machinery ---------------------------------------------
 
-    def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer) -> int | None:
-        avail = dl.wanted & up.have & ~dl.owned
-        if not avail:
-            return None
+    def _pick_new_piece(self, dl: _RunPeer, up: _RunPeer, avail: int) -> int | None:
+        """The piece `dl` fetches next from `up`, of `avail`: the wanted
+        pieces `up` holds that `dl` neither holds nor owns, at least one.
+        None when a request-target baseline sends the request elsewhere."""
         # `up` is a neighbour holding all of `avail`, so the pick succeeds
         peers = self.peers
         piece = rarest_first([peers[n].have for n in dl.neighbourhood], avail, self.rng)
@@ -1087,18 +1094,13 @@ class _Engine:
         return piece
 
     def _fill_pipeline(self, dl: _RunPeer, up: _RunPeer) -> None:
-        """Request blocks from `up` until the link's pipeline is full.
+        """Request blocks from `up` until the link's pipeline is full, and
+        start the first if the link is idle.
 
-        The unrequested blocks of a piece are its missing blocks
-        (`dl.partial`, or all of them before the first arrives) less its
-        requested ones (`dl.requested`). The pieces `dl` owns on the link
-        come first, in ascending piece order, each giving its lowest
-        unrequested blocks. While room is left, new pieces are then picked
-        one at a time, after the owned ones whatever their number, until
-        the pick fails or the picked piece has no unrequested block (it
-        stays owned all the same). The one guard turns `dl` away unless
-        `up` unchokes it; a lingering `dl` may keep its slot until the next
-        tick, but owns and wants nothing, so it requests nothing.
+        The one guard turns `dl` away unless `up` unchokes it; a lingering
+        `dl` may keep its slot until the next tick, but owns and wants
+        nothing, so it requests nothing. A completion refills its own link
+        behind the same guard.
         """
         pid = dl.peer_id
         if pid not in up.regular_slots and up.optimistic_slot != pid:
@@ -1106,102 +1108,117 @@ class _Engine:
         link = dl.links.get(up.peer_id)
         if link is None:
             link = dl.links[up.peer_id] = _Link(up.peer_id, dl.peer_id)
+        if self._request_blocks(dl, up, link) and link.serving is None:
+            self._reshare_sender(up, link)
+
+    def _request_blocks(self, dl: _RunPeer, up: _RunPeer, link: _Link) -> int:
+        """Queue blocks on `link` until its pipeline is full; return how many.
+
+        A piece's free blocks are those `dl.claimed` lacks. The pieces `dl`
+        owns on the link come first, in ascending piece order, each giving
+        its lowest free blocks. While room is left, new pieces are then
+        picked one at a time, after the owned ones whatever their number,
+        until none is left to pick, the pick fails or the picked piece has
+        no free block (it stays owned all the same).
+        """
         in_pipeline = len(link.queue) + (link.serving is not None and not link.pre_choke)
         room = self._pipeline_depth - in_pipeline
         if room <= 0:
-            return
-        partial = dl.partial
-        requested = dl.requested
+            return 0
+        claimed = dl.claimed
         all_blocks = self._all_blocks
         queue = link.queue
         added = room
         owned = link.owned
-        while owned and room:
-            low = owned & -owned
-            owned ^= low
-            piece = low.bit_length() - 1
-            asked = requested.get(piece, 0)
-            free = partial.get(piece, all_blocks[piece]) & ~asked
-            if not free:
-                continue
-            while free and room:
-                low = free & -free
-                free ^= low
-                asked |= low
-                queue.append((piece, low.bit_length() - 1))
-                room -= 1
-            requested[piece] = asked
         while room:
-            piece = self._pick_new_piece(dl, up)
-            if piece is None:
-                break
-            low = 1 << piece
-            link.owned |= low
-            dl.owned |= low
-            asked = requested.get(piece, 0)
-            free = partial.get(piece, all_blocks[piece]) & ~asked
-            if not free:
-                break
+            if owned:
+                low = owned & -owned
+                owned ^= low
+                piece = low.bit_length() - 1
+                blocks = all_blocks[piece]
+                free = blocks & ~claimed.get(piece, 0)
+                if not free:
+                    continue
+            else:
+                avail = dl.wanted & up.have & ~dl.owned
+                if not avail:
+                    break
+                piece = self._pick_new_piece(dl, up, avail)
+                if piece is None:
+                    break
+                low = 1 << piece
+                link.owned |= low
+                dl.owned |= low
+                blocks = all_blocks[piece]
+                free = blocks & ~claimed.get(piece, 0)
+                if not free:
+                    break
             while free and room:
                 low = free & -free
                 free ^= low
-                asked |= low
                 queue.append((piece, low.bit_length() - 1))
                 room -= 1
-            requested[piece] = asked
+            claimed[piece] = blocks & ~free
         added -= room
-        if not added:
-            return
         up.queue_length += added
         link.requests_sent += added
-        if link.serving is None:
-            self._reshare_sender(up, link)
+        return added
 
-    def _reshare_sender(self, up: _RunPeer, idle: _Link | None = None) -> None:
+    def _reshare_sender(
+        self, up: _RunPeer, idle: _Link | None = None, listed: bool = False
+    ) -> None:
         """Start the idle link's next queued block, if any, and split
         `up`'s capacity equally over its active transfers.
 
         The links of `up.in_service` are charged what each sent at
         `up.share` since `up.t_last`. Then `idle`, a link of `up` with no
-        block in service, starts its next queued block, if it has one, and
-        joins them; `up.share` becomes the new split. The
-        first block is chosen by (finish time, receiver id), whatever the
-        list's order. Only it gets a completion event, whose payload
-        `up.pending` keeps: a busy sender has exactly one pending
-        completion, and bumping the version of the payload it replaces
-        makes that event stale. Each live completion reshares its
+        block in service, starts its next queued block, if it has one,
+        and joins them. A `listed` idle link, whose block has just
+        finished, is in the list already: it starts in place, or leaves.
+        When it is the only one listed, nothing is charged. `up.share`
+        becomes the new split. The first block is chosen by (finish time,
+        receiver id), whatever the list's order. Only it gets a completion
+        event, whose payload `up.pending` keeps: a busy sender has exactly
+        one pending completion, and bumping the version of the payload it
+        replaces makes that event stale. Each live completion reshares its
         sender, so the next block's event is pushed then.
         """
         now = self.now
         active = up.in_service
+        n = len(active)
         elapsed = now - up.t_last
-        if elapsed > 0:
+        if elapsed > 0 and (n > 1 or not listed):
             sent = up.share * elapsed
             for link in active:
                 left = link.remaining - sent
                 link.remaining = left if left >= 0.0 else 0.0
         up.t_last = now
-        if idle is not None and idle.queue:
-            idle.serving = piece, block = idle.queue.pop(0)
-            if not up.have >> piece & 1:
-                raise InvariantError(f"{up.peer_id} asked to serve incomplete piece {piece}")
-            idle.remaining = self._block_lengths[piece][block]
-            idle.pre_choke = False
-            active.append(idle)
+        if idle is not None:
+            if idle.queue:
+                idle.serving = piece, block = idle.queue.pop(0)
+                if not up.have >> piece & 1:
+                    raise InvariantError(f"{up.peer_id} asked to serve incomplete piece {piece}")
+                idle.remaining = self._block_lengths[piece][block]
+                idle.pre_choke = False
+                if not listed:
+                    active.append(idle)
+                    n += 1
+            elif listed:
+                active.remove(idle)
+                n -= 1
         if up.pending is not None:
             up.pending[0].version += 1
-        if not active:
+        if not n:
             up.pending = None
             return
-        up.share = share = up.upload_capacity / len(active)
-        first = None
-        first_eta = 0.0
-        for link in active:
-            eta = now + link.remaining / share
-            if first is None or eta < first_eta or (
-                eta == first_eta and link.receiver < first.receiver
-            ):
-                first, first_eta = link, eta
+        up.share = share = up.upload_capacity / n
+        first = active[0]
+        first_eta = now + first.remaining / share
+        if n > 1:
+            for link in active:
+                eta = now + link.remaining / share
+                if eta < first_eta or (eta == first_eta and link.receiver < first.receiver):
+                    first, first_eta = link, eta
         up.pending = payload = (first, first.version)
         heapq.heappush(self.heap, (first_eta, self.seq, self._completion_handler, payload))
         self.seq += 1
@@ -1212,8 +1229,8 @@ class _Engine:
         up = self.peers[link.sender]
         dl = self.peers[link.receiver]
         piece, block = link.serving
+        # the link stays in `up.in_service` until the reshare below
         link.serving = None
-        up.in_service.remove(link)
         up.queue_length -= 1
         if dl.alive:
             nbytes = self._block_lengths[piece][block]
@@ -1232,13 +1249,6 @@ class _Engine:
                 if sources is None:
                     sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
                 sources[block] = link.sender
-            # the block in service has its requested bit set
-            requested = dl.requested
-            left = requested[piece] & ~(1 << block)
-            if left:
-                requested[piece] = left
-            else:
-                del requested[piece]
             completed = record_block(dl, self.content, piece, block)
             if self.events is not None:
                 self._log(
@@ -1250,6 +1260,7 @@ class _Engine:
                     completed=completed,
                 )
             if completed:
+                del dl.claimed[piece]
                 bit = 1 << piece
                 if dl.owned & bit:
                     dl.owned ^= bit
@@ -1260,11 +1271,12 @@ class _Engine:
                     owner.owned ^= bit
                 self._maps_changed = True
                 self._on_piece_complete(dl, piece)
-            self._fill_pipeline(dl, up)
-        if link.serving is None:
-            # The refill above did not start a block here, so it did not
-            # reshare `up`: start the next queued block, if any, and reshare.
-            self._reshare_sender(up, link)
+            # `_fill_pipeline`'s guard, on the link at hand
+            pid = link.receiver
+            if pid in up.regular_slots or up.optimistic_slot == pid:
+                self._request_blocks(dl, up, link)
+        # the link starts its next queued block in place, or leaves the list
+        self._reshare_sender(up, link, True)
 
     def _on_piece_complete(self, dl: _RunPeer, piece: int) -> None:
         dl.piece_arrival[piece] = self.now
@@ -1306,34 +1318,46 @@ class _Engine:
                     f"but its links hold {queued}"
                 )
             if peer.session is None:
-                if peer.requested or peer.links:
+                if peer.claimed or peer.links:
                     raise InvariantError(f"seed {pid} has outstanding requests")
                 if peer.have != all_pieces:
                     raise InvariantError(f"seed {pid} lost pieces")
             elif served & ~peer.have:
                 raise InvariantError(f"{pid} queues or serves a piece it lacks")
-            if peer.links or peer.requested or peer.owned:
-                self._check_inbound(pid, peer, self.peers)
+            if peer.links or peer.claimed or peer.owned:
+                self._check_inbound(pid, peer)
             if peer.in_service or peer.pending is not None:
                 self._check_pending(pid, peer)
         if self._maps_changed and alive:
             self._maps_changed = False
             self._check_links_and_pieces(alive)
 
-    @staticmethod
-    def _check_inbound(pid: str, peer: _RunPeer, peers: dict[str, _RunPeer]) -> None:
-        """Requested blocks and owned pieces agree with the links toward
-        `peer`.
+    def _check_inbound(self, pid: str, peer: _RunPeer) -> None:
+        """Claimed blocks and owned pieces agree with the block maps and
+        with the links toward `peer`.
 
-        Each block queued or in service on those links has its requested
-        bit set, and there are as many such blocks as requested bits, so
-        each requested block is on exactly one link. Each owned piece is
-        missing and owned on one link, from a sender that unchokes `peer`,
-        and `peer.owned` is the OR of the links' owned pieces. An idle
-        link, owning nothing with nothing queued or in service, costs one
-        test.
+        Each received block of a begun piece is claimed, and no held piece
+        keeps claimed blocks. Each block queued or in service on those
+        links is in flight, claimed and missing, and there are as many
+        such blocks as blocks in flight, so each block in flight is on
+        exactly one link. Each owned piece is missing and owned on one
+        link, from a sender that unchokes `peer`, and `peer.owned` is the
+        OR of the links' owned pieces. An idle link, owning nothing with
+        nothing queued or in service, costs one test.
         """
-        requested = peer.requested
+        all_blocks = self._all_blocks
+        claimed = peer.claimed
+        partial = peer.partial
+        have = peer.have
+        for piece, missing in partial.items():
+            # a held piece's block map is `_check_held_pieces`' fault
+            if all_blocks[piece] & ~missing & ~claimed.get(piece, 0) and not have >> piece & 1:
+                raise InvariantError(f"{pid} received a block of piece {piece} it has not claimed")
+        in_flight = {}
+        for piece, bits in claimed.items():
+            if have >> piece & 1:
+                raise InvariantError(f"{pid} keeps claimed blocks of complete piece {piece}")
+            in_flight[piece] = bits & partial.get(piece, all_blocks[piece])
         owned = on_links = 0
         for link in peer.links.values():
             if not (link.owned or link.queue or link.serving):
@@ -1342,16 +1366,17 @@ class _Engine:
                 if link.owned & owned:
                     raise InvariantError(f"{pid} owns a piece on two links")
                 owned |= link.owned
-                if pid not in peers[link.sender].unchoked_set():
+                up = self.peers[link.sender]
+                if pid not in up.regular_slots and up.optimistic_slot != pid:
                     raise InvariantError(f"{pid} owns pieces on a link that is not unchoked")
             blk = link.serving
-            if blk is not None and not requested.get(blk[0], 0) >> blk[1] & 1:
+            if blk is not None and not in_flight.get(blk[0], 0) >> blk[1] & 1:
                 raise InvariantError(f"{pid} has a block on a link that is not in flight")
             for piece, block in link.queue:
-                if not requested.get(piece, 0) >> block & 1:
+                if not in_flight.get(piece, 0) >> block & 1:
                     raise InvariantError(f"{pid} has a block on a link that is not in flight")
             on_links += len(link.queue) + (blk is not None)
-        if on_links != sum(map(int.bit_count, requested.values())):
+        if on_links != sum(map(int.bit_count, in_flight.values())):
             raise InvariantError(f"{pid} has an in-flight block not on exactly one link")
         if owned != peer.owned:
             raise InvariantError(f"{pid} owns pieces that no link owns, or the reverse")

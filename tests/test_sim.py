@@ -284,13 +284,23 @@ class TestRun:
         assert 0.0 < rep.aggregate["formation_dispersion"] <= 1.0
 
     def test_run_leaves_no_cyclic_garbage(self):
-        # Every object of a run is freed by reference counting alone.
-        policies = ("random", "givetoget", "dispersiongreedy", "llp")
+        # Every object of a run is freed by reference counting alone, also
+        # in a checked run whose lingering peers keep their links to the end.
+        configs = [
+            sim_config(policy, seed=1, sessions=30)
+            for policy in ("random", "givetoget", "dispersiongreedy", "llp")
+        ]
+        configs.append(
+            sim_config(
+                "titfortat", seed=0, sessions=30,
+                linger_as_seed_fraction=0.3, check_invariants=True,
+            )
+        )
         gc.collect()
         gc.disable()
         try:
-            for policy in policies:
-                run(sim_config(policy, seed=1, sessions=30))
+            for cfg in configs:
+                run(cfg)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -615,23 +625,23 @@ class TestLingeringReceiver:
     def test_keeps_links_and_gets_choked_block(self):
         # `seed00` chokes `c0` with (7, 0) in service, and `c0` then
         # lingers. The block still finishes on the link `c0` keeps: it is
-        # credited to both ends and clears its requested bit.
+        # credited to both ends and keeps its claimed bit, now received.
         engine, s0, _, c0 = _two_seed_engine(pipeline_depth=4, linger_as_seed_fraction=1.0)
         s0.regular_slots.add("c0")
         engine._apply_slot_diff(s0, set(), {"c0"})
         s0.regular_slots.discard("c0")
         engine._apply_slot_diff(s0, {"c0"}, set())
         link = c0.links["seed00"]
-        assert link.serving == (7, 0) and not link.queue and c0.requested == {7: 1}
+        assert link.serving == (7, 0) and not link.queue and c0.claimed == {7: 1}
         engine._on_departure("c0")
         assert c0.lingering and c0.alive
-        assert c0.links == {"seed00": link} and c0.requested == {7: 1}
+        assert c0.links == {"seed00": link} and c0.claimed == {7: 1}
         engine._check_invariants()
         engine.now = _finish_time(s0, link)
         engine._on_block_complete(*s0.pending)
         block = engine.content.block_length(7, 0)
         assert (c0.downloaded, s0.uploaded) == (block, block)
-        assert c0.requested == {} and c0.partial == {7: 0b1110}
+        assert c0.claimed == {7: 1} and c0.partial == {7: 0b1110}
         assert c0.links == {"seed00": link} and link.serving is None
         engine._check_invariants()
 
@@ -672,7 +682,7 @@ class TestDepartedLeecher:
             pid = peer.peer_id
             assert report.per_peer[pid] is peer.qos, pid
             for field in (
-                "piece_arrival", "partial", "requested",
+                "piece_arrival", "partial", "claimed",
                 "block_source", "forward_accum", "forward_snapshot",
             ):
                 assert getattr(peer, field) == {}, (pid, field)
@@ -698,7 +708,7 @@ class TestDepartedLeecher:
         link = c0.links["seed00"]
         assert link.serving == (7, 0) and c0.links["seed01"].serving is not None
         engine._on_departure("c0")
-        assert not c0.alive and c0.links == {"seed00": link} and c0.requested == {}
+        assert not c0.alive and c0.links == {"seed00": link} and c0.claimed == {}
         assert c0.qos is not None and not s1.in_service
         if sender_departs:
             engine._on_departure("seed00")
@@ -758,27 +768,26 @@ class TestInvariantMutations:
             engine._check_invariants()
 
     def test_requested_block_not_in_flight(self, monkeypatch):
-        fill = sim._Engine._fill_pipeline
+        request = sim._Engine._request_blocks
 
-        def fill_one_short(self, dl, up):
-            link = dl.links.get(up.peer_id)
-            before = link.requests_sent if link is not None else 0
-            fill(self, dl, up)
-            link = dl.links.get(up.peer_id)
-            if link is not None and link.requests_sent > before:
-                piece, block = link.queue[-1] if link.queue else link.serving
-                dl.requested[piece] &= ~(1 << block)
+        def request_one_short(self, dl, up, link):
+            # The last block a refill queues loses its claimed bit.
+            added = request(self, dl, up, link)
+            if added:
+                piece, block = link.queue[-1]
+                dl.claimed[piece] &= ~(1 << block)
+            return added
 
-        monkeypatch.setattr(sim._Engine, "_fill_pipeline", fill_one_short)
+        monkeypatch.setattr(sim._Engine, "_request_blocks", request_one_short)
         self.run_checked("not in flight")
 
     def test_latest_pending_completion(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_latest(self, up, start=None):
+        def reshare_latest(self, up, *args):
             # Record the block that finishes last as the pending completion
             # instead of the one that finishes first.
-            reshare(self, up, start)
+            reshare(self, up, *args)
             if up.pending is not None:
                 last = max(up.in_service, key=lambda k: (_finish_time(up, k), k.receiver))
                 up.pending = (last, last.version)
@@ -789,12 +798,16 @@ class TestInvariantMutations:
     def test_idle_sender_keeps_pending(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_busy_only(self, up, idle=None):
+        def reshare_busy_only(self, up, idle=None, listed=False):
             # A sender left with nothing in service keeps the payload of
             # its last completion: the reshare is skipped when no block is
-            # in service and none can start.
+            # in service and none can start. A completion's link with no
+            # block queued still leaves the list.
+            if listed and not idle.queue:
+                up.in_service.remove(idle)
+                listed = False
             if up.in_service or (idle is not None and idle.queue):
-                reshare(self, up, idle)
+                reshare(self, up, idle, listed)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_busy_only)
         self.run_checked("serves nothing but keeps a pending completion")
@@ -802,9 +815,9 @@ class TestInvariantMutations:
     def test_pending_not_recorded(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_unrecorded(self, up, start=None):
+        def reshare_unrecorded(self, up, *args):
             # The completion event is pushed, but its payload is not kept.
-            reshare(self, up, start)
+            reshare(self, up, *args)
             up.pending = None
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_unrecorded)
@@ -813,11 +826,11 @@ class TestInvariantMutations:
     def test_pending_from_before_reshare(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_keeping_old(self, up, start=None):
+        def reshare_keeping_old(self, up, *args):
             # A busy sender keeps the payload it had before the reshare,
             # whose version the reshare made stale.
             old = up.pending
-            reshare(self, up, start)
+            reshare(self, up, *args)
             if old is not None and up.pending is not None:
                 up.pending = old
 
@@ -843,10 +856,10 @@ class TestInvariantMutations:
     def test_serving_link_dropped_from_list(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_dropping_one(self, up, start=None):
+        def reshare_dropping_one(self, up, *args):
             # A sender with two blocks in service drops from its list the
             # link of one that does not finish first.
-            reshare(self, up, start)
+            reshare(self, up, *args)
             if len(up.in_service) > 1:
                 up.in_service.remove(next(k for k in up.in_service if k is not up.pending[0]))
 
@@ -856,9 +869,9 @@ class TestInvariantMutations:
     def test_leecher_serves_piece_it_lacks(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_losing_piece(self, up, idle=None):
+        def reshare_losing_piece(self, up, idle=None, listed=False):
             # A leecher loses the piece of each block it starts to serve.
-            reshare(self, up, idle)
+            reshare(self, up, idle, listed)
             if up.session is not None and idle is not None and idle.serving is not None:
                 up.have &= ~(1 << idle.serving[0])
 
@@ -885,7 +898,7 @@ class TestInvariantMutations:
             served = [(self.peers[link.receiver], link.serving) for link in peer.in_service]
             cancel(self, peer)
             for dl, (piece, block) in served:
-                dl.requested[piece] = dl.requested.get(piece, 0) | 1 << block
+                dl.claimed[piece] = dl.claimed.get(piece, 0) | 1 << block
 
         monkeypatch.setattr(sim._Engine, "_cancel_uploads", cancel_keeping_inflight)
         self.run_checked("exactly one link")
@@ -893,12 +906,12 @@ class TestInvariantMutations:
     def test_block_in_service_not_in_flight(self, monkeypatch):
         reshare = sim._Engine._reshare_sender
 
-        def reshare_unrequesting(self, up, idle=None):
-            # Each block that starts loses its requested bit.
-            reshare(self, up, idle)
+        def reshare_unrequesting(self, up, idle=None, listed=False):
+            # Each block that starts loses its claimed bit.
+            reshare(self, up, idle, listed)
             if idle is not None and idle.serving is not None:
                 piece, block = idle.serving
-                self.peers[idle.receiver].requested[piece] &= ~(1 << block)
+                self.peers[idle.receiver].claimed[piece] &= ~(1 << block)
 
         monkeypatch.setattr(sim._Engine, "_reshare_sender", reshare_unrequesting)
         self.run_checked("not in flight")
@@ -906,12 +919,9 @@ class TestInvariantMutations:
     def test_piece_owned_on_two_links(self, monkeypatch):
         pick = sim._Engine._pick_new_piece
 
-        def pick_ignoring_owned(self, dl, up):
+        def pick_ignoring_owned(self, dl, up, avail):
             # A pick that does not pass over the pieces owned on other links.
-            owned, dl.owned = dl.owned, 0
-            piece = pick(self, dl, up)
-            dl.owned = owned
-            return piece
+            return pick(self, dl, up, dl.wanted & up.have)
 
         monkeypatch.setattr(sim._Engine, "_pick_new_piece", pick_ignoring_owned)
         self.run_checked("owns a piece on two links")
@@ -944,15 +954,45 @@ class TestInvariantMutations:
         monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_owner)
         self.run_checked("owns a piece it holds")
 
+    def test_completed_piece_left_claimed(self, monkeypatch):
+        on_block_complete = sim._Engine._on_block_complete
+
+        def complete_keeping_claimed(self, link, version):
+            # The last block of a piece leaves the piece's claimed entry.
+            dl = self.peers[link.receiver]
+            claimed = dict(dl.claimed)
+            on_block_complete(self, link, version)
+            for piece in claimed.keys() - dl.claimed.keys():
+                dl.claimed[piece] = claimed[piece]
+
+        monkeypatch.setattr(sim._Engine, "_on_block_complete", complete_keeping_claimed)
+        self.run_checked("keeps claimed blocks of complete piece")
+
+    def test_received_block_unclaimed_on_choke(self, monkeypatch):
+        choke = sim._Engine._choke
+
+        def choke_unclaiming_received(self, up, dl, cancel):
+            # The choke also clears the claimed bit of the lowest block
+            # received of each begun piece, so a refill could request it
+            # again.
+            cancelled = choke(self, up, dl, cancel)
+            for piece, missing in dl.partial.items():
+                received = self._all_blocks[piece] & ~missing
+                dl.claimed[piece] &= ~(received & -received)
+            return cancelled
+
+        monkeypatch.setattr(sim._Engine, "_choke", choke_unclaiming_received)
+        self.run_checked("received a block of piece .* it has not claimed")
+
     def test_requested_kept_on_choke(self, monkeypatch):
         choke = sim._Engine._choke
 
         def choke_keeping_requested(self, up, dl, cancel):
-            # The dropped blocks keep their requested bits, so no link
+            # The dropped blocks keep their claimed bits, so no link
             # will ever request them again.
-            requested = dict(dl.requested)
+            claimed = dict(dl.claimed)
             cancelled = choke(self, up, dl, cancel)
-            dl.requested.update(requested)
+            dl.claimed.update(claimed)
             return cancelled
 
         monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_requested)
@@ -1003,11 +1043,11 @@ class TestInvariantMutations:
         assert agg["uploaded_bytes"] - agg["downloaded_bytes"] == uncredited[0] > 0
 
     def test_cancelled_block_left_requested(self):
-        # (7, 0) keeps its requested bit after `seed00` cancels it, so
+        # (7, 0) keeps its claimed bit after `seed00` cancels it, so
         # `seed01`, which owns piece 7, never requests it.
         engine = _reentry_engine()
         engine._cancel_uploads(engine.peers["seed00"])
-        engine.peers["c0"].requested[7] |= 1
+        engine.peers["c0"].claimed[7] |= 1
         with pytest.raises(InvariantError, match="not on exactly one link"):
             engine._check_invariants()
 
