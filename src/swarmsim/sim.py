@@ -35,10 +35,11 @@ nothing it holds changes afterwards. It then drops its arrivals, block
 maps and forward credit, and every link but those with a block in
 service, which alone a later event reads; a lingering leecher keeps
 everything until the report, since its uploads still count.
-Forward credit (who sent each block, and the bytes forwarded for each
-origin) is kept only under give-to-get and dispersion-greedy, which read
-it. Events come from two sources. The sessions' arrivals, requests and
-departures are all known at setup and sit in one list, sorted once; the
+Forward credit per origin is kept only under give-to-get, which ranks
+by it; greedy formation reads a leecher's uploads between the last two
+optimistic ticks instead, and 0 for a seed. Events come from two
+sources. The sessions' arrivals, requests and departures are all known
+at setup and sit in one list, sorted once; the
 heap holds what the run schedules: completions, ticks, playback ticks
 and the initial seeds' arrivals. Each event carries its handler, a plain
 function of the engine's class, and the loop calls it with the engine
@@ -107,8 +108,8 @@ _YANG_KINDS = (
     PolicyKind.YNP,
     PolicyKind.CNP,
 )
-# give-to-get ranks by forward credit and greedy formation reads it
-_FORWARD_CREDIT_KINDS = (PolicyKind.GIVE_TO_GET, PolicyKind.DISPERSION_GREEDY)
+# give-to-get ranks by forward credit per origin; greedy reads only its total
+_FORWARD_CREDIT_KINDS = (PolicyKind.GIVE_TO_GET,)
 
 
 class EventKind(enum.Enum):
@@ -446,7 +447,7 @@ class _RunPeer:
         "joined", "alive", "lingering", "qos_cutoff", "in_service", "share", "t_last",
         "queue_length", "pending", "forward_accum", "forward_snapshot",
         "links", "claimed", "owned", "block_source", "wanted",
-        "current_req",
+        "current_req", "forwarded", "forward_mark",
         "uploaded", "downloaded", "piece_arrival", "formation", "qos",
     )
 
@@ -479,13 +480,16 @@ class _RunPeer:
         self.pending: tuple[_Link, int] | None = None
         self.forward_accum: dict[str, int] = {}
         self.forward_snapshot: dict[str, int] = {}
+        # greedy's forward credit: bytes uploaded in the window the last
+        # optimistic tick closed, and `uploaded` at that tick
+        self.forwarded = self.forward_mark = 0
         # download side: links by sender, kept until a departure that
         # does not linger
         self.links: dict[str, _Link] = {}
         self.claimed: dict[int, int] = {}
         self.owned = 0
         # piece -> sender of each block, credited in the forwarder's
-        # `forward_accum`; kept only under give-to-get and dispersion-greedy
+        # `forward_accum`; kept only under give-to-get
         self.block_source: dict[int, list[str | None]] = {}
         self.wanted = 0
         # session progress: the index of the last request made
@@ -593,6 +597,7 @@ class _Engine:
         self._windowed: list[_Link] = []
         self._yang = cfg.policy.kind in _YANG_KINDS
         self._forward_credit = cfg.policy.kind in _FORWARD_CREDIT_KINDS
+        self._greedy = cfg.policy.kind is PolicyKind.DISPERSION_GREEDY
         # kind -> handler: plain functions of this engine's class, so that a
         # patched method is the one called and no event refers to the engine
         cls = type(self)
@@ -756,9 +761,7 @@ class _Engine:
             mass=peer.mass,
             request_rate=self._request_rate(peer),
             has_started=peer.have != 0,
-            recent_forward_rate=(
-                sum(peer.forward_snapshot.values()) / self.swarm.optimistic_interval
-            ),
+            recent_forward_rate=peer.forwarded / self.swarm.optimistic_interval,
         )
 
     def _holder_view(self, holder: _RunPeer, requester: _RunPeer) -> HolderView:
@@ -773,10 +776,7 @@ class _Engine:
 
     def _form_neighbourhood(self, peer: _RunPeer, candidates: list[str]) -> list[str]:
         target = self.swarm.target
-        if (
-            self.cfg.policy.kind is PolicyKind.DISPERSION_GREEDY
-            and peer.session is not None
-        ):
+        if self._greedy and peer.session is not None:
             infos = [self._candidate_info(self.peers[c]) for c in candidates]
             own = (peer.support, peer.mass)
             hint = classify_session(peer.session, self.workload.object_length)
@@ -1048,11 +1048,16 @@ class _Engine:
         alive = self._alive_peers()
         for peer in alive:
             self._reoptimistic(peer)
+        # only alive peers are candidates or neighbours, so only their credit is read
         if self._forward_credit:
-            # only alive peers are candidates or neighbours, so only their credit is read
             for p in alive:
                 p.forward_snapshot = dict(p.forward_accum)
                 p.forward_accum.clear()
+        elif self._greedy:
+            for p in alive:
+                if p.session is not None:  # a seed forwards no block
+                    p.forwarded = p.uploaded - p.forward_mark
+                    p.forward_mark = p.uploaded
         self._repeat(EventKind.OPTIMISTIC_TICK, self.swarm.optimistic_interval)
 
     def _apply_slot_diff(self, peer: _RunPeer, old: set[str], new: set[str]) -> None:
@@ -1097,14 +1102,10 @@ class _Engine:
         """Request blocks from `up` until the link's pipeline is full, and
         start the first if the link is idle.
 
-        The one guard turns `dl` away unless `up` unchokes it; a lingering
-        `dl` may keep its slot until the next tick, but owns and wants
-        nothing, so it requests nothing. A completion refills its own link
-        behind the same guard.
+        Callers pass only pairs where `up` unchokes `dl`. A lingering `dl`
+        may keep its slot until the next tick, but owns and wants nothing,
+        so it requests nothing.
         """
-        pid = dl.peer_id
-        if pid not in up.regular_slots and up.optimistic_slot != pid:
-            return
         link = dl.links.get(up.peer_id)
         if link is None:
             link = dl.links[up.peer_id] = _Link(up.peer_id, dl.peer_id)
@@ -1242,9 +1243,10 @@ class _Engine:
             if self._forward_credit:
                 sources = up.block_source.get(piece)
                 if sources is not None:
+                    # `up` got every block of the piece, none of them from the
+                    # receiver, which lacked the piece then
                     origin = sources[block]
-                    if origin is not None and origin != link.receiver:
-                        up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
+                    up.forward_accum[origin] = up.forward_accum.get(origin, 0) + nbytes
                 sources = dl.block_source.get(piece)
                 if sources is None:
                     sources = dl.block_source[piece] = [None] * len(self._block_lengths[piece])
@@ -1271,7 +1273,7 @@ class _Engine:
                     owner.owned ^= bit
                 self._maps_changed = True
                 self._on_piece_complete(dl, piece)
-            # `_fill_pipeline`'s guard, on the link at hand
+            # a choke lets the block in service finish; refill only if unchoked
             pid = link.receiver
             if pid in up.regular_slots or up.optimistic_slot == pid:
                 self._request_blocks(dl, up, link)

@@ -12,7 +12,8 @@ pick from the neighbours' have-maps, bit-sliced: plane j is the bitset of
 pieces whose count has bit j set, lowest bit first. Adding a have-map is
 a ripple carry over the few planes, and rarest-first reads the minimum
 off them with a fixed number of integer operations per plane, whatever
-the number of candidates. Block receipt and picking run once per
+the number of candidates; a have-map holding every candidate, such as
+the sender's, is skipped. Block receipt and picking run once per
 delivered block or pick, where a numpy call costs more than the work it
 does.
 """
@@ -165,10 +166,15 @@ def rarest_first(have_maps: Iterable[int], among: int, rng: random.Random) -> in
     """
     # Sum the candidate bits of the maps into bit planes (see the module
     # docstring). The top plane is never zero, so the planes depend on the
-    # counts alone, not on the order of the maps.
+    # counts alone, not on the order of the maps. A map holding every
+    # candidate adds one to each count, so it only makes every candidate held.
     planes: list[int] = []
+    tied = 0
     for have in have_maps:
         carry = have & among
+        if carry == among:
+            tied = among
+            continue
         if not carry:
             continue
         j = 0
@@ -180,12 +186,11 @@ def rarest_first(have_maps: Iterable[int], among: int, rng: random.Random) -> in
             j += 1
         else:
             planes.append(carry)
-    if not planes:
-        return None
-    # a candidate some neighbour holds has a bit set in some plane
-    tied = 0
+    # a candidate some neighbour holds is in `tied` already or in a plane
     for plane in planes:
         tied |= plane
+    if not tied:
+        return None
     # From the top plane down, keep the candidates whose count has a 0
     # there whenever there are any: what is left has the least count.
     for plane in reversed(planes):

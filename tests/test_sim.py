@@ -425,18 +425,74 @@ class TestEngineState:
 
     @pytest.mark.parametrize("kind", list(PolicyKind))
     def test_forward_credit_kept_only_where_read(self, kind):
-        # Give-to-get ranks by forward credit and greedy formation reads
-        # it; under every other policy nothing records it. The run ends
-        # between two optimistic ticks, while peers still forward blocks.
+        # Give-to-get ranks by forward credit per origin, and greedy
+        # formation reads each leecher's forwarded bytes; under every other
+        # policy nothing records either. The run ends between two
+        # optimistic ticks, while peers still forward blocks.
         n = 3 if kind in (PolicyKind.YNP, PolicyKind.CNP) else None
         cfg = sim_config(kind.value, seed=2, n=n, sessions=30, horizon=200.0, check_invariants=True)
         engine = sim._Engine(cfg)
         engine.setup()
         engine.loop()
         alive = [peer for peer in engine.peers.values() if peer.alive]
-        read = kind in (PolicyKind.GIVE_TO_GET, PolicyKind.DISPERSION_GREEDY)
+        per_origin = kind is PolicyKind.GIVE_TO_GET
         for field in ("block_source", "forward_accum", "forward_snapshot"):
-            assert any(getattr(peer, field) for peer in alive) == read, field
+            assert any(getattr(peer, field) for peer in alive) == per_origin, field
+        greedy = kind is PolicyKind.DISPERSION_GREEDY
+        for field in ("forwarded", "forward_mark"):
+            assert any(getattr(peer, field) for peer in alive) == greedy, field
+
+    def test_greedy_reads_bytes_forwarded_over_last_window(self, monkeypatch):
+        # Rebuilt from the event log, each candidate's recent forward rate
+        # at a formation is the bytes of the blocks it delivered between
+        # the last two optimistic ticks (from the start, before the second
+        # tick; none, before the first) over the interval, and 0 for a
+        # seed. Most peers upload at 0.3 of the playback rate, so some
+        # formations fall short of capacity and reselect by that rate.
+        reads = []
+        check = sim.capacity_check_and_reselect
+
+        def recording_check(outcome, own, infos, *args):
+            chosen = check(outcome, own, infos, *args)
+            reads.append((chosen is not outcome, infos))
+            return chosen
+
+        monkeypatch.setattr(sim, "capacity_check_and_reselect", recording_check)
+        classes = (CapacityClass(0.3 * PLAYBACK, 0.75), CapacityClass(4 * PLAYBACK, 0.25))
+        cfg = sim_config(
+            "dispersiongreedy", seed=2, sessions=30, horizon=600.0,
+            capacity_classes=classes, record_events=True,
+        )
+        result = run(cfg)
+        arrivals = {e["actor"] for e in result.events if e["kind"] == "peer_arrival"}
+        seeds = arrivals - result.report.per_peer.keys()
+        window = cfg.swarm.optimistic_interval
+        ticks = 0
+        sent: dict[str, int] = {}
+        last_window: dict[str, int] = {}
+        formations = []
+        for e in result.events:
+            if e["kind"] == "optimistic_tick":
+                last_window, sent = sent, {}
+                ticks += 1
+            elif e["kind"] == "block_transfer_complete":
+                nbytes = cfg.content.block_length(e["piece"], e["block"])
+                sent[e["sender"]] = sent.get(e["sender"], 0) + nbytes
+            elif e["kind"] == "peer_arrival" and e["actor"] not in seeds:
+                formations.append(dict(last_window))
+        assert len(formations) == len(reads) and ticks > 3
+        seed_sent = 0
+        for (_, infos), forwarded in zip(reads, formations):
+            for info in infos:
+                if info.peer_id in seeds:
+                    seed_sent += forwarded.get(info.peer_id, 0)
+                    assert info.recent_forward_rate == 0.0, info.peer_id
+                else:
+                    want = forwarded.get(info.peer_id, 0) / window
+                    assert info.recent_forward_rate == want, info.peer_id
+        assert seed_sent > 0
+        assert any(reselected for reselected, _ in reads)
+        assert any(info.recent_forward_rate for _, infos in reads for info in infos)
 
     def test_record_support_and_mass_match_requests(self):
         # Each peer's support and mass must agree with a recount over the
@@ -747,6 +803,22 @@ class TestInvariantMutations:
 
         monkeypatch.setattr(sim._Engine, "_choke", choke_keeping_owners)
         self.run_checked("not unchoked")
+
+    def test_choked_pair_filled(self, monkeypatch):
+        on_request = sim._Engine._on_request
+
+        def request_from_choking_neighbours(self, pid, idx):
+            # `_fill_pipeline` trusts its callers to pass unchoked pairs;
+            # this one also fills the pairs of the neighbours that choke
+            # the requester, and its refill picks a piece on such a link.
+            on_request(self, pid, idx)
+            peer = self.peers[pid]
+            for up in map(self.peers.__getitem__, peer.neighbourhood):
+                if pid not in up.regular_slots and up.optimistic_slot != pid:
+                    self._fill_pipeline(peer, up)
+
+        monkeypatch.setattr(sim._Engine, "_on_request", request_from_choking_neighbours)
+        self.run_checked("owns pieces on a link that is not unchoked")
 
     def test_departure_skips_idle_links(self, monkeypatch):
         def cancel_busy_links(self, peer):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsim.errors import InvariantError
 from swarmsim.sim import _RunPeer
@@ -270,6 +272,44 @@ class TestRarestFirst:
                 assert rarest_first(order, missing if among is None else among, got_rng) == want
                 assert got_rng.getstate() == want_rng.getstate()
         assert most >= 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_covering_maps_change_nothing(self, width, seed, data):
+        # A map holding every candidate adds one to each count. Once one is
+        # summed, as the sender's always is in the engine, adding any
+        # number more, anywhere among the maps, moves neither the pick nor
+        # the generator's state, and the pick is the numpy oracle's.
+        piece_map = st.integers(0, (1 << width) - 1)
+        among = data.draw(piece_map)
+        maps = data.draw(st.lists(piece_map, max_size=12))
+        extras = data.draw(st.lists(piece_map, min_size=1, max_size=6))
+        covering = [among | extra for extra in extras]
+        maps.insert(data.draw(st.integers(0, len(maps))), covering[0])
+        more = list(maps)
+        for have in covering[1:]:
+            more.insert(data.draw(st.integers(0, len(more))), have)
+        want_rng = random.Random(seed)
+        counts = np.sum([bool_map(m, width) for m in maps], axis=0, dtype=np.int64)
+        want = numpy_rarest_first(None, counts, want_rng, among=bool_map(among, width))
+        for order in (maps, more):
+            got_rng = random.Random(seed)
+            assert rarest_first(order, among, got_rng) == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("covering", [1, 3])
+    def test_only_covering_maps_pick_uniformly(self, covering):
+        # With every map holding every candidate, all counts tie: the pick
+        # is the candidate at one uniform draw over `among` in ascending order.
+        rng = random.Random(covering)
+        for seed in range(60):
+            among = rng.getrandbits(40)
+            maps = [among | rng.getrandbits(40) for _ in range(covering)]
+            pieces = [k for k in range(40) if among >> k & 1]
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            want = pieces[want_rng.randrange(len(pieces))] if pieces else None
+            assert rarest_first(maps, among, got_rng) == want
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestRecordBlock:
